@@ -14,7 +14,7 @@ from .stepsize import (ConstantSchedule, DecreasingSchedule, HarmonicSchedule,
 from .topology import (Graph, MixingMatrix, SpectralInfo, build_graph, lazify,
                        metropolis_weights, spectral_info)
 from .unified import (AbcEngine, AbcOperator, TransformData, TransformedEngine,
-                      build_operator, e_vector, edrr_operator, gtrr_operator,
+                      build_operator, edrr_operator, gtrr_operator,
                       transform_data)
 
 __version__ = "0.1.0"

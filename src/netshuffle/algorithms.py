@@ -57,7 +57,6 @@ class _Method:
             raise ValueError(f"{self.name} requires iid sampling")
         self.obj = objective
         self.W = mix.w
-        self.mix = mix
         self.stream = stream
         self.n, self.m, self.p = objective.n, objective.m, objective.p
         self.X: np.ndarray | None = None

@@ -9,6 +9,7 @@ output), verify (property suites), constants (theory calculator), spectrum
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import algorithms, harness, metrics, stepsize, unified
@@ -19,67 +20,41 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
+_FLAG_TYPES = {"int": int, "float": float}
+
+
 def _add_config_flags(p: argparse.ArgumentParser):
+    """One flag per `ExperimentConfig` field, grouped by its file section,
+    plus the CLI-only --config, --no-hetero and --auto-stepsize."""
     p.add_argument("--config", help="key = value config file; flags override it")
-    g = p.add_argument_group("objective")
-    g.add_argument("--objective", choices=["quadratic", "logistic", "ncvx-logistic"])
-    g.add_argument("--n", type=int, help="agent count")
-    g.add_argument("--m", type=int, help="components per agent")
-    g.add_argument("--dim", type=int, help="iterate dimension")
-    g.add_argument("--rho", type=float, help="ridge weight (logistic)")
-    g.add_argument("--eta", type=float, help="saturating-penalty weight")
-    g.add_argument("--condition", type=float)
-    g.add_argument("--hetero", dest="hetero", action="store_const", const="true",
-                   help="label-sorted heterogeneous partition")
-    g.add_argument("--no-hetero", dest="hetero", action="store_const", const="false")
-    g.add_argument("--hetero-scale", type=float, dest="hetero_scale")
-    g.add_argument("--spread", type=float)
-    g.add_argument("--scale", type=float)
-    g.add_argument("--data-seed", type=int, dest="data_seed")
-    g.add_argument("--cifar10", help="directory with CIFAR-10 binary batches")
-    t = p.add_argument_group("topology")
-    t.add_argument("--graph", help="ring|grid:RxC|complete|star|custom:<edge-file>")
-    t.add_argument("--tau", type=float, help="lazify weight in (0,1)")
-    r = p.add_argument_group("run")
-    r.add_argument("--method", dest="methods",
-                   help="comma list from " + ",".join(sorted(algorithms.METHODS)))
-    r.add_argument("--sampling", choices=["rr", "once", "iid"])
-    r.add_argument("--epochs", type=int)
-    r.add_argument("--seed", dest="seeds", help="comma list of seeds")
-    r.add_argument("--init", choices=["same", "random"])
-    r.add_argument("--init-scale", type=float, dest="init_scale")
-    r.add_argument("--stepsize",
-                   help="const:a | dec:theta,K | harmonic:a,b | plateau:a1,a2,... | auto")
-    r.add_argument("--auto-stepsize", action="store_true",
-                   help="shorthand for --stepsize auto")
-    r.add_argument("--regime", choices=["ncvx", "pl-const", "pl-decreasing"])
-    r.add_argument("--theta", type=float)
-    r.add_argument("--strict-alg2", dest="strict_alg2", action="store_const", const="true")
-    r.add_argument("--inner-metrics", dest="inner_metrics", action="store_const", const="true")
-    r.add_argument("--worst-case-constants", dest="worst_case_constants",
-                   action="store_const", const="true")
-    r.add_argument("--workers", type=int)
-    r.add_argument("--timings", dest="timings", action="store_const", const="true")
-    r.add_argument("--out", dest="outdir", help="output directory")
+    groups = {}
+    for field in dataclasses.fields(harness.ExperimentConfig):
+        meta = field.metadata
+        if meta["section"] not in groups:
+            groups[meta["section"]] = p.add_argument_group(meta["section"])
+        flag = "--" + (meta["flag"] or field.name).replace("_", "-")
+        if field.type == "bool":  # passed on as text, parsed like a file value
+            kind = {"action": "store_const", "const": "true"}
+        else:
+            kind = {"type": _FLAG_TYPES.get(field.type), "choices": meta["choices"]}
+        groups[meta["section"]].add_argument(flag, dest=field.name, help=meta["help"],
+                                             **kind)
+    groups["objective"].add_argument("--no-hetero", dest="hetero",
+                                     action="store_const", const="false")
+    groups["run"].add_argument("--auto-stepsize", action="store_true",
+                               help="shorthand for --stepsize auto")
 
 
 def _config_from_args(args) -> harness.ExperimentConfig:
     cfg = harness.ExperimentConfig()
     if args.config:
         cfg = harness.config_from_file(args.config, cfg)
-    overrides = {}
-    for field in ("objective", "n", "m", "dim", "rho", "eta", "condition", "hetero",
-                  "hetero_scale", "spread", "scale", "data_seed", "cifar10", "graph",
-                  "tau", "methods", "sampling", "epochs", "seeds", "init", "init_scale",
-                  "stepsize", "regime", "theta", "strict_alg2", "inner_metrics",
-                  "worst_case_constants", "workers", "outdir", "timings"):
-        value = getattr(args, field, None)
-        if value is not None:
-            overrides[field] = value
-    if getattr(args, "auto_stepsize", False):
+    overrides = {field.name: getattr(args, field.name)
+                 for field in dataclasses.fields(harness.ExperimentConfig)
+                 if getattr(args, field.name) is not None}
+    if args.auto_stepsize:
         overrides["stepsize"] = "auto"
-    return harness.config_from_mapping(
-        {harness._FIELD_TO_KEY[k]: v for k, v in overrides.items()}, cfg)
+    return harness.config_from_mapping(overrides, cfg)
 
 
 def _cmd_run(args) -> int:

@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,75 +32,82 @@ class ConfigError(ValueError):
     """Bad experiment configuration."""
 
 
+def _key(default, section: str, help: str | None = None, *, key: str | None = None,
+         flag: str | None = None, choices=None, hashed: bool = True):
+    """Declare a config field: its file key is `<section>.<key or field name>`,
+    its CLI flag `--<flag or field name>` (underscores as dashes), and only
+    hashed fields enter the canonical text."""
+    return dataclasses.field(default=default, metadata={
+        "section": section, "key": key, "flag": flag, "help": help,
+        "choices": choices, "hashed": hashed})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    # objective block
-    objective: str = "quadratic"      # quadratic | logistic | ncvx-logistic
-    n: int = 16
-    m: int = 10
-    dim: int = 5
-    rho: float = 0.2
-    eta: float = 0.2
-    condition: float = 1.0
-    hetero: bool = True
-    hetero_scale: float = 1.0
-    spread: float = 1.0
-    scale: float = 1.0
-    data_seed: int = 0
-    cifar10: str = ""
-    # topology block
-    graph: str = "ring"               # ring | grid:RxC | complete | star | custom:<file>
-    tau: float = 0.0
-    # run block
-    methods: tuple = ("gtrr",)
-    sampling: str = "rr"
-    epochs: int = 100
-    seeds: tuple = (0,)
-    init: str = "same"
-    init_scale: float = 1.0
-    stepsize: str = "const:0.001"
-    regime: str = "ncvx"
-    theta: float = 20.0
-    strict_alg2: bool = False
-    inner_metrics: bool = False
-    worst_case_constants: bool = False
-    workers: int = 1
-    outdir: str = "results"
-    timings: bool = False
+    objective: str = _key("quadratic", "objective", key="family",
+                          choices=("quadratic", "logistic", "ncvx-logistic"))
+    n: int = _key(16, "objective", "agent count")
+    m: int = _key(10, "objective", "components per agent")
+    dim: int = _key(5, "objective", "iterate dimension")
+    rho: float = _key(0.2, "objective", "ridge weight (logistic)")
+    eta: float = _key(0.2, "objective", "saturating-penalty weight")
+    condition: float = _key(1.0, "objective")
+    hetero: bool = _key(True, "objective", "label-sorted heterogeneous partition")
+    hetero_scale: float = _key(1.0, "objective")
+    spread: float = _key(1.0, "objective")
+    scale: float = _key(1.0, "objective")
+    data_seed: int = _key(0, "objective")
+    cifar10: str = _key("", "objective", "directory with CIFAR-10 binary batches")
+    graph: str = _key("ring", "topology", "ring|grid:RxC|complete|star|custom:<edge-file>")
+    tau: float = _key(0.0, "topology", "lazify weight in (0,1)")
+    methods: tuple = _key(("gtrr",), "run", "comma list from "
+                          + ",".join(sorted(algorithms.METHODS)), flag="method")
+    sampling: str = _key("rr", "run", choices=("rr", "once", "iid"))
+    epochs: int = _key(100, "run")
+    seeds: tuple = _key((0,), "run", "comma list of seeds", flag="seed")
+    init: str = _key("same", "run", choices=("same", "random"))
+    init_scale: float = _key(1.0, "run")
+    stepsize: str = _key("const:0.001", "run",
+                         "const:a | dec:theta,K | harmonic:a,b | plateau:a1,a2,... | auto")
+    regime: str = _key("ncvx", "run", choices=("ncvx", "pl-const", "pl-decreasing"))
+    theta: float = _key(20.0, "run")
+    strict_alg2: bool = _key(False, "run")
+    inner_metrics: bool = _key(False, "run")
+    worst_case_constants: bool = _key(False, "run")
+    # execution details that do not influence the produced numbers stay out
+    # of the hash, so reruns in other directories or at other worker counts
+    # hash (and therefore serialize) identically
+    workers: int = _key(1, "run", hashed=False)
+    outdir: str = _key("results", "run", "output directory", flag="out", hashed=False)
+    timings: bool = _key(False, "run", hashed=False)
 
 
-_KEYMAP = {
-    "objective.family": "objective", "objective.n": "n", "objective.m": "m",
-    "objective.dim": "dim", "objective.rho": "rho", "objective.eta": "eta",
-    "objective.condition": "condition", "objective.hetero": "hetero",
-    "objective.hetero_scale": "hetero_scale", "objective.spread": "spread",
-    "objective.scale": "scale", "objective.data_seed": "data_seed",
-    "objective.cifar10": "cifar10",
-    "topology.graph": "graph", "topology.tau": "tau",
-    "run.methods": "methods", "run.sampling": "sampling", "run.epochs": "epochs",
-    "run.seeds": "seeds", "run.init": "init", "run.init_scale": "init_scale",
-    "run.stepsize": "stepsize", "run.regime": "regime", "run.theta": "theta",
-    "run.strict_alg2": "strict_alg2", "run.inner_metrics": "inner_metrics",
-    "run.worst_case_constants": "worst_case_constants", "run.workers": "workers",
-    "run.outdir": "outdir", "run.timings": "timings",
-}
-_FIELD_TO_KEY = {v: k for k, v in _KEYMAP.items()}
+_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+_FIELD_TO_KEY = {name: f"{f.metadata['section']}.{f.metadata['key'] or name}"
+                 for name, f in _FIELDS.items()}
+_KEYMAP = {key: name for name, key in _FIELD_TO_KEY.items()}
+_HASHED_KEYS = sorted(_FIELD_TO_KEY[name] for name, f in _FIELDS.items()
+                      if f.metadata["hashed"])
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
 def _coerce(field_name: str, raw):
-    field = {f.name: f for f in dataclasses.fields(ExperimentConfig)}[field_name]
+    kind = _FIELDS[field_name].type
     if isinstance(raw, str):
         raw = raw.strip()
-        if field.type in ("tuple", tuple):
+        if kind == "tuple":
             parts = [p.strip() for p in raw.split(",") if p.strip()]
             if field_name == "seeds":
                 return tuple(int(p) for p in parts)
             return tuple(parts)
-        if field.type in ("bool", bool):
-            return raw.lower() in ("1", "true", "yes", "on")
-        if field.type in ("int", int):
+        if kind == "bool":
+            if raw.lower() not in _BOOLS:
+                raise ValueError(f"expected one of {', '.join(_BOOLS)}, got {raw!r}")
+            return _BOOLS[raw.lower()]
+        if kind == "int":
             return int(raw)
-        if field.type in ("float", float):
+        if kind == "float":
             return float(raw)
         return raw
     if field_name == "seeds":
@@ -110,13 +118,17 @@ def _coerce(field_name: str, raw):
 
 
 def config_from_mapping(entries: dict, base: ExperimentConfig | None = None) -> ExperimentConfig:
+    """Override `base` with entries keyed by dotted file key or field name."""
     cfg = base or ExperimentConfig()
     updates = {}
     for key, raw in entries.items():
-        field_name = _KEYMAP.get(key, key if key in _FIELD_TO_KEY else None)
+        field_name = _KEYMAP.get(key, key if key in _FIELDS else None)
         if field_name is None:
             raise ConfigError(f"unknown config key {key!r}")
-        updates[field_name] = _coerce(field_name, raw)
+        try:
+            updates[field_name] = _coerce(field_name, raw)
+        except ValueError as exc:
+            raise ConfigError(f"{_FIELD_TO_KEY[field_name]}: {exc}") from exc
     return dataclasses.replace(cfg, **updates)
 
 
@@ -133,18 +145,10 @@ def config_from_file(path, base: ExperimentConfig | None = None) -> ExperimentCo
     return config_from_mapping(entries, base)
 
 
-# execution details that do not influence the produced numbers; kept out of
-# the canonical text so reruns in other directories or at other worker counts
-# hash (and therefore serialize) identically
-_NON_SEMANTIC_FIELDS = ("outdir", "workers", "timings")
-
-
 def canonical_text(cfg: ExperimentConfig) -> str:
     lines = []
-    for field_name, key in sorted(_FIELD_TO_KEY.items(), key=lambda kv: kv[1]):
-        if field_name in _NON_SEMANTIC_FIELDS:
-            continue
-        value = getattr(cfg, field_name)
+    for key in _HASHED_KEYS:
+        value = getattr(cfg, _KEYMAP[key])
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
         lines.append(f"{key} = {value}")
@@ -228,8 +232,9 @@ def build_schedule(cfg: ExperimentConfig, method: str, objective,
         if isinstance(sched, stepsize.ConstantSchedule):
             tc = stepsize.theory_constants(transform, cfg.m, consts.L, consts.mu,
                                            max(cfg.epochs, 1), worst_case=worst)
-            assert sched.value <= tc.alpha_max_ncvx * (1 + 1e-12), \
-                "auto stepsize exceeded the admissible bound"
+            if sched.value > tc.alpha_max_ncvx * (1 + 1e-12):
+                raise ConfigError(f"auto stepsize {sched.value:.6g} exceeds the "
+                                  f"admissible bound {tc.alpha_max_ncvx:.6g}")
         return sched
     try:
         return stepsize.parse_schedule(cfg.stepsize, mu=consts.mu, m=cfg.m)
@@ -243,10 +248,13 @@ def build_schedule(cfg: ExperimentConfig, method: str, objective,
 
 
 def run_one(cfg: ExperimentConfig, method: str, seed: int, objective=None,
-            mix: MixingMatrix | None = None) -> list:
+            mix: MixingMatrix | None = None, transform=None) -> list:
+    """One method for one seed; `objective`, `mix` and `transform` are built
+    from `cfg` unless given (a sweep builds them once and shares them)."""
     objective = objective if objective is not None else build_objective(cfg)
     mix = mix if mix is not None else build_mix(cfg)
-    transform = method_transform(method, mix)
+    if transform is None:
+        transform = method_transform(method, mix)
     schedule = build_schedule(cfg, method, objective, transform)
     return algorithms.run(
         method, objective, mix, schedule, cfg.epochs, seed,
@@ -282,22 +290,15 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
             raise ConfigError(f"method {method!r}: {exc}") from exc
         plans[method] = transform
 
-    jobs = [(method, seed) for method in cfg.methods for seed in cfg.seeds]
-
-    def work(job):
-        method, seed = job
-        return algorithms.run(
-            method, objective, mix, build_schedule(cfg, method, objective, plans[method]),
-            cfg.epochs, seed, sampling=cfg.sampling, init=cfg.init,
-            init_scale=cfg.init_scale, init_seed=cfg.data_seed,
-            transform=plans[method], strict_alg2=cfg.strict_alg2,
-            inner_metrics=cfg.inner_metrics, timings=cfg.timings)
-
+    jobs = {(method, seed): partial(run_one, cfg, method, seed, objective, mix,
+                                    plans[method])
+            for method in cfg.methods for seed in cfg.seeds}
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = dict(zip(jobs, pool.map(work, jobs)))
+            futures = {job: pool.submit(call) for job, call in jobs.items()}
+        results = {job: future.result() for job, future in futures.items()}
     else:
-        results = {job: work(job) for job in jobs}
+        results = {job: call() for job, call in jobs.items()}
 
     digest = config_hash(cfg)
     written = {}

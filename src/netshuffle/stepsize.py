@@ -109,10 +109,6 @@ class PlateauSchedule(Schedule):
         return "plateau:" + ",".join(repr(v) for v in self.levels)
 
 
-def next_stepsize(schedule: Schedule, t: int, metric_history=()) -> float:
-    return schedule.alpha(t, metric_history)
-
-
 def _parse_number(text: str) -> float:
     text = text.strip()
     if "/" in text:

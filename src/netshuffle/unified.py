@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algorithms import ProbeInfo
 from .objective import FiniteSumObjective
 from .shuffling import PermutationStream
 from .topology import MixingMatrix, psd_sqrt
@@ -284,11 +285,6 @@ def transform_data(op: AbcOperator) -> TransformData:
     )
 
 
-def e_vector(op: AbcOperator, transform: TransformData, X: np.ndarray,
-             S: np.ndarray) -> np.ndarray:
-    return transform.e_vector(X, S)
-
-
 # ---------------------------------------------------------------------------
 # engines (cross-implementation oracles)
 # ---------------------------------------------------------------------------
@@ -332,7 +328,7 @@ class AbcEngine:
             self.X = op.A @ (op.C @ self.X - alpha * g) - op.B @ self.Z
             self.Z = self.Z + op.B @ self.X
             if probe is not None:
-                probe(_mk_probe(t, ell, alpha, Xb, self.X, g))
+                probe(ProbeInfo(t, ell, alpha, Xb, self.X, g))
 
     def abc_state(self, alpha):
         Z = self._epoch_start_z()
@@ -394,13 +390,8 @@ class TransformedEngine:
             self.S = self.S + self.op.B2 @ self.X
             self.X = X_new
             if probe is not None:
-                probe(_mk_probe(t, ell, alpha, Xb, self.X, g))
+                probe(ProbeInfo(t, ell, alpha, Xb, self.X, g))
 
     def abc_state(self, alpha):
         S, _, _ = self._anchored_s(alpha)
         return self.X, S
-
-
-def _mk_probe(t, ell, alpha, Xb, Xa, g):
-    from .algorithms import ProbeInfo
-    return ProbeInfo(t, ell, alpha, Xb, Xa, g)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from netshuffle.data import load_cifar10, partition_data
 from netshuffle.harness import (ConfigError, ExperimentConfig, canonical_text,
                                 config_from_file, config_from_mapping,
                                 config_hash, run_sweep, verify)
+from netshuffle.stepsize import ConstantSchedule
 
 SMALL = ExperimentConfig(
     objective="quadratic", n=8, m=3, dim=3, data_seed=1,
@@ -103,6 +106,65 @@ def test_config_hash_sensitivity():
 def test_config_rejects_unknown_key():
     with pytest.raises(ConfigError, match="unknown config key"):
         config_from_mapping({"run.turbo": "1"})
+
+
+def test_config_booleans_parse_strictly():
+    for text in ("1", "true", "YES", "On"):
+        assert config_from_mapping({"run.inner_metrics": text}).inner_metrics is True
+    for text in ("0", "False", "no", "OFF"):
+        assert config_from_mapping({"run.inner_metrics": text}).inner_metrics is False
+    with pytest.raises(ConfigError, match="run.inner_metrics"):
+        config_from_mapping({"run.inner_metrics": "ture"})
+
+
+def _other_value(field):
+    """A value for `field` that differs from its default."""
+    if field.type == "bool":
+        return not field.default
+    if field.type in ("int", "float"):
+        return field.default + 3
+    if field.name == "seeds":
+        return (3, 4)
+    if field.name == "methods":
+        return ("drr", "gtrr")
+    if field.metadata["choices"]:
+        return next(c for c in field.metadata["choices"] if c != field.default)
+    return "x" + field.default
+
+
+def _as_text(value):
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def test_every_config_field_has_one_key_and_one_flag(tmp_path):
+    fields = dataclasses.fields(ExperimentConfig)
+    keys = [harness._FIELD_TO_KEY[f.name] for f in fields]
+    assert len(set(keys)) == len(fields) == len(harness._KEYMAP)
+    parser = cli.build_parser()
+    sweep = parser._subparsers._group_actions[0].choices["sweep"]
+    cli_only = {"--config", "--no-hetero", "--auto-stepsize"}
+    flags = {}
+    for action in sweep._actions:
+        for opt in set(action.option_strings) - cli_only - {"-h", "--help"}:
+            flags.setdefault(action.dest, []).append(opt)
+    assert set(flags) == {f.name for f in fields}
+    for field, key in zip(fields, keys):
+        assert len(flags[field.name]) == 1, field.name
+        value = _other_value(field)
+        path = tmp_path / f"{field.name}.cfg"
+        path.write_text(f"{key} = {_as_text(value)}\n")
+        assert getattr(config_from_file(path), field.name) == value, key
+        if field.type == "bool":  # a bare flag sets true: start from a file saying false
+            path.write_text(f"{key} = false\n")
+            argv, expected = ["--config", str(path), flags[field.name][0]], True
+        else:
+            argv, expected = [flags[field.name][0], _as_text(value)], value
+        args = parser.parse_args(["sweep", *argv])
+        assert getattr(cli._config_from_args(args), field.name) == expected, argv
+    # the hashed key set is part of every CSV's provenance
+    assert config_hash(ExperimentConfig()) == "90e9268fb5af6e07"
 
 
 def test_invalid_graph_is_config_error():
@@ -206,6 +268,25 @@ def test_sweep_auto_stepsize_asserts_admissible(tmp_path):
     cfg = dataclasses.replace(cfg, methods=("crr",))
     with pytest.raises(ConfigError, match="auto"):
         run_sweep(cfg)
+
+
+def test_auto_stepsize_above_bound_is_config_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness.stepsize, "recommend_alpha",
+                        lambda *args, **kwargs: ConstantSchedule(1e6))
+    cfg = dataclasses.replace(SMALL, methods=("gtrr",), stepsize="auto",
+                              outdir=str(tmp_path))
+    with pytest.raises(ConfigError, match="admissible bound"):
+        run_sweep(cfg)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_sweep_builds_each_transform_once(tmp_path, monkeypatch):
+    calls = []
+    build = harness.unified.transform_data
+    monkeypatch.setattr(harness.unified, "transform_data",
+                        lambda op: calls.append(op) or build(op))
+    run_sweep(dataclasses.replace(SMALL, outdir=str(tmp_path)))
+    assert len(calls) == 1  # gtrr only; three seeds share it
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from netshuffle.stepsize import (ConstantSchedule, DecreasingSchedule,
                                  HarmonicSchedule, PlateauSchedule,
-                                 next_stepsize, parse_schedule, recommend_alpha,
+                                 parse_schedule, recommend_alpha,
                                  theory_constants)
 from netshuffle.topology import build_graph, lazify, metropolis_weights
 from netshuffle.unified import edrr_operator, gtrr_operator, transform_data
@@ -55,11 +55,6 @@ def test_plateau_ladder_demotions():
 def test_plateau_rejects_increasing_ladder():
     with pytest.raises(ValueError):
         PlateauSchedule(levels=(0.01, 0.1))
-
-
-def test_next_stepsize_delegates():
-    sched = ConstantSchedule(0.5)
-    assert next_stepsize(sched, 3) == 0.5
 
 
 def test_parse_schedule_forms():

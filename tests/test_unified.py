@@ -7,8 +7,8 @@ from netshuffle.objective import QuadraticObjective, make_quadratic
 from netshuffle.shuffling import PermutationStream
 from netshuffle.topology import build_graph, lazify, metropolis_weights
 from netshuffle.unified import (AbcEngine, OperatorError, TransformedEngine,
-                                build_operator, e_vector, edrr_operator,
-                                gtrr_operator, transform_data)
+                                build_operator, edrr_operator, gtrr_operator,
+                                transform_data)
 
 ALPHA = 0.02
 
@@ -257,7 +257,7 @@ def test_e_vector_zero_at_consensus(quad8, ring8):
     td = transform_data(op)
     X = np.tile(np.arange(4.0), (8, 1))
     S = np.zeros_like(X)
-    e = e_vector(op, td, X, S)
+    e = td.e_vector(X, S)
     assert np.linalg.norm(e) < 1e-12
 
 
