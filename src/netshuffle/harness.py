@@ -33,22 +33,24 @@ class ConfigError(ValueError):
 
 
 def _key(default, section: str, help: str | None = None, *, key: str | None = None,
-         flag: str | None = None, choices=None, hashed: bool = True):
+         flag: str | None = None, choices=None, minimum: int | None = None,
+         hashed: bool = True):
     """Declare a config field: its file key is `<section>.<key or field name>`,
     its CLI flag `--<flag or field name>` (underscores as dashes), and only
-    hashed fields enter the canonical text."""
+    hashed fields enter the canonical text.  `choices` and `minimum` are
+    checked by `config_from_mapping`."""
     return dataclasses.field(default=default, metadata={
         "section": section, "key": key, "flag": flag, "help": help,
-        "choices": choices, "hashed": hashed})
+        "choices": choices, "minimum": minimum, "hashed": hashed})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     objective: str = _key("quadratic", "objective", key="family",
                           choices=("quadratic", "logistic", "ncvx-logistic"))
-    n: int = _key(16, "objective", "agent count")
-    m: int = _key(10, "objective", "components per agent")
-    dim: int = _key(5, "objective", "iterate dimension")
+    n: int = _key(16, "objective", "agent count", minimum=1)
+    m: int = _key(10, "objective", "components per agent", minimum=1)
+    dim: int = _key(5, "objective", "iterate dimension", minimum=1)
     rho: float = _key(0.2, "objective", "ridge weight (logistic)")
     eta: float = _key(0.2, "objective", "saturating-penalty weight")
     condition: float = _key(1.0, "objective")
@@ -63,7 +65,7 @@ class ExperimentConfig:
     methods: tuple = _key(("gtrr",), "run", "comma list from "
                           + ",".join(sorted(algorithms.METHODS)), flag="method")
     sampling: str = _key("rr", "run", choices=("rr", "once", "iid"))
-    epochs: int = _key(100, "run")
+    epochs: int = _key(100, "run", minimum=0)
     seeds: tuple = _key((0,), "run", "comma list of seeds", flag="seed")
     init: str = _key("same", "run", choices=("same", "random"))
     init_scale: float = _key(1.0, "run")
@@ -77,7 +79,7 @@ class ExperimentConfig:
     # execution details that do not influence the produced numbers stay out
     # of the hash, so reruns in other directories or at other worker counts
     # hash (and therefore serialize) identically
-    workers: int = _key(1, "run", hashed=False)
+    workers: int = _key(1, "run", minimum=1, hashed=False)
     outdir: str = _key("results", "run", "output directory", flag="out", hashed=False)
     timings: bool = _key(False, "run", hashed=False)
 
@@ -129,7 +131,16 @@ def config_from_mapping(entries: dict, base: ExperimentConfig | None = None) -> 
             updates[field_name] = _coerce(field_name, raw)
         except ValueError as exc:
             raise ConfigError(f"{_FIELD_TO_KEY[field_name]}: {exc}") from exc
-    return dataclasses.replace(cfg, **updates)
+    cfg = dataclasses.replace(cfg, **updates)
+    for name, field in _FIELDS.items():
+        value, meta = getattr(cfg, name), field.metadata
+        if meta["choices"] is not None and value not in meta["choices"]:
+            raise ConfigError(f"{_FIELD_TO_KEY[name]}: expected one of "
+                              f"{', '.join(meta['choices'])}, got {value!r}")
+        if meta["minimum"] is not None and value < meta["minimum"]:
+            raise ConfigError(f"{_FIELD_TO_KEY[name]}: must be >= {meta['minimum']}, "
+                              f"got {value}")
+    return cfg
 
 
 def config_from_file(path, base: ExperimentConfig | None = None) -> ExperimentConfig:

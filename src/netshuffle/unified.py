@@ -143,9 +143,25 @@ def edrr_operator(mix: MixingMatrix) -> AbcOperator:
 # ---------------------------------------------------------------------------
 
 
+def _block_diag(blocks: np.ndarray) -> np.ndarray:
+    """Dense 2k-square matrix whose block i sits on rows and columns (i, k+i)."""
+    k = blocks.shape[0]
+    out = np.zeros((2 * k, 2 * k))
+    diag = np.arange(k)
+    for r in range(2):
+        for c in range(2):
+            out[r * k + diag, c * k + diag] = blocks[:, r, c]
+    return out
+
+
 @dataclass(frozen=True)
 class TransformData:
-    """Similarity data for the stacked (x, s) recursion off consensus."""
+    """Similarity data for the stacked (x, s) recursion off consensus.
+
+    The block map G = V Gamma V^{-1} is kept as its n-1 2x2 blocks, block i
+    acting on rows (i, n-1+i) of the stacked 2(n-1) vector; the dense
+    matrices are built only when the G, V, Vinv and Gamma properties are read.
+    """
 
     n: int
     uhat: np.ndarray
@@ -153,10 +169,10 @@ class TransformData:
     a_vals: np.ndarray
     b_vals: np.ndarray
     c_vals: np.ndarray
-    G: np.ndarray          # 2(n-1) block map
-    V: np.ndarray
-    Vinv: np.ndarray
-    Gamma: np.ndarray
+    G_blocks: np.ndarray   # (n-1, 2, 2)
+    V_blocks: np.ndarray
+    Vinv_blocks: np.ndarray
+    Gamma_blocks: np.ndarray
     gamma: float
     norm_V2: float
     norm_Vinv2: float
@@ -166,13 +182,31 @@ class TransformData:
     lambda_min: float      # smallest eigenvalue of W
     any_defective: bool
 
+    @property
+    def G(self) -> np.ndarray:
+        return _block_diag(self.G_blocks)
+
+    @property
+    def V(self) -> np.ndarray:
+        return _block_diag(self.V_blocks)
+
+    @property
+    def Vinv(self) -> np.ndarray:
+        return _block_diag(self.Vinv_blocks)
+
+    @property
+    def Gamma(self) -> np.ndarray:
+        return _block_diag(self.Gamma_blocks)
+
     def e_vector(self, X: np.ndarray, S: np.ndarray) -> np.ndarray:
         """e = V^{-1} [Uhat^T x ; Lambda_b^{-1} Uhat^T s], a 2(n-1) x p array."""
         if self.n == 1:
             return np.zeros((0, X.shape[1]))
         top = self.uhat.T @ X
         bottom = (self.uhat.T @ S) / self.b_vals[:, None]
-        return self.Vinv @ np.vstack([top, bottom])
+        Vi = self.Vinv_blocks[:, :, :, None]
+        return np.vstack([Vi[:, 0, 0] * top + Vi[:, 0, 1] * bottom,
+                          Vi[:, 1, 0] * top + Vi[:, 1, 1] * bottom])
 
     def consensus_bound(self, e: np.ndarray) -> float:
         return self.norm_V2 * float(np.sum(e * e))
@@ -233,7 +267,7 @@ def _block_basis(G2: np.ndarray):
 
 
 def transform_data(op: AbcOperator) -> TransformData:
-    """Assemble V, Gamma, and the cached norms for an operator.
+    """Assemble the V and Gamma blocks and the cached norms for an operator.
 
     Rejects operators whose block spectral radius reaches 1 (non-contractive
     off the consensus span).
@@ -246,39 +280,37 @@ def transform_data(op: AbcOperator) -> TransformData:
     b_vals = np.sqrt(b2_vals)
     c_vals = _poly_scalar(op.poly_c, lam_vals)
     k = n - 1
-    G = np.zeros((2 * k, 2 * k))
-    V = np.zeros((2 * k, 2 * k))
-    Vinv = np.zeros((2 * k, 2 * k))
-    Gamma = np.zeros((2 * k, 2 * k))
+    G = np.empty((k, 2, 2))
+    G[:, 0, 0] = a_vals * c_vals - b2_vals
+    G[:, 0, 1] = -b_vals
+    G[:, 1, 0] = b_vals
+    G[:, 1, 1] = 1.0
+    V = np.empty((k, 2, 2))
+    Gamma = np.empty((k, 2, 2))
     gamma = 0.0
     any_defective = False
     for i in range(k):
-        G2 = np.array([[a_vals[i] * c_vals[i] - b2_vals[i], -b_vals[i]],
-                       [b_vals[i], 1.0]])
-        Vi, Gi, radius, defective = _block_basis(G2)
+        V[i], Gamma[i], radius, defective = _block_basis(G[i])
         any_defective = any_defective or defective
         gamma = max(gamma, radius)
-        det = Vi[0, 0] * Vi[1, 1] - Vi[0, 1] * Vi[1, 0]
-        Vi_inv = np.array([[Vi[1, 1], -Vi[0, 1]], [-Vi[1, 0], Vi[0, 0]]]) / det
-        rows = (i, k + i)
-        for r, br in enumerate(rows):
-            for c, bc in enumerate(rows):
-                G[br, bc] = G2[r, c]
-                V[br, bc] = Vi[r, c]
-                Vinv[br, bc] = Vi_inv[r, c]
-                Gamma[br, bc] = Gi[r, c]
+    det = V[:, 0, 0] * V[:, 1, 1] - V[:, 0, 1] * V[:, 1, 0]
+    adj = np.empty_like(V)
+    adj[:, 0, 0], adj[:, 0, 1] = V[:, 1, 1], -V[:, 0, 1]
+    adj[:, 1, 0], adj[:, 1, 1] = -V[:, 1, 0], V[:, 0, 0]
+    Vinv = adj / det[:, None, None]
     if any_defective:
         gamma += DEFECTIVE_GUARD
     if k > 0 and gamma >= 1.0:
         raise OperatorError(
             f"operator is not contractive off consensus (gamma = {gamma:.6g} >= 1)"
         )
-    norm_V2 = float(np.linalg.norm(V, 2) ** 2) if k else 1.0
-    norm_Vinv2 = float(np.linalg.norm(Vinv, 2) ** 2) if k else 1.0
+    # a block-diagonal matrix's spectral norm is its largest block's
+    norm_V2 = float(np.linalg.norm(V, 2, axis=(1, 2)).max() ** 2) if k else 1.0
+    norm_Vinv2 = float(np.linalg.norm(Vinv, 2, axis=(1, 2)).max() ** 2) if k else 1.0
     return TransformData(
         n=n, uhat=spec.uhat, lam_vals=lam_vals, a_vals=a_vals, b_vals=b_vals,
-        c_vals=c_vals, G=G, V=V, Vinv=Vinv, Gamma=Gamma, gamma=float(gamma),
-        norm_V2=norm_V2, norm_Vinv2=norm_Vinv2,
+        c_vals=c_vals, G_blocks=G, V_blocks=V, Vinv_blocks=Vinv, Gamma_blocks=Gamma,
+        gamma=float(gamma), norm_V2=norm_V2, norm_Vinv2=norm_Vinv2,
         norm_La2=float(np.max(a_vals ** 2)) if k else 0.0,
         norm_Lb_inv2=float(np.max(1.0 / b2_vals)) if k else 0.0,
         lam=spec.lam, lambda_min=spec.lambda_min, any_defective=any_defective,

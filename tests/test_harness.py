@@ -117,6 +117,43 @@ def test_config_booleans_parse_strictly():
         config_from_mapping({"run.inner_metrics": "ture"})
 
 
+def _sweep_exit(tmp_path, capsys, *argv, config=""):
+    """Exit code and stderr of a small `netshuffle sweep` with extra flags and
+    an optional config file body."""
+    path = tmp_path / "bad.cfg"
+    path.write_text(config)
+    code = cli.main(["sweep", "--config", str(path), "--n", "4", "--m", "2",
+                     "--epochs", "1", "--out", str(tmp_path), *argv])
+    return code, capsys.readouterr().err
+
+
+def test_negative_epochs_is_config_error(tmp_path, capsys):
+    code, err = _sweep_exit(tmp_path, capsys, "--epochs", "-3")
+    assert code == cli.EXIT_CONFIG and "run.epochs" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_workers_below_one_is_config_error(tmp_path, capsys):
+    code, err = _sweep_exit(tmp_path, capsys, "--workers", "-4")
+    assert code == cli.EXIT_CONFIG and "run.workers" in err
+
+
+@pytest.mark.parametrize("flag,key", [("--n", "objective.n"), ("--m", "objective.m"),
+                                      ("--dim", "objective.dim")])
+def test_sizes_below_one_are_config_errors(tmp_path, capsys, flag, key):
+    code, err = _sweep_exit(tmp_path, capsys, flag, "0")
+    assert code == cli.EXIT_CONFIG and key in err
+
+
+@pytest.mark.parametrize("line,key", [("run.sampling = shuffled", "run.sampling"),
+                                      ("objective.family = Logistic", "objective.family"),
+                                      ("run.init = zeros", "run.init"),
+                                      ("run.regime = pl", "run.regime")])
+def test_enumerated_key_outside_its_choices_is_config_error(tmp_path, capsys, line, key):
+    code, err = _sweep_exit(tmp_path, capsys, config=line + "\n")
+    assert code == cli.EXIT_CONFIG and key in err and "expected one of" in err
+
+
 def _other_value(field):
     """A value for `field` that differs from its default."""
     if field.type == "bool":

@@ -5,6 +5,7 @@ from netshuffle.objective import (ESTIMATED, EXACT, UNAVAILABLE,
                                   QuadraticObjective, central_difference_grad,
                                   make_logistic, make_nonconvex_logistic,
                                   make_quadratic)
+from netshuffle.shuffling import PURPOSE_MC, keyed_rng
 
 FAMILIES = {
     "quadratic": lambda: make_quadratic(3, 4, 5, seed=5, condition=4.0),
@@ -62,6 +63,32 @@ def test_quadratic_consistent_system_min_zero():
     obj = make_quadratic(4, 3, 5, seed=9, consistent=True)
     assert obj.constants.f_star == pytest.approx(0.0, abs=1e-18)
     assert obj.constants.f_star_components == pytest.approx(0.0, abs=1e-18)
+
+
+@pytest.mark.parametrize("condition", [1.0, 10.0])
+def test_quadratic_batched_build_matches_per_component_loop(condition):
+    # one stacked draw and QR must give the bits of one QR per component
+    n, m, p = 3, 4, 5
+    obj = make_quadratic(n, m, p, seed=7, condition=condition)
+    rng = keyed_rng(7, PURPOSE_MC, agent=2, epoch=0)
+    s = np.logspace(0.0, 0.5 * np.log10(condition), p)
+    for i in range(n):
+        for l in range(m):
+            q, _ = np.linalg.qr(rng.normal(size=(p, p)))
+            assert np.array_equal(obj.A[i, l], q if condition == 1.0 else q * s)
+
+
+def test_component_minima_match_least_squares(rng):
+    # a rank-deficient component exercises lstsq's default rank cutoff
+    A = rng.normal(size=(3, 4, 6, 3))
+    A[0, 0, :, 2] = A[0, 0, :, 1]
+    b = rng.normal(size=(3, 4, 6))
+    expected = []
+    for Ail, bil in zip(A.reshape(-1, 6, 3), b.reshape(-1, 6)):
+        sol, *_ = np.linalg.lstsq(Ail, bil, rcond=None)
+        expected.append(0.5 * float(np.sum((Ail @ sol - bil) ** 2)))
+    got = QuadraticObjective(A, b).constants.f_star_components
+    assert got == pytest.approx(np.mean(expected), rel=1e-12)
 
 
 def test_quadratic_identity_single_component():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from netshuffle.shuffling import PermutationStream, rr_variance
+from netshuffle.shuffling import PURPOSE_PERM, PermutationStream, keyed_rng, rr_variance
 
 
 def test_single_component_is_identity():
@@ -40,6 +40,24 @@ def test_iid_mode_draws_with_replacement():
     assert draws.min() >= 0 and draws.max() < 6
     hits = [tuple(stream.permutation(0, t, 6)) for t in range(200)]
     assert any(len(set(h)) < 6 for h in hits)  # collisions happen w.r.
+
+
+@pytest.mark.parametrize("mode", ["rr", "once", "iid"])
+def test_stream_draws_equal_fresh_keyed_generators(mode, rng):
+    # the stream re-keys one generator in place; every draw must equal the
+    # one from a generator built for its key, whatever order they come in
+    stream = PermutationStream(2 ** 64 + 17, mode)
+    m = 11
+    keys = [(agent, epoch) for agent in (0, 1, 5, 300) for epoch in (0, 1, 2, 40)]
+    for j in rng.permutation(len(keys)):
+        agent, epoch = keys[j]
+        fresh = keyed_rng(2 ** 64 + 17, PURPOSE_PERM, agent,
+                          0 if mode == "once" else epoch)
+        expected = fresh.integers(0, m, size=m) if mode == "iid" else fresh.permutation(m)
+        assert np.array_equal(stream.permutation(agent, epoch, m), expected)
+    orders = stream.epoch_orders(4, 3, m)
+    for agent in range(4):
+        assert np.array_equal(orders[agent], stream.permutation(agent, 3, m))
 
 
 def test_independent_streams_change_with_master_seed():

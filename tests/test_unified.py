@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,52 @@ def test_edrr_transform_norms_match_analysis_bounds(ring16):
     td = transform_data(edrr_operator(lazy))
     bound = 4.0 * 2.0 / lazy.spectral.lambda_min
     assert td.norm_V2 * td.norm_Vinv2 <= bound + 1e-9
+
+
+def block_suite():
+    """Operators over ring, star, complete and grid graphs, plain and
+    lazified, under both presets; ED-RR only where W is PSD."""
+    graphs = (("ring", build_graph("ring", n=9)), ("star", build_graph("star", n=7)),
+              ("complete", build_graph("complete", n=6)),
+              ("grid", build_graph("grid", rows=3, cols=4)))
+    cases = []
+    for kind, graph in graphs:
+        for tau in (0.0, 0.5):
+            mix = metropolis_weights(graph)
+            mix = lazify(mix, tau) if tau else mix
+            cases.append(pytest.param(gtrr_operator(mix), id=f"{kind}-tau{tau}-gtrr"))
+            if mix.spectral.lambda_min >= -1e-12:
+                cases.append(pytest.param(edrr_operator(mix), id=f"{kind}-tau{tau}-edrr"))
+    return cases
+
+
+@pytest.mark.parametrize("op", block_suite())
+def test_block_transform_matches_dense(op, rng):
+    td = transform_data(op)
+    k = op.n - 1
+    # nothing but uhat is stored at more than one 2x2 block per eigenvalue
+    for field in dataclasses.fields(td):
+        value = getattr(td, field.name)
+        if isinstance(value, np.ndarray) and field.name != "uhat":
+            assert value.size <= 4 * k, field.name
+    assert td.norm_V2 == pytest.approx(np.linalg.norm(td.V, 2) ** 2, rel=1e-12)
+    assert td.norm_Vinv2 == pytest.approx(np.linalg.norm(td.Vinv, 2) ** 2, rel=1e-12)
+    for _ in range(5):
+        X = rng.normal(size=(op.n, 3))
+        S = rng.normal(size=(op.n, 3))
+        dense = td.Vinv @ np.vstack([td.uhat.T @ X, (td.uhat.T @ S) / td.b_vals[:, None]])
+        e = td.e_vector(X, S)
+        assert e.shape == (2 * k, 3)
+        assert np.max(np.abs(e - dense)) <= 1e-13 * max(1.0, np.max(np.abs(dense)))
+
+
+def test_single_agent_transform_is_empty():
+    mix = metropolis_weights(build_graph("complete", n=1))
+    for op in (gtrr_operator(mix), edrr_operator(mix)):
+        td = transform_data(op)
+        assert td.norm_V2 == 1.0 and td.norm_Vinv2 == 1.0
+        assert td.e_vector(np.ones((1, 4)), np.ones((1, 4))).shape == (0, 4)
+        assert td.V.shape == (0, 0)
 
 
 # ---------------------------------------------------------------------------
