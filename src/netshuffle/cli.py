@@ -12,7 +12,7 @@ import argparse
 import dataclasses
 import sys
 
-from . import algorithms, harness, metrics, stepsize, unified
+from . import harness, metrics, stepsize, unified
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -87,9 +87,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    checks = harness.verify(args.suite)
-    if args.abc and args.abc.startswith("custom:"):
-        checks.extend(_custom_abc_checks(args))
+    extra = []
+    if args.abc:  # before the suites, so a bad --abc fails at once
+        extra = harness.verify_operator(_abc_operator(args), f"abc {args.abc}")
+    checks = harness.verify(args.suite) + extra
     failed = [c for c in checks if not c.passed]
     for check in checks:
         print(check.line())
@@ -97,53 +98,30 @@ def _cmd_verify(args) -> int:
     return EXIT_VERIFY if failed else EXIT_OK
 
 
-def _custom_abc_checks(args):
-    import numpy as np
-
-    from .objective import make_quadratic
-    from .shuffling import PermutationStream
-
-    coeff_text = args.abc.split(":", 1)[1]
+def _abc_operator(args) -> unified.AbcOperator:
+    """The operator `--abc` names (a preset or custom polynomial
+    coefficients) on the configured graph."""
+    spec = args.abc
+    mix = harness.build_mix(_config_from_args(args))
     try:
-        pa, pb2, pc = ([float(v) for v in part.split(",")]
-                       for part in coeff_text.split("/"))
-    except ValueError as exc:
-        raise harness.ConfigError(f"bad custom abc spec {args.abc!r}") from exc
-    cfg = _config_from_args(args)
-    mix = harness.build_mix(cfg)
-    op = unified.build_operator(pa, pb2, pc, mix)
-    tdata = unified.transform_data(op)
-    obj = make_quadratic(mix.n, 4, 3, seed=1, condition=2.0)
-    engine = unified.AbcEngine(op, obj, PermutationStream(1, "rr"))
-    xform = unified.TransformedEngine(op, obj, PermutationStream(1, "rr"))
-    x0 = algorithms.initial_iterates(obj, "same", 1.0, init_seed=1)
-    engine.reset(x0)
-    xform.reset(x0)
-    worst = 0.0
-    for t in range(5):
-        engine.epoch(t, 0.01)
-        xform.epoch(t, 0.01)
-        worst = max(worst, float(np.linalg.norm(engine.X - xform.X)
-                                 / max(1.0, np.linalg.norm(engine.X))))
-    return [
-        harness._check("custom abc: two-variable == transformed", worst, 1e-9),
-        harness._check("custom abc: gamma < 1", tdata.gamma, 1.0 - 1e-15),
-    ]
+        if spec in harness.PRESET_OPERATORS:
+            return harness.PRESET_OPERATORS[spec](mix)
+        if spec.startswith("custom:"):
+            pa, pb2, pc = ([float(v) for v in part.split(",")]
+                           for part in spec.split(":", 1)[1].split("/"))
+            return unified.build_operator(pa, pb2, pc, mix)
+    except ValueError as exc:  # includes unified.OperatorError
+        raise harness.ConfigError(f"--abc {spec!r}: {exc}") from exc
+    raise harness.ConfigError(f"--abc: expected gtrr, edrr or custom:<a>/<b2>/<c>, "
+                              f"got {spec!r}")
 
 
 def _cmd_constants(args) -> int:
     cfg = _config_from_args(args)
     mix = harness.build_mix(cfg)
-    preset = args.abc or "gtrr"
-    if preset == "gtrr":
-        op = unified.gtrr_operator(mix)
-    elif preset == "edrr":
-        op = unified.edrr_operator(mix)
-    else:
-        raise harness.ConfigError("constants supports --abc gtrr|edrr")
-    tdata = unified.transform_data(op)
+    tdata = unified.transform_data(harness.PRESET_OPERATORS[args.abc](mix))
     obj = harness.build_objective(cfg)
-    worst = preset if cfg.worst_case_constants else None
+    worst = args.abc if cfg.worst_case_constants else None
     tc = stepsize.theory_constants(tdata, cfg.m, obj.constants.L, obj.constants.mu,
                                    max(cfg.epochs, 1), worst_case=worst)
     for name in ("gamma", "C1", "C2", "C3", "C4", "alpha_max_ncvx", "beta",
@@ -191,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_const = sub.add_parser("constants", help="print theory constants")
-    p_const.add_argument("--abc", choices=["gtrr", "edrr"], default="gtrr")
+    p_const.add_argument("--abc", choices=list(harness.PRESET_OPERATORS), default="gtrr")
     _add_config_flags(p_const)
     p_const.set_defaults(fn=_cmd_constants)
 
@@ -206,10 +184,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except harness.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # harness.ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -77,9 +75,8 @@ class ExperimentConfig:
     inner_metrics: bool = _key(False, "run")
     worst_case_constants: bool = _key(False, "run")
     # execution details that do not influence the produced numbers stay out
-    # of the hash, so reruns in other directories or at other worker counts
-    # hash (and therefore serialize) identically
-    workers: int = _key(1, "run", minimum=1, hashed=False)
+    # of the hash, so reruns in other directories hash (and therefore
+    # serialize) identically
     outdir: str = _key("results", "run", "output directory", flag="out", hashed=False)
     timings: bool = _key(False, "run", hashed=False)
 
@@ -217,8 +214,10 @@ def build_objective(cfg: ExperimentConfig):
     raise ConfigError(f"unknown objective {cfg.objective!r}")
 
 
-# only the reshuffling members of the two-matrix family carry transformed
-# state, so only they get Lyapunov/e columns and auto stepsizes
+# the (A, B^2, C) presets by name, for method transforms, `constants` and
+# `verify --abc`; only the reshuffling members of the two-matrix family carry
+# transformed state, so only they get Lyapunov/e columns and auto stepsizes
+PRESET_OPERATORS = {"gtrr": unified.gtrr_operator, "edrr": unified.edrr_operator}
 _PRESET_FOR_METHOD = {"gtrr": "gtrr", "edrr": "edrr", "edrr-pd": "edrr"}
 
 
@@ -226,8 +225,7 @@ def method_transform(method: str, mix: MixingMatrix) -> unified.TransformData | 
     preset = _PRESET_FOR_METHOD.get(method)
     if preset is None:
         return None
-    op = unified.gtrr_operator(mix) if preset == "gtrr" else unified.edrr_operator(mix)
-    return unified.transform_data(op)
+    return unified.transform_data(PRESET_OPERATORS[preset](mix))
 
 
 def build_schedule(cfg: ExperimentConfig, method: str, objective,
@@ -301,15 +299,8 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
             raise ConfigError(f"method {method!r}: {exc}") from exc
         plans[method] = transform
 
-    jobs = {(method, seed): partial(run_one, cfg, method, seed, objective, mix,
-                                    plans[method])
-            for method in cfg.methods for seed in cfg.seeds}
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = {job: pool.submit(call) for job, call in jobs.items()}
-        results = {job: future.result() for job, future in futures.items()}
-    else:
-        results = {job: call() for job, call in jobs.items()}
+    results = {(method, seed): run_one(cfg, method, seed, objective, mix, plans[method])
+               for method in cfg.methods for seed in cfg.seeds}
 
     digest = config_hash(cfg)
     written = {}
@@ -399,9 +390,11 @@ def verify_spectral() -> list:
     return out
 
 
-def verify_shuffle() -> list:
+def verify_rr_variance(rng_seed: int = 7) -> list:
+    """Enumerated without-replacement variance against its closed form for
+    m = 2..6 random 3-vectors drawn from `rng_seed`."""
     out = []
-    rng = np.random.default_rng(7)
+    rng = np.random.default_rng(rng_seed)
     for m in range(2, 7):
         X = rng.normal(size=(m, 3))
         worst = 0.0
@@ -409,6 +402,11 @@ def verify_shuffle() -> list:
             emp, pred = rr_variance(X, ell)
             worst = max(worst, abs(emp - pred))
         out.append(_check(f"without-replacement variance m={m}", worst, 1e-12))
+    return out
+
+
+def verify_shuffle() -> list:
+    out = verify_rr_variance()
     stream = PermutationStream(12345, "rr")
     counts = {}
     for t in range(120_000):
@@ -422,98 +420,88 @@ def verify_shuffle() -> list:
     return out
 
 
-def _trajectory_gap(traj_a, traj_b):
-    worst = 0.0
-    for Xa, Xb in zip(traj_a, traj_b):
-        worst = max(worst, np.linalg.norm(Xa - Xb) / max(1.0, np.linalg.norm(Xa)))
+def _trajectory_gaps(x0, epochs, alpha, reference, *others) -> list:
+    """Largest relative gap ||X_ref - X|| / max(1, ||X_ref||) over the epoch
+    ends of `reference` and of each of `others`, all started at `x0`."""
+    machines = (reference, *others)
+    for machine in machines:
+        machine.reset(x0)
+    worst = [0.0] * len(others)
+    for t in range(epochs):
+        for machine in machines:
+            machine.epoch(t, alpha)
+        ref = reference.X
+        for k, machine in enumerate(others):
+            worst[k] = max(worst[k], np.linalg.norm(ref - machine.X)
+                           / max(1.0, np.linalg.norm(ref)))
     return worst
 
 
-def _epoch_trajectory(machine, T, alpha):
-    traj = []
-    for t in range(T):
-        machine.epoch(t, alpha)
-        traj.append(machine.X.copy())
-    return traj
-
-
 def verify_abc(seed: int = 11, epochs: int = 5) -> list:
-    out = []
-    obj = make_quadratic(8, 5, 4, seed, condition=2.0)
+    """The cross-implementation oracles on make_quadratic(8, 5, 4, seed=11,
+    condition=2.0) and the ring n=8 (lazified at 0.5 for exact diffusion),
+    at alpha 0.02 for `epochs` epochs; `seed` keys the permutation streams and
+    the common start x0.
+
+    Checks: native GT-RR and ED-RR against the (A, B^2, C) engine and the
+    transformed recursion, x-only ED-RR against primal-dual ED-RR, the GT-RR
+    tracker-average identity, and the mean-iterate identity of crr, drr, gtrr
+    and edrr.
+    """
+    obj = make_quadratic(8, 5, 4, seed=11, condition=2.0)
     ring = metropolis_weights(build_graph("ring", n=8))
     lazy = lazify(ring, 0.5)
     x0 = algorithms.initial_iterates(obj, "same", 1.0, init_seed=seed)
     alpha = 0.02
     stream = lambda: PermutationStream(seed, "rr")  # noqa: E731
-    native = algorithms.GTRR(obj, ring, stream())
-    native.reset(x0)
-    engine = unified.AbcEngine(unified.gtrr_operator(ring), obj, stream())
-    engine.reset(x0)
-    xformed = unified.TransformedEngine(unified.gtrr_operator(ring), obj, stream())
-    xformed.reset(x0)
-    t_native = _epoch_trajectory(native, epochs, alpha)
-    t_engine = _epoch_trajectory(engine, epochs, alpha)
-    t_xform = _epoch_trajectory(xformed, epochs, alpha)
-    out.append(_check("gtrr == abc(W, I-W, W)", _trajectory_gap(t_native, t_engine), 1e-9))
-    out.append(_check("gtrr == transformed recursion", _trajectory_gap(t_native, t_xform), 1e-9))
+    gt_op, ed_op = unified.gtrr_operator(ring), unified.edrr_operator(lazy)
+    gaps = _trajectory_gaps(x0, epochs, alpha, algorithms.GTRR(obj, ring, stream()),
+                            unified.AbcEngine(gt_op, obj, stream()),
+                            unified.TransformedEngine(gt_op, obj, stream()))
+    gaps += _trajectory_gaps(x0, epochs, alpha, algorithms.EDRR(obj, lazy, stream()),
+                             algorithms.EDRRPrimalDual(obj, lazy, stream()),
+                             unified.AbcEngine(ed_op, obj, stream()),
+                             unified.TransformedEngine(ed_op, obj, stream()))
+    names = ("gtrr == abc(W, I-W, W)", "gtrr == transformed recursion",
+             "edrr x-only == primal-dual", "edrr == abc(W, (I-W)^1/2, I)",
+             "edrr == transformed recursion")
+    out = [_check(name, gap, 1e-9) for name, gap in zip(names, gaps)]
 
-    native = algorithms.EDRR(obj, lazy, stream())
-    native.reset(x0)
-    pd = algorithms.EDRRPrimalDual(obj, lazy, stream())
-    pd.reset(x0)
-    engine = unified.AbcEngine(unified.edrr_operator(lazy), obj, stream())
-    engine.reset(x0)
-    xformed = unified.TransformedEngine(unified.edrr_operator(lazy), obj, stream())
-    xformed.reset(x0)
-    t_native = _epoch_trajectory(native, epochs, alpha)
-    t_pd = _epoch_trajectory(pd, epochs, alpha)
-    t_engine = _epoch_trajectory(engine, epochs, alpha)
-    t_xform = _epoch_trajectory(xformed, epochs, alpha)
-    out.append(_check("edrr x-only == primal-dual", _trajectory_gap(t_native, t_pd), 1e-9))
-    out.append(_check("edrr == abc(W, (I-W)^1/2, I)", _trajectory_gap(t_native, t_engine), 1e-9))
-    out.append(_check("edrr == transformed recursion", _trajectory_gap(t_native, t_xform), 1e-9))
-
-    worst_track = 0.0
-    worst_avg = {}
-
-    def tracking_probe(info):
-        nonlocal worst_track
-        ybar = info.Y_before.mean(axis=0)
-        gbar = info.grads.mean(axis=0)
-        worst_track = max(worst_track, float(np.max(np.abs(ybar - gbar))))
-
-    gt = algorithms.GTRR(obj, ring, stream())
-    gt.reset(x0)
-    for t in range(epochs):
-        gt.epoch(t, alpha, probe=tracking_probe)
-    out.append(_check("tracker average equals mean shuffled gradient", worst_track, 1e-10))
-
-    for name in ("crr", "drr", "gtrr"):
-        machine = algorithms.make_method(name, obj, ring, seed)
+    worst = {"tracker": 0.0}
+    for name in ("crr", "drr", "gtrr", "edrr"):
+        machine = algorithms.make_method(name, obj, lazy if name == "edrr" else ring, seed)
         machine.reset(x0)
-        worst_avg[name] = 0.0
+        worst[name] = 0.0
 
-        def avg_probe(info, _name=name):
-            expected = info.X_before.mean(axis=0) - info.alpha * info.grads.mean(axis=0)
+        def probe(info, name=name):
+            gbar = info.grads.mean(axis=0)
+            want = info.X_before.mean(axis=0) - info.alpha * gbar
             got = info.X_after.mean(axis=0)
-            worst_avg[_name] = max(worst_avg[_name], float(np.max(np.abs(got - expected))))
+            worst[name] = max(worst[name], float(np.max(np.abs(got - want))))
+            if name == "gtrr":
+                ybar = info.Y_before.mean(axis=0)
+                worst["tracker"] = max(worst["tracker"], float(np.max(np.abs(ybar - gbar))))
 
         for t in range(epochs):
-            machine.epoch(t, alpha, probe=avg_probe)
-    machine = algorithms.make_method("edrr", obj, lazy, seed)
-    machine.reset(x0)
-    worst_avg["edrr"] = 0.0
-
-    def avg_probe_ed(info):
-        expected = info.X_before.mean(axis=0) - info.alpha * info.grads.mean(axis=0)
-        got = info.X_after.mean(axis=0)
-        worst_avg["edrr"] = max(worst_avg["edrr"], float(np.max(np.abs(got - expected))))
-
-    for t in range(epochs):
-        machine.epoch(t, alpha, probe=avg_probe_ed)
-    for name, worst in worst_avg.items():
-        out.append(_check(f"mean-iterate identity {name}", worst, 1e-10))
+            machine.epoch(t, alpha, probe=probe)
+    out.append(_check("tracker average equals mean shuffled gradient",
+                      worst.pop("tracker"), 1e-10))
+    out.extend(_check(f"mean-iterate identity {name}", dev, 1e-10)
+               for name, dev in worst.items())
     return out
+
+
+def verify_operator(op: unified.AbcOperator, label: str) -> list:
+    """The two-variable (A, B^2, C) recursion against the transformed
+    recursion on a quadratic over `op`'s graph, and the transform's gamma < 1;
+    check names start with `label`."""
+    obj = make_quadratic(op.n, 4, 3, seed=1, condition=2.0)
+    x0 = algorithms.initial_iterates(obj, "same", 1.0, init_seed=1)
+    gap, = _trajectory_gaps(x0, 5, 0.01,
+                            unified.AbcEngine(op, obj, PermutationStream(1, "rr")),
+                            unified.TransformedEngine(op, obj, PermutationStream(1, "rr")))
+    return [_check(f"{label}: two-variable == transformed", gap, 1e-9),
+            _check(f"{label}: gamma < 1", unified.transform_data(op).gamma, 1.0 - 1e-15)]
 
 
 def verify_gradcheck(points: int = 100) -> list:

@@ -148,15 +148,7 @@ def rate_fit(records, metric: str, window: tuple) -> RateFit:
         ys.append(y)
     if len(ts) < 10:
         raise ValueError(f"need at least 10 records in window, got {len(ts)}")
-    u = np.log(np.asarray(ts, dtype=float))
-    v = np.log(np.asarray(ys, dtype=float))
-    slope, intercept = np.polyfit(u, v, 1)
-    resid = v - (slope * u + intercept)
-    ss_res = float(resid @ resid)
-    ss_tot = float(np.sum((v - v.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return RateFit(slope=float(slope), intercept=float(intercept),
-                   window=(lo, hi), r2=r2, points=len(ts))
+    return dataclasses.replace(fit_powerlaw(ts, ys), window=(lo, hi))
 
 
 def fit_powerlaw(xs, ys) -> RateFit:

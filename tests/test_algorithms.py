@@ -79,20 +79,6 @@ def test_rr_methods_single_agent_match_centralized(name):
         assert np.max(np.abs(a - b)) < 1e-12
 
 
-def test_gradient_tracking_identity_along_run(quad8, ring8):
-    worst = 0.0
-
-    def probe(info):
-        nonlocal worst
-        dev = np.abs(info.Y_before.mean(axis=0) - info.grads.mean(axis=0)).max()
-        worst = max(worst, dev)
-
-    gt = GTRR(quad8, ring8, PermutationStream(1, "rr"))
-    gt.reset(initial_iterates(quad8, "same", 1.0, init_seed=1))
-    epoch_trajectory(gt, 10, probe=probe)
-    assert worst < 1e-10
-
-
 @pytest.mark.parametrize("name", ["crr", "drr", "gtrr", "edrr", "edrr-pd"])
 def test_mean_iterate_identity(name, quad8, ring8, lazy_ring8):
     mix = lazy_ring8 if name.startswith("edrr") else ring8
@@ -131,16 +117,6 @@ def test_dsgt_zero_variance_converges_exactly():
     epoch_trajectory(dsgt, 300, alpha=0.05)
     xbar = dsgt.X.mean(axis=0)
     assert np.linalg.norm(obj.grad(xbar)) < 1e-8
-
-
-def test_edrr_xonly_equals_primal_dual(quad8, lazy_ring8):
-    x0 = initial_iterates(quad8, "same", 1.0, init_seed=11)
-    a = EDRR(quad8, lazy_ring8, PermutationStream(11, "rr"))
-    b = EDRRPrimalDual(quad8, lazy_ring8, PermutationStream(11, "rr"))
-    a.reset(x0)
-    b.reset(x0)
-    for xa, xb in zip(epoch_trajectory(a, 5), epoch_trajectory(b, 5)):
-        assert np.linalg.norm(xa - xb) / max(1.0, np.linalg.norm(xa)) < 1e-9
 
 
 def test_edrr_strict_mode_differs_after_first_epoch(quad8, lazy_ring8):

@@ -13,7 +13,7 @@ from netshuffle.stepsize import ConstantSchedule
 SMALL = ExperimentConfig(
     objective="quadratic", n=8, m=3, dim=3, data_seed=1,
     graph="ring", methods=("gtrr", "dsgd"), epochs=8, seeds=(0, 1, 2),
-    stepsize="const:0.01", workers=1,
+    stepsize="const:0.01",
 )
 
 
@@ -99,7 +99,7 @@ def test_config_hash_sensitivity():
     assert a != b
     assert "run.epochs = 8" in canonical_text(SMALL)
     # execution details are not semantic
-    c = dataclasses.replace(SMALL, outdir="elsewhere", workers=7)
+    c = dataclasses.replace(SMALL, outdir="elsewhere")
     assert config_hash(c) == a
 
 
@@ -131,11 +131,6 @@ def test_negative_epochs_is_config_error(tmp_path, capsys):
     code, err = _sweep_exit(tmp_path, capsys, "--epochs", "-3")
     assert code == cli.EXIT_CONFIG and "run.epochs" in err
     assert not list(tmp_path.glob("*.csv"))
-
-
-def test_workers_below_one_is_config_error(tmp_path, capsys):
-    code, err = _sweep_exit(tmp_path, capsys, "--workers", "-4")
-    assert code == cli.EXIT_CONFIG and "run.workers" in err
 
 
 @pytest.mark.parametrize("flag,key", [("--n", "objective.n"), ("--m", "objective.m"),
@@ -275,17 +270,6 @@ def test_sweep_rerun_byte_identical(tmp_path):
         assert a == b
 
 
-def test_sweep_worker_count_does_not_change_output(tmp_path):
-    import dataclasses
-    cfg1 = dataclasses.replace(SMALL, outdir=str(tmp_path / "w1"), workers=1)
-    cfg4 = dataclasses.replace(SMALL, outdir=str(tmp_path / "w4"), workers=4)
-    run_sweep(cfg1)
-    run_sweep(cfg4)
-    for p1 in sorted((tmp_path / "w1").iterdir()):
-        p4 = tmp_path / "w4" / p1.name
-        assert p1.read_bytes() == p4.read_bytes()
-
-
 def test_sweep_invalid_combination_surfaces_before_running(tmp_path):
     import dataclasses
     # exact diffusion on the plain ring (indefinite W) must fail fast
@@ -391,3 +375,27 @@ def test_cli_verify_subset(capsys):
     assert cli.main(["verify", "--suite", "spectral"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_cli_verify_all(capsys):
+    assert cli.main(["verify", "--suite", "all"]) == 0
+    assert "31/31 checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec,graph", [("gtrr", []), ("edrr", ["--tau", "0.5"]),
+                                        ("custom:0,1/1,-1/0,1", [])],
+                         ids=["gtrr", "edrr", "custom"])
+def test_cli_verify_abc_runs_the_operator_check(spec, graph, capsys):
+    assert cli.main(["verify", "--suite", "spectral", "--n", "8", "--abc", spec,
+                     *graph]) == 0
+    out = capsys.readouterr().out
+    for check in ("two-variable == transformed", "gamma < 1"):
+        assert f"[PASS] abc {spec}: {check}" in out
+
+
+@pytest.mark.parametrize("spec", ["bogus", "custom:0,1/1,-1", "custom:0,1/x/0,1", "edrr"])
+def test_cli_verify_bad_abc_is_config_error(spec, capsys):
+    # edrr on the plain ring is rejected: its W is indefinite
+    assert cli.main(["verify", "--suite", "spectral", "--abc", spec]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "--abc" in captured.err and not captured.out

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netshuffle import algorithms
-from netshuffle.algorithms import EDRR, GTRR, EDRRPrimalDual, initial_iterates
+from netshuffle.algorithms import EDRRPrimalDual, initial_iterates
 from netshuffle.objective import QuadraticObjective, make_quadratic
 from netshuffle.shuffling import PermutationStream
 from netshuffle.topology import build_graph, lazify, metropolis_weights
@@ -25,11 +25,6 @@ def trajectory(machine, T, alpha=ALPHA):
         machine.epoch(t, alpha)
         out.append(machine.X.copy())
     return out
-
-
-def max_rel_gap(ta, tb):
-    return max(np.linalg.norm(a - b) / max(1.0, np.linalg.norm(a))
-               for a, b in zip(ta, tb))
 
 
 # ---------------------------------------------------------------------------
@@ -82,33 +77,6 @@ def test_negative_b2_rejected(ring8):
 # ---------------------------------------------------------------------------
 # trajectory equivalences
 # ---------------------------------------------------------------------------
-
-
-def test_gtrr_three_way_equivalence(quad8, ring8):
-    x0 = initial_iterates(quad8, "same", 1.0, init_seed=11)
-    native = GTRR(quad8, ring8, stream())
-    engine = AbcEngine(gtrr_operator(ring8), quad8, stream())
-    xform = TransformedEngine(gtrr_operator(ring8), quad8, stream())
-    for machine in (native, engine, xform):
-        machine.reset(x0)
-    t_nat, t_eng, t_xf = (trajectory(m, 5) for m in (native, engine, xform))
-    assert max_rel_gap(t_nat, t_eng) < 1e-9
-    assert max_rel_gap(t_nat, t_xf) < 1e-9
-
-
-def test_edrr_four_way_equivalence(quad8, lazy_ring8):
-    x0 = initial_iterates(quad8, "same", 1.0, init_seed=11)
-    native = EDRR(quad8, lazy_ring8, stream())
-    pd = EDRRPrimalDual(quad8, lazy_ring8, stream())
-    engine = AbcEngine(edrr_operator(lazy_ring8), quad8, stream())
-    xform = TransformedEngine(edrr_operator(lazy_ring8), quad8, stream())
-    for machine in (native, pd, engine, xform):
-        machine.reset(x0)
-    t_nat, t_pd, t_eng, t_xf = (trajectory(m, 5)
-                                for m in (native, pd, engine, xform))
-    assert max_rel_gap(t_nat, t_pd) < 1e-9
-    assert max_rel_gap(t_nat, t_eng) < 1e-9
-    assert max_rel_gap(t_nat, t_xf) < 1e-9
 
 
 def test_single_agent_abc_equals_centralized():
