@@ -208,8 +208,8 @@ class ED(_Method):
         self._prev_x = None
         self._prev_ag = None  # previous alpha * gradient
 
-    def _half_step(self, alpha, g, fresh):
-        if fresh or self._prev_x is None:
+    def _half_step(self, alpha, g):
+        if self._prev_x is None:
             return self.X - alpha * g
         return 2.0 * self.X - self._prev_x - (alpha * g - self._prev_ag)
 
@@ -217,7 +217,7 @@ class ED(_Method):
         orders = self.stream.epoch_orders(self.n, t, self.m)
         for ell in range(self.m):
             g = self.obj.perm_grads(self.X, orders[:, ell])
-            half = self._half_step(alpha, g, fresh=False)
+            half = self._half_step(alpha, g)
             Xb = self.X
             self._prev_x, self._prev_ag = self.X, alpha * g
             self.X = self.W @ half
@@ -252,12 +252,11 @@ class EDRR(ED):
     def epoch(self, t, alpha, probe=None):
         orders = self.stream.epoch_orders(self.n, t, self.m)
         for ell in range(self.m):
-            fresh = self.strict_alg2 and ell == 0
-            if fresh:
+            if self.strict_alg2 and ell == 0:
                 self._prev_x = None
                 self.D = np.zeros_like(self.X)
             g = self.obj.perm_grads(self.X, orders[:, ell])
-            half = self._half_step(alpha, g, fresh=fresh)
+            half = self._half_step(alpha, g)
             Xb = self.X
             self._prev_x, self._prev_ag = self.X, alpha * g
             self.X = self.W @ half
@@ -273,23 +272,12 @@ class EDRR(ED):
         return self.X, S
 
 
-class EDRRPrimalDual(_Method):
+class EDRRPrimalDual(EDRR):
     """Exact diffusion with reshuffling in its two-line primal-dual form;
-    the dual starts at zero and persists across epochs."""
+    the dual starts at zero and persists across epochs.  The PSD check, the
+    dual's square-root mixing and the transformed state are EDRR's."""
 
     name = "edrr-pd"
-
-    def __init__(self, objective, mix, stream):
-        super().__init__(objective, mix, stream)
-        if mix.spectral.lambda_min < -1e-12:
-            raise ValueError(
-                "exact diffusion needs a positive semidefinite W; apply lazify first"
-            )
-        self._b_half = psd_sqrt(np.eye(self.n) - self.W)
-
-    def reset(self, X0):
-        super().reset(X0)
-        self.D = np.zeros_like(self.X)
 
     def epoch(self, t, alpha, probe=None):
         orders = self.stream.epoch_orders(self.n, t, self.m)
@@ -300,13 +288,6 @@ class EDRRPrimalDual(_Method):
             self.D = self.D + self._b_half @ self.X
             if probe is not None:
                 probe(ProbeInfo(t, ell, alpha, Xb, self.X, g))
-
-    def abc_state(self, alpha):
-        xbar = self.X.mean(axis=0)
-        Gc = self.obj.grads_at_consensus(xbar)
-        S = self._b_half @ self.D - (self.X - self.W @ self.X) \
-            + alpha * (self.W @ Gc)
-        return self.X, S
 
 
 METHODS = {
@@ -322,8 +303,6 @@ def make_method(name: str, objective, mix, seed: int, sampling: str = "rr",
         raise ValueError(f"unknown method {name!r}; choose from {sorted(METHODS)}")
     cls = METHODS[name]
     mode = sampling if cls.uses_rr else "iid"
-    if cls.uses_rr and sampling == "iid":
-        raise ValueError(f"{name} requires rr or once sampling, not iid")
     stream = PermutationStream(seed, mode)
     if name == "edrr":
         return cls(objective, mix, stream, strict_alg2=strict_alg2)
@@ -349,7 +328,7 @@ def run(method_name: str, objective, mix: MixingMatrix, schedule, T: int,
         seed: int, sampling: str = "rr", x0: np.ndarray | None = None,
         init: str = "same", init_scale: float = 1.0, init_seed: int = 0,
         transform=None, strict_alg2: bool = False, inner_metrics: bool = False,
-        timings: bool = False, probe=None) -> list:
+        timings: bool = False) -> list:
     """Advance T epochs and record metrics at every epoch boundary.
 
     Returns T+1 trajectory records (fewer if the run is truncated by
@@ -392,11 +371,9 @@ def run(method_name: str, objective, mix: MixingMatrix, schedule, T: int,
         if t == T:
             break
         inner = None
-        if inner_metrics or probe is not None:
+        if inner_metrics:
             def inner(info, _t=t, _alpha=alpha):
-                if probe is not None:
-                    probe(info)
-                if inner_metrics and info.ell < method.m - 1:
+                if info.ell < method.m - 1:
                     frac = _t + (info.ell + 1) / method.m
                     wall = time.perf_counter_ns() - start if timings else None
                     records.append(_metrics.record(

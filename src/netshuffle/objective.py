@@ -8,6 +8,7 @@ average uses numpy's pairwise summation so runs are bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -42,7 +43,14 @@ class ObjectiveConstants:
 
 
 class FiniteSumObjective:
-    """Interface shared by all families; subclasses fill in the math."""
+    """Interface shared by all families; subclasses fill in the math.
+
+    Besides the component oracles each family provides agent_value,
+    agent_grad, value, grad, and the stacked oracles used by the simulators:
+    perm_grads(X, idx) with rows grad f_{i, idx[i]}(X[i]),
+    stacked_agent_grads(X) with rows grad f_i(X[i]), and values_at(X), the
+    global f at each row of X.
+    """
 
     family = "abstract"
     n: int
@@ -50,40 +58,14 @@ class FiniteSumObjective:
     p: int
     constants: ObjectiveConstants
 
-    # -- single-point oracles -------------------------------------------------
     def component_value(self, i: int, l: int, x: np.ndarray) -> float:
         raise NotImplementedError
 
     def component_grad(self, i: int, l: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def agent_value(self, i: int, x: np.ndarray) -> float:
-        return float(np.mean([self.component_value(i, l, x) for l in range(self.m)]))
-
-    def agent_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        return np.mean([self.component_grad(i, l, x) for l in range(self.m)], axis=0)
-
-    def value(self, x: np.ndarray) -> float:
-        return float(np.mean([self.agent_value(i, x) for i in range(self.n)]))
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        return np.mean([self.agent_grad(i, x) for i in range(self.n)], axis=0)
-
-    # -- stacked oracles used by the simulators -------------------------------
-    def perm_grads(self, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Rows grad f_{i, idx[i]}(X[i]); the shuffled-gradient stack."""
-        return np.stack([self.component_grad(i, int(idx[i]), X[i]) for i in range(self.n)])
-
-    def stacked_agent_grads(self, X: np.ndarray) -> np.ndarray:
-        """Rows grad f_i(X[i]); with identical rows this is grad F(1 xbar^T)."""
-        return np.stack([self.agent_grad(i, X[i]) for i in range(self.n)])
-
     def grads_at_consensus(self, xbar: np.ndarray) -> np.ndarray:
         return self.stacked_agent_grads(np.broadcast_to(xbar, (self.n, self.p)))
-
-    def values_at(self, X: np.ndarray) -> np.ndarray:
-        """Global f evaluated at each agent's iterate."""
-        return np.array([self.value(X[i]) for i in range(X.shape[0])])
 
     def _check_indices(self, i: int, l: int):
         if not (0 <= i < self.n and 0 <= l < self.m):
@@ -225,9 +207,14 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class _LogisticBase(FiniteSumObjective):
     """Shared machinery: component l of agent i is one (feature, label) pair
     plus the full regularizer, so f_i = mean_l f_il reproduces the per-agent
-    loss with a single regularizer term."""
+    loss with a single regularizer term.
 
-    def __init__(self, feats: np.ndarray, labels: np.ndarray):
+    `weight` bounds the regularizer's curvature in absolute value; it is also
+    the strong-convexity constant when `convex` is set.
+    """
+
+    def __init__(self, feats: np.ndarray, labels: np.ndarray, weight: float,
+                 convex: bool):
         feats = np.asarray(feats, dtype=float)
         labels = np.asarray(labels, dtype=float)
         if feats.ndim != 3 or labels.shape != feats.shape[:2]:
@@ -237,11 +224,27 @@ class _LogisticBase(FiniteSumObjective):
         self.feats, self.labels = feats, labels
         self.n, self.m, self.p = feats.shape
         self.signed = feats * labels[:, :, None]  # u_j v_j rows
+        self.weight = float(weight)
+        self.convex = convex
+
+    @functools.cached_property
+    def constants(self) -> ObjectiveConstants:
+        """Exact L and mu; f* is estimated on the first read."""
+        L = float(np.max(np.sum(self.feats ** 2, axis=2))) / 4.0 + self.weight
+        f_star, _ = estimate_minimum(self.value, self.grad, self.p, L)
+        return ObjectiveConstants(
+            L=L, mu=self.weight if self.convex else None, f_star=f_star,
+            f_star_components=None, f_star_agents=None,
+            provenance={"L": EXACT, "mu": EXACT if self.convex else UNAVAILABLE,
+                        "f_star": ESTIMATED, "f_star_components": UNAVAILABLE,
+                        "f_star_agents": UNAVAILABLE},
+        )
 
     def _reg_value(self, x):
         raise NotImplementedError
 
     def _reg_grad(self, x):
+        """Regularizer gradient at x, or row-wise at a stack of points."""
         raise NotImplementedError
 
     def component_value(self, i, l, x):
@@ -274,20 +277,17 @@ class _LogisticBase(FiniteSumObjective):
         rows = self.signed[ar, idx]                    # (n, p)
         z = np.einsum("ip,ip->i", rows, X)
         base = -_sigmoid(-z)[:, None] * rows
-        return base + self._reg_grad_rows(X)
+        return base + self._reg_grad(X)
 
     def stacked_agent_grads(self, X):
         z = np.einsum("imp,ip->im", self.signed, X)
         coef = -_sigmoid(-z) / self.m
-        return np.einsum("im,imp->ip", coef, self.signed) + self._reg_grad_rows(X)
+        return np.einsum("im,imp->ip", coef, self.signed) + self._reg_grad(X)
 
     def values_at(self, X):
         z = np.einsum("imp,jp->imj", self.signed, X)
         loss = _softplus(-z).mean(axis=(0, 1))
         return loss + np.array([self._reg_value(x) for x in X])
-
-    def _reg_grad_rows(self, X):
-        return np.stack([self._reg_grad(x) for x in X])
 
 
 class LogisticObjective(_LogisticBase):
@@ -296,17 +296,8 @@ class LogisticObjective(_LogisticBase):
     family = "logistic"
 
     def __init__(self, feats, labels, rho: float = 0.2):
-        super().__init__(feats, labels)
-        self.rho = float(rho)
-        L = float(np.max(np.sum(feats ** 2, axis=2))) / 4.0 + self.rho
-        f_star, _ = estimate_minimum(self.value, self.grad, self.p, L)
-        self.constants = ObjectiveConstants(
-            L=L, mu=self.rho, f_star=f_star,
-            f_star_components=None, f_star_agents=None,
-            provenance={"L": EXACT, "mu": EXACT, "f_star": ESTIMATED,
-                        "f_star_components": UNAVAILABLE,
-                        "f_star_agents": UNAVAILABLE},
-        )
+        super().__init__(feats, labels, rho, convex=True)
+        self.rho = self.weight
 
     def _reg_value(self, x):
         return 0.5 * self.rho * float(x @ x)
@@ -314,37 +305,22 @@ class LogisticObjective(_LogisticBase):
     def _reg_grad(self, x):
         return self.rho * x
 
-    def _reg_grad_rows(self, X):
-        return self.rho * X
-
 
 class NonconvexLogisticObjective(_LogisticBase):
-    """Logistic loss with the saturating penalty (eta/2) sum x_q^2/(1+x_q^2)."""
+    """Logistic loss with the saturating penalty (eta/2) sum x_q^2/(1+x_q^2),
+    whose second derivative is bounded by eta in absolute value."""
 
     family = "ncvx-logistic"
 
     def __init__(self, feats, labels, eta: float = 0.2):
-        super().__init__(feats, labels)
-        self.eta = float(eta)
-        # the penalty's second derivative is bounded by eta in absolute value
-        L = float(np.max(np.sum(feats ** 2, axis=2))) / 4.0 + self.eta
-        f_star, _ = estimate_minimum(self.value, self.grad, self.p, L)
-        self.constants = ObjectiveConstants(
-            L=L, mu=None, f_star=f_star,
-            f_star_components=None, f_star_agents=None,
-            provenance={"L": EXACT, "mu": UNAVAILABLE, "f_star": ESTIMATED,
-                        "f_star_components": UNAVAILABLE,
-                        "f_star_agents": UNAVAILABLE},
-        )
+        super().__init__(feats, labels, eta, convex=False)
+        self.eta = self.weight
 
     def _reg_value(self, x):
         return 0.5 * self.eta * float(np.sum(x * x / (1.0 + x * x)))
 
     def _reg_grad(self, x):
         return self.eta * x / (1.0 + x * x) ** 2
-
-    def _reg_grad_rows(self, X):
-        return self.eta * X / (1.0 + X * X) ** 2
 
 
 def _partitioned_features(n, m, p, seed, heterogeneous, scale):

@@ -218,7 +218,10 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
     """Metropolis-Hastings weights: w_ij = 1/(1+max(deg_i,deg_j)) on edges."""
     n = g.n
     w = np.zeros((n, n))
-    deg = [g.degree(i) for i in range(n)]
+    deg = [0] * n  # one pass over the edges; Graph.degree rescans them all
+    for i, j in _normalize_edges(g.edges):
+        deg[i] += 1
+        deg[j] += 1
     for i, j in g.edges:
         w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
     for i in range(n):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import ProbeInfo
+from .algorithms import ProbeInfo, _Method
 from .objective import FiniteSumObjective
 from .shuffling import PermutationStream
 from .topology import MixingMatrix, psd_sqrt
@@ -322,32 +322,23 @@ def transform_data(op: AbcOperator) -> TransformData:
 # ---------------------------------------------------------------------------
 
 
-class AbcEngine:
+class AbcEngine(_Method):
     """Drives the two-variable (x, z) epoch update for any valid operator."""
 
     name = "abc"
-    uses_rr = True
 
     def __init__(self, op: AbcOperator, objective: FiniteSumObjective,
                  stream: PermutationStream):
-        if objective.n != op.n:
-            raise ValueError("objective and operator disagree on n")
-        if stream.mode == "iid":
-            raise ValueError("the unified engines use rr or once sampling")
+        super().__init__(objective, op.mix, stream)
         self.op = op
-        self.obj = objective
-        self.stream = stream
-        self.n, self.m, self.p = objective.n, objective.m, objective.p
-        self.X = None
-        self.Z = None
 
     def reset(self, X0):
-        self.X = np.array(X0, dtype=float)
+        super().reset(X0)
         self.Z = None
 
     def _epoch_start_z(self):
         if self.op.z_mode == "reset":
-            return -(self.op.mix.w @ self.X)
+            return -(self.W @ self.X)
         return self.Z if self.Z is not None else np.zeros_like(self.X)
 
     def epoch(self, t, alpha, probe=None):
@@ -370,31 +361,21 @@ class AbcEngine:
         return self.X, S
 
 
-class TransformedEngine:
+class TransformedEngine(_Method):
     """Drives the (x, s) recursion; s is re-anchored at each epoch start from
     its definition (which swaps the alpha A grad_F(1 xbar^T) term for the new
     epoch while the underlying z state carries over unchanged)."""
 
     name = "abc-transformed"
-    uses_rr = True
 
     def __init__(self, op: AbcOperator, objective: FiniteSumObjective,
                  stream: PermutationStream):
-        if objective.n != op.n:
-            raise ValueError("objective and operator disagree on n")
-        if stream.mode == "iid":
-            raise ValueError("the unified engines use rr or once sampling")
+        super().__init__(objective, op.mix, stream)
         self.op = op
-        self.obj = objective
-        self.stream = stream
-        self.n, self.m, self.p = objective.n, objective.m, objective.p
         self.M = op.A @ op.C - op.B2
-        self.X = None
-        self.S = None
-        self._anchor = None
 
     def reset(self, X0):
-        self.X = np.array(X0, dtype=float)
+        super().reset(X0)
         self.S = None
         self._anchor = None
 
@@ -404,7 +385,7 @@ class TransformedEngine:
         AGc = self.op.A @ Gc
         anchor = alpha * AGc
         if self.op.z_mode == "reset":
-            h = -(self.op.mix.w @ self.X)
+            h = -(self.W @ self.X)
             S = self.op.B @ h - self.op.B2 @ self.X + anchor
         elif self.S is None:
             S = -self.op.B2 @ self.X + anchor

@@ -230,3 +230,35 @@ def test_index_bounds_raise():
         obj.component_grad(2, 0, np.zeros(3))
     with pytest.raises(IndexError):
         obj.component_value(0, 2, np.zeros(3))
+
+
+def _count_estimates(monkeypatch):
+    from netshuffle import objective
+    calls = []
+
+    def counted(value, grad, p, L=None):
+        calls.append(L)
+        return 0.0, np.zeros(p)
+
+    monkeypatch.setattr(objective, "estimate_minimum", counted)
+    return calls
+
+
+def test_logistic_minimum_is_estimated_on_first_read_of_constants(monkeypatch, rng):
+    calls = _count_estimates(monkeypatch)
+    obj = make_nonconvex_logistic(3, 4, 5, 5)
+    x = rng.normal(size=obj.p)
+    obj.component_grad(1, 2, x)
+    obj.perm_grads(np.tile(x, (obj.n, 1)), np.zeros(obj.n, dtype=int))
+    assert len(calls) == 0
+    first = obj.constants
+    assert len(calls) == 1
+    assert obj.constants is first
+    assert len(calls) == 1
+
+
+def test_gradcheck_suite_estimates_no_minimum(monkeypatch):
+    from netshuffle import harness
+    calls = _count_estimates(monkeypatch)
+    assert all(check.passed for check in harness.verify_gradcheck(points=5))
+    assert len(calls) == 0

@@ -154,3 +154,32 @@ def test_psd_sqrt_squares_back(ring16):
     assert np.linalg.norm(root @ root - m) < 1e-12
     with pytest.raises(TopologyError, match="negative eigenvalue"):
         psd_sqrt(ring16.w)  # ring W is indefinite
+
+
+def test_metropolis_weights_property_random_connected_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def connected_graphs(draw):
+        n = draw(st.integers(1, 40))
+        # a random spanning tree keeps the graph connected; extras add cycles
+        tree = [(k, draw(st.integers(0, k - 1))) for k in range(1, n)]
+        node = st.integers(0, n - 1)
+        extra = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+        return build_graph("custom", n=n, edges=tree + extra)
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(connected_graphs())
+    def check(g):
+        w = metropolis_weights(g).w
+        assert np.array_equal(w, w.T)
+        assert np.abs(w.sum(axis=1) - 1.0).max() < 1e-12
+        assert w.min() >= 0.0
+        expected = np.zeros((g.n, g.n))
+        for i, j in g.edges:
+            expected[i, j] = expected[j, i] = 1.0 / (1.0 + max(g.degree(i), g.degree(j)))
+        off = ~np.eye(g.n, dtype=bool)
+        assert np.array_equal(w[off], expected[off])
+
+    check()

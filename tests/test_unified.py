@@ -123,6 +123,16 @@ def test_consensus_stability_small_stepsize(quad8, lazy_ring8):
         assert np.isfinite(spread) and spread < 10.0
 
 
+@pytest.mark.parametrize("engine", [AbcEngine, TransformedEngine])
+def test_engines_reject_bad_x0_and_iid_sampling(engine, quad8, ring8):
+    op = gtrr_operator(ring8)
+    eng = engine(op, quad8, stream())
+    with pytest.raises(ValueError, match="X0 must be"):
+        eng.reset(np.zeros((quad8.n, quad8.p + 1)))
+    with pytest.raises(ValueError, match="rr or once"):
+        engine(op, quad8, PermutationStream(0, "iid"))
+
+
 # ---------------------------------------------------------------------------
 # spectral transform
 # ---------------------------------------------------------------------------
