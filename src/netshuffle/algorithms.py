@@ -16,6 +16,7 @@ epoch start for comparison.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,11 @@ from .shuffling import PURPOSE_INIT, PermutationStream, keyed_rng
 from .topology import MixingMatrix, psd_sqrt
 
 DIVERGENCE_NORM = 1e12
+
+# psd_sqrt(I - W) of each live mixing matrix: W is read-only, so the root is
+# fixed by the matrix object, and every exact-diffusion machine built on it
+# (a sweep's validation pass and each of its runs) shares one read-only copy
+_DUAL_SQRT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -243,7 +249,11 @@ class EDRR(ED):
                 "exact diffusion needs a positive semidefinite W; apply lazify first"
             )
         self.strict_alg2 = strict_alg2
-        self._b_half = psd_sqrt(np.eye(self.n) - self.W)
+        b_half = _DUAL_SQRT.get(mix)
+        if b_half is None:
+            b_half = _DUAL_SQRT[mix] = psd_sqrt(np.eye(self.n) - self.W)
+            b_half.setflags(write=False)
+        self._b_half = b_half
 
     def reset(self, X0):
         super().reset(X0)

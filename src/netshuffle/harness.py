@@ -298,6 +298,9 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
         except (ValueError, unified.OperatorError) as exc:
             raise ConfigError(f"method {method!r}: {exc}") from exc
         plans[method] = transform
+    # every run's first snapshot reads f*; an estimated f* is computed here,
+    # with the rest of the set-up, before any run starts
+    objective.constants.f_star
 
     results = {(method, seed): run_one(cfg, method, seed, objective, mix, plans[method])
                for method in cfg.methods for seed in cfg.seeds}

@@ -8,7 +8,6 @@ average uses numpy's pairwise summation so runs are bit-reproducible.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -22,6 +21,9 @@ ESTIMATED = "estimated"
 UNAVAILABLE = "unavailable"
 
 
+_MINIMA = ("f_star", "f_star_components", "f_star_agents")
+
+
 @dataclass(frozen=True)
 class ObjectiveConstants:
     """Smoothness/curvature constants plus minimum values with provenance.
@@ -29,6 +31,10 @@ class ObjectiveConstants:
     ``f_star_components`` is (1/mn) sum_{i,l} inf f_il and ``f_star_agents``
     is (1/n) sum_i inf f_i; Jensen gives f_star >= f_star_agents >=
     f_star_components whenever all are known.
+
+    A minimum may be given as a zero-argument function instead of a value.
+    It runs on the first read of that field, and the field then holds its
+    result as a plain attribute, so later reads cost nothing extra.
     """
 
     L: float
@@ -37,6 +43,20 @@ class ObjectiveConstants:
     f_star_components: float | None
     f_star_agents: float | None
     provenance: Mapping[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        # a deferred minimum leaves the instance dict, so its first read
+        # falls through to __getattr__
+        pending = {name: self.__dict__.pop(name) for name in _MINIMA
+                   if callable(self.__dict__[name])}
+        object.__setattr__(self, "_pending", pending)
+
+    def __getattr__(self, name):
+        pending = self.__dict__.get("_pending", {})
+        if name not in pending:
+            raise AttributeError(name)
+        value = self.__dict__[name] = pending[name]()
+        return value
 
     def tag(self, name: str) -> str:
         return self.provenance.get(name, UNAVAILABLE)
@@ -92,7 +112,7 @@ class QuadraticObjective(FiniteSumObjective):
         if A.ndim != 4 or b.ndim != 3 or A.shape[:3] != b.shape[:3]:
             raise ValueError("A must be (n,m,k,p) and b (n,m,k)")
         self.A, self.b = A, b
-        self.n, self.m, k, self.p = A.shape
+        self.n, self.m, _, self.p = A.shape
         self.H_agent = np.einsum("imkp,imkq->ipq", A, A) / self.m
         self.c_agent = np.einsum("imkp,imk->ip", A, b) / self.m
         self.H = self.H_agent.mean(axis=0)
@@ -105,25 +125,29 @@ class QuadraticObjective(FiniteSumObjective):
             raise ValueError("average Hessian is singular; adjust conditioning")
         mu = float(h_vals[0])
         self.x_star = np.linalg.solve(self.H, self.c)
-        f_star = self.value(self.x_star)
-        # component minima: squared distance of b to range(A), projecting on
-        # the left singular vectors above lstsq's default rank cutoff
+        self.constants = ObjectiveConstants(
+            L=L, mu=mu, f_star=self.value(self.x_star),
+            f_star_components=self._component_minimum,
+            f_star_agents=self._agent_minimum,
+            provenance={k: EXACT for k in ("L", "mu") + _MINIMA},
+        )
+
+    def _component_minimum(self) -> float:
+        # squared distance of b to range(A), projecting on the left singular
+        # vectors above lstsq's default rank cutoff
+        A, b = self.A, self.b
         U, sv = np.linalg.svd(A, full_matrices=False)[:2]
-        keep = sv > np.finfo(float).eps * max(k, self.p) * sv[..., :1]
+        keep = sv > np.finfo(float).eps * max(A.shape[2:]) * sv[..., :1]
         coef = np.einsum("imkr,imk->imr", U, b) * keep
         r = np.einsum("imkr,imr->imk", U, coef) - b
-        f_star_components = float(np.mean(0.5 * np.sum(r * r, axis=2)))
+        return float(np.mean(0.5 * np.sum(r * r, axis=2)))
+
+    def _agent_minimum(self) -> float:
         agent_min = np.empty(self.n)
         for i in range(self.n):
             xi = np.linalg.solve(self.H_agent[i], self.c_agent[i])
             agent_min[i] = self.agent_value(i, xi)
-        self.constants = ObjectiveConstants(
-            L=L, mu=mu, f_star=f_star,
-            f_star_components=f_star_components,
-            f_star_agents=float(agent_min.mean()),
-            provenance={k: EXACT for k in
-                        ("L", "mu", "f_star", "f_star_components", "f_star_agents")},
-        )
+        return float(agent_min.mean())
 
     def component_value(self, i, l, x):
         self._check_indices(i, l)
@@ -226,16 +250,13 @@ class _LogisticBase(FiniteSumObjective):
         self.signed = feats * labels[:, :, None]  # u_j v_j rows
         self.weight = float(weight)
         self.convex = convex
-
-    @functools.cached_property
-    def constants(self) -> ObjectiveConstants:
-        """Exact L and mu; f* is estimated on the first read."""
-        L = float(np.max(np.sum(self.feats ** 2, axis=2))) / 4.0 + self.weight
-        f_star, _ = estimate_minimum(self.value, self.grad, self.p, L)
-        return ObjectiveConstants(
-            L=L, mu=self.weight if self.convex else None, f_star=f_star,
+        # exact L and mu; f* is estimated on its first read
+        L = float(np.max(np.sum(feats ** 2, axis=2))) / 4.0 + self.weight
+        self.constants = ObjectiveConstants(
+            L=L, mu=self.weight if convex else None,
+            f_star=lambda: estimate_minimum(self.value, self.grad, self.p, L)[0],
             f_star_components=None, f_star_agents=None,
-            provenance={"L": EXACT, "mu": EXACT if self.convex else UNAVAILABLE,
+            provenance={"L": EXACT, "mu": EXACT if convex else UNAVAILABLE,
                         "f_star": ESTIMATED, "f_star_components": UNAVAILABLE,
                         "f_star_agents": UNAVAILABLE},
         )

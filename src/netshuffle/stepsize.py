@@ -16,7 +16,7 @@ per-instance ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 WORST_CASE_KINDS = (None, "gtrr", "edrr")
@@ -80,21 +80,31 @@ class PlateauSchedule(Schedule):
     A demotion fires when the metric has not improved on its best seen value
     by `threshold` (relative) for `patience` consecutive epochs; the level
     only ever decreases and clamps at the last ladder entry.
+
+    The scan state is kept between calls: given the same list as the last
+    call, grown at its end, `alpha` scans only the new entries.  Any other
+    history (another object, a shorter one, or one whose last scanned entry
+    was replaced) is scanned from the start.
     """
 
     levels: tuple
     patience: int = 10
     threshold: float = 0.01
+    # (history, entries scanned, last entry scanned, level, best, stale)
+    # after the last call
+    _scan: tuple = field(default=(None, 0, None, 0, math.inf, 0), init=False,
+                         compare=False, repr=False)
 
     def __post_init__(self):
         if not self.levels or list(self.levels) != sorted(self.levels, reverse=True):
             raise ValueError("plateau levels must be a decreasing ladder")
 
     def alpha(self, t, history=()):
-        idx = 0
-        best = math.inf
-        stale = 0
-        for value in history:
+        seen, done, last, idx, best, stale = self._scan
+        if (seen is not history or done > len(history)
+                or (done and history[done - 1] is not last)):
+            done, idx, best, stale = 0, 0, math.inf, 0
+        for value in history[done:]:
             if value < best * (1.0 - self.threshold) or best == math.inf:
                 best = min(best, value)
                 stale = 0
@@ -103,6 +113,8 @@ class PlateauSchedule(Schedule):
                 if stale >= self.patience:
                     idx = min(idx + 1, len(self.levels) - 1)
                     stale = 0
+        last = history[-1] if len(history) else None
+        object.__setattr__(self, "_scan", (history, len(history), last, idx, best, stale))
         return self.levels[idx]
 
     def describe(self):

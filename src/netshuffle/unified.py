@@ -33,6 +33,7 @@ similarity of a defective block can attain its radius in norm.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,12 +53,25 @@ class OperatorError(ValueError):
 
 
 def _poly_matrix(coeffs, W: np.ndarray) -> np.ndarray:
-    """Evaluate sum_d c_d W^d by Horner's rule in the matrix argument."""
+    """Evaluate sum_d c_d W^d by Horner's rule in the matrix argument.
+
+    The first step is c_d W + c_{d-1} I without a product, so a degree-1
+    polynomial costs O(n^2); adding 0.0 turns the -0.0 entries of c_d W into
+    the +0.0 a product with c_d I gives, so the result is bit-for-bit the
+    plain Horner loop's.
+    """
     n = W.shape[0]
-    out = np.zeros((n, n))
-    for c in reversed(list(coeffs)):
+    diag = np.diag_indices(n)
+    *rest, top = coeffs
+    if rest:
+        out = top * W + 0.0
+        top = rest.pop()
+    else:
+        out = np.zeros((n, n))
+    out[diag] += top
+    for c in reversed(rest):
         out = out @ W
-        out[np.diag_indices(n)] += c
+        out[diag] += c
     return out
 
 
@@ -72,8 +86,10 @@ def _poly_scalar(coeffs, x):
 class AbcOperator:
     """Realized (A, B, C) triple over a mixing matrix.
 
-    z_mode 'reset' reapplies z = -W x at every epoch start; 'persist' starts
-    z at zero once and carries it across epochs.
+    A and C are dense from the start; B^2 and its square root B are built on
+    their first read (only the engines read them, and the spectral transform
+    needs only the polynomials).  z_mode 'reset' reapplies z = -W x at every
+    epoch start; 'persist' starts z at zero once and carries it across epochs.
     """
 
     mix: MixingMatrix
@@ -81,8 +97,6 @@ class AbcOperator:
     poly_b2: tuple
     poly_c: tuple
     A: np.ndarray
-    B: np.ndarray
-    B2: np.ndarray
     C: np.ndarray
     z_mode: str
 
@@ -90,17 +104,22 @@ class AbcOperator:
     def n(self):
         return self.mix.n
 
+    @functools.cached_property
+    def B2(self) -> np.ndarray:
+        return _poly_matrix(self.poly_b2, self.mix.w)
+
+    @functools.cached_property
+    def B(self) -> np.ndarray:
+        return psd_sqrt(self.B2)
+
 
 def build_operator(poly_a, poly_b2, poly_c, mix: MixingMatrix,
                    z_mode: str = "persist") -> AbcOperator:
     """Realize and validate an operator triple from polynomial coefficients."""
     if z_mode not in ("reset", "persist"):
         raise OperatorError("z_mode must be 'reset' or 'persist'")
-    W = mix.w
-    n = mix.n
-    A = _poly_matrix(poly_a, W)
-    B2 = _poly_matrix(poly_b2, W)
-    C = _poly_matrix(poly_c, W)
+    A = _poly_matrix(poly_a, mix.w)
+    C = _poly_matrix(poly_c, mix.w)
     for name, M in (("A", A), ("C", C)):
         if np.abs(M.sum(axis=1) - 1.0).max() > 1e-12:
             raise OperatorError(f"{name} is not stochastic for these coefficients")
@@ -118,9 +137,7 @@ def build_operator(poly_a, poly_b2, poly_c, mix: MixingMatrix,
             "the null space of B exceeds the consensus span "
             "(b-polynomial vanishes at an eigenvalue below 1)"
         )
-    B = psd_sqrt(B2)
-    return AbcOperator(mix, tuple(poly_a), tuple(poly_b2), tuple(poly_c),
-                       A, B, B2, C, z_mode)
+    return AbcOperator(mix, tuple(poly_a), tuple(poly_b2), tuple(poly_c), A, C, z_mode)
 
 
 def gtrr_operator(mix: MixingMatrix) -> AbcOperator:
@@ -177,7 +194,6 @@ class TransformData:
     norm_V2: float
     norm_Vinv2: float
     norm_La2: float        # ||Lambda_a||^2 on the non-consensus spectrum
-    norm_Lb_inv2: float    # ||Lambda_b^{-1}||^2
     lam: float             # spectral norm of W - 11^T/n
     lambda_min: float      # smallest eigenvalue of W
     any_defective: bool
@@ -202,8 +218,10 @@ class TransformData:
         """e = V^{-1} [Uhat^T x ; Lambda_b^{-1} Uhat^T s], a 2(n-1) x p array."""
         if self.n == 1:
             return np.zeros((0, X.shape[1]))
-        top = self.uhat.T @ X
-        bottom = (self.uhat.T @ S) / self.b_vals[:, None]
+        p = X.shape[1]
+        proj = self.uhat.T @ np.concatenate((X, S), axis=1)
+        top = proj[:, :p]
+        bottom = proj[:, p:] / self.b_vals[:, None]
         Vi = self.Vinv_blocks[:, :, :, None]
         return np.vstack([Vi[:, 0, 0] * top + Vi[:, 0, 1] * bottom,
                           Vi[:, 1, 0] * top + Vi[:, 1, 1] * bottom])
@@ -312,7 +330,6 @@ def transform_data(op: AbcOperator) -> TransformData:
         c_vals=c_vals, G_blocks=G, V_blocks=V, Vinv_blocks=Vinv, Gamma_blocks=Gamma,
         gamma=float(gamma), norm_V2=norm_V2, norm_Vinv2=norm_Vinv2,
         norm_La2=float(np.max(a_vals ** 2)) if k else 0.0,
-        norm_Lb_inv2=float(np.max(1.0 / b2_vals)) if k else 0.0,
         lam=spec.lam, lambda_min=spec.lambda_min, any_defective=any_defective,
     )
 

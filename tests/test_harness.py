@@ -310,6 +310,25 @@ def test_sweep_builds_each_transform_once(tmp_path, monkeypatch):
     assert len(calls) == 1  # gtrr only; three seeds share it
 
 
+def test_sweep_takes_one_square_root_and_reads_no_dense_b(tmp_path, monkeypatch):
+    from netshuffle import algorithms, topology, unified
+    roots = []
+    for module in (algorithms, topology, unified):
+        monkeypatch.setattr(module, "psd_sqrt",
+                            lambda mat, root=topology.psd_sqrt: roots.append(1) or root(mat))
+
+    def unread(self):
+        raise AssertionError("a sweep read a dense B or B^2")
+
+    for name in ("B", "B2"):
+        monkeypatch.setattr(unified.AbcOperator, name, property(unread))
+    cfg = dataclasses.replace(SMALL, tau=0.5, methods=("gtrr", "edrr", "edrr-pd"),
+                              outdir=str(tmp_path))
+    run_sweep(cfg)
+    # psd_sqrt(I - W), once for the mixing matrix that edrr and edrr-pd share
+    assert len(roots) == 1
+
+
 # ---------------------------------------------------------------------------
 # verification suites
 # ---------------------------------------------------------------------------

@@ -251,10 +251,34 @@ def test_logistic_minimum_is_estimated_on_first_read_of_constants(monkeypatch, r
     obj.component_grad(1, 2, x)
     obj.perm_grads(np.tile(x, (obj.n, 1)), np.zeros(obj.n, dtype=int))
     assert len(calls) == 0
-    first = obj.constants
+    c = obj.constants
+    assert c.L > 0 and c.mu is None and c.tag("f_star") == ESTIMATED
+    assert len(calls) == 0
+    assert c.f_star == 0.0
     assert len(calls) == 1
-    assert obj.constants is first
+    assert obj.constants.f_star == 0.0 and obj.constants is c
     assert len(calls) == 1
+
+
+def test_quadratic_minima_wait_for_first_read(monkeypatch):
+    calls = {"svd": 0, "solve": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    obj = make_quadratic(6, 3, 4, seed=2, condition=3.0)
+    c = obj.constants
+    assert c.L > 0 and c.mu > 0 and c.f_star is not None
+    assert calls == {"svd": 0, "solve": 1}  # x_star only
+    assert c.f_star_components <= c.f_star_agents <= c.f_star
+    assert calls == {"svd": 1, "solve": 1 + obj.n}
+    assert c.f_star_components == obj.constants.f_star_components
+    assert calls == {"svd": 1, "solve": 1 + obj.n}
 
 
 def test_gradcheck_suite_estimates_no_minimum(monkeypatch):

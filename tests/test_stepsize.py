@@ -52,6 +52,51 @@ def test_plateau_ladder_demotions():
     assert sched.alpha(100, hist + [10.0] * 50) == pytest.approx(1 / 1000)
 
 
+def _plateau_full_scan(sched, history):
+    """The level after scanning all of `history` from the start: the
+    reference for the incremental scan `PlateauSchedule.alpha` keeps."""
+    idx, best, stale = 0, math.inf, 0
+    for value in history:
+        if value < best * (1.0 - sched.threshold) or best == math.inf:
+            best = min(best, value)
+            stale = 0
+        else:
+            stale += 1
+            if stale >= sched.patience:
+                idx = min(idx + 1, len(sched.levels) - 1)
+                stale = 0
+    return sched.levels[idx]
+
+
+def test_plateau_incremental_scan_matches_full_scan():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(
+        history=st.lists(st.floats(-1e3, 1e3) | st.sampled_from([math.inf, math.nan]),
+                         max_size=80),
+        patience=st.integers(1, 6), threshold=st.sampled_from([0.0, 0.01, 0.3]),
+        cuts=st.lists(st.integers(0, 80), max_size=4))
+    def check(history, patience, threshold, cuts):
+        sched = PlateauSchedule((0.1, 0.05, 0.02, 0.01), patience, threshold)
+        grown = []
+        for value in history:
+            grown.append(value)
+            assert sched.alpha(len(grown), grown) == _plateau_full_scan(sched, grown)
+        for cut in cuts:
+            # a new prefix list, the grown list again, and the grown list
+            # cut back and regrown with other entries are each scanned anew
+            prefix = history[:cut]
+            assert sched.alpha(cut, prefix) == _plateau_full_scan(sched, prefix)
+            assert sched.alpha(len(grown), grown) == _plateau_full_scan(sched, grown)
+            del grown[cut:]
+            grown.extend(v * 0.5 + 1.0 for v in history[cut:])
+            assert sched.alpha(len(grown), grown) == _plateau_full_scan(sched, grown)
+
+    check()
+
+
 def test_plateau_rejects_increasing_ladder():
     with pytest.raises(ValueError):
         PlateauSchedule(levels=(0.01, 0.1))

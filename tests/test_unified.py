@@ -7,10 +7,10 @@ from netshuffle import algorithms
 from netshuffle.algorithms import EDRRPrimalDual, initial_iterates
 from netshuffle.objective import QuadraticObjective, make_quadratic
 from netshuffle.shuffling import PermutationStream
-from netshuffle.topology import build_graph, lazify, metropolis_weights
+from netshuffle.topology import build_graph, lazify, metropolis_weights, psd_sqrt
 from netshuffle.unified import (AbcEngine, OperatorError, TransformedEngine,
-                                build_operator, edrr_operator, gtrr_operator,
-                                transform_data)
+                                _poly_matrix, build_operator, edrr_operator,
+                                gtrr_operator, transform_data)
 
 ALPHA = 0.02
 
@@ -50,6 +50,38 @@ def test_edrr_preset_square_root(lazy_ring8):
     n = lazy_ring8.n
     assert np.linalg.norm(op.B @ op.B - (np.eye(n) - lazy_ring8.w)) < 1e-12
     assert np.allclose(op.C, np.eye(n))
+
+
+def _horner_loop(coeffs, W):
+    """Horner's rule started from the zero matrix: the reference for
+    `_poly_matrix`, which skips the first product."""
+    n = W.shape[0]
+    out = np.zeros((n, n))
+    for c in reversed(list(coeffs)):
+        out = out @ W
+        out[np.diag_indices(n)] += c
+    return out
+
+
+@pytest.mark.parametrize("kind", ["ring", "star", "complete"])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_poly_matrix_is_bit_equal_to_horner_loop(kind, degree, rng):
+    coeff_sets = [(0.0,) * degree + (1.0,), (1.0, -2.0, 1.0, -0.5)[:degree + 1],
+                  (1.0, -1.0, 0.0, 0.0)[:degree + 1], tuple(rng.normal(size=degree + 1))]
+    for n in (1, 2, 9, 40):
+        mix = metropolis_weights(build_graph(kind, n=n))
+        for W in (mix.w, lazify(mix, 0.5).w):
+            for coeffs in coeff_sets:
+                got = _poly_matrix(coeffs, W)
+                assert got.tobytes() == _horner_loop(coeffs, W).tobytes(), coeffs
+
+
+def test_lazy_b_is_the_root_of_b2(ring8, lazy_ring8):
+    for op in (gtrr_operator(ring8), edrr_operator(lazy_ring8)):
+        assert "B" not in vars(op) and "B2" not in vars(op)
+        assert np.array_equal(op.B2, _poly_matrix(op.poly_b2, op.mix.w))
+        assert np.array_equal(op.B, psd_sqrt(op.B2))
+        assert op.B is op.B and op.B2 is op.B2
 
 
 def test_edrr_preset_rejects_indefinite_w(ring8):
