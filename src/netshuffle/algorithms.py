@@ -1,8 +1,9 @@
 """Epoch-stepping state machines for the seven methods.
 
 Every method advances one epoch (m inner steps) at a time over a simulated
-synchronous network: communication is a dense multiply by the mixing matrix,
-with no message loss.  Random-reshuffling methods draw per-agent permutations
+synchronous network: communication is a product with the mixing matrix's
+operator (the dense W, or a neighbour gather on large sparse graphs), with no
+message loss.  Random-reshuffling methods draw per-agent permutations
 from a counter-keyed stream; their unshuffled twins draw i.i.d. indices from
 the same stream in 'iid' mode.
 
@@ -62,7 +63,7 @@ class _Method:
         if not self.uses_rr and stream.mode != "iid":
             raise ValueError(f"{self.name} requires iid sampling")
         self.obj = objective
-        self.W = mix.w
+        self.W = mix.operator
         self.stream = stream
         self.n, self.m, self.p = objective.n, objective.m, objective.p
         self.X: np.ndarray | None = None
@@ -251,7 +252,7 @@ class EDRR(ED):
         self.strict_alg2 = strict_alg2
         b_half = _DUAL_SQRT.get(mix)
         if b_half is None:
-            b_half = _DUAL_SQRT[mix] = psd_sqrt(np.eye(self.n) - self.W)
+            b_half = _DUAL_SQRT[mix] = psd_sqrt(np.eye(self.n) - mix.w)
             b_half.setflags(write=False)
         self._b_half = b_half
 

@@ -142,6 +142,8 @@ def _cmd_spectrum(args) -> int:
     print(f"lambda = {s.lam:.12g}")
     print(f"gap = {s.gap:.12g}")
     print(f"lambda_min = {s.lambda_min:.12g}")
+    op = mix.operator
+    print("mixing = dense" if op is mix.w else f"mixing = gather ({op.per_row} per row)")
     return EXIT_OK
 
 

@@ -39,6 +39,18 @@ def _philox_key(master_seed: int, purpose: int, agent: int, epoch: int) -> np.nd
     return np.array([master_seed % 2 ** 64, sub], dtype=np.uint64)
 
 
+def _philox_keys(master_seed: int, purpose: int, n: int, epoch: int) -> np.ndarray:
+    """(n, 2) array; row i is `_philox_key(master_seed, purpose, i, epoch)`."""
+    if not (0 <= n <= 2 ** _AGENT_BITS and 0 <= epoch < 2 ** _EPOCH_BITS):
+        raise ValueError("agent/epoch out of key range")
+    first = (purpose << (_AGENT_BITS + _EPOCH_BITS)) | epoch
+    keys = np.empty((n, 2), dtype=np.uint64)
+    keys[:, 0] = master_seed % 2 ** 64
+    keys[:, 1] = np.arange(first, first + (n << _EPOCH_BITS), 1 << _EPOCH_BITS,
+                           dtype=np.uint64)
+    return keys
+
+
 def keyed_rng(master_seed: int, purpose: int, agent: int = 0, epoch: int = 0) -> Generator:
     return Generator(Philox(key=_philox_key(master_seed, purpose, agent, epoch)))
 
@@ -59,35 +71,52 @@ class PermutationStream:
     master_seed: int
     mode: str = "rr"
     _rng: Generator = field(init=False, compare=False, repr=False)
+    _state: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         object.__setattr__(self, "_rng", Generator(Philox()))
-
-    def _keyed(self, agent: int, epoch: int) -> Generator:
-        """The stream's generator, reset to the state `keyed_rng` starts in."""
-        self._rng.bit_generator.state = {
+        # the Philox state setter copies every array out of this dict, so one
+        # dict serves every re-keying; only its key changes between draws
+        object.__setattr__(self, "_state", {
             "bit_generator": "Philox",
-            "state": {"counter": _ZEROS4,
-                      "key": _philox_key(self.master_seed, PURPOSE_PERM, agent, epoch)},
+            "state": {"counter": _ZEROS4, "key": None},
             "buffer": _ZEROS4,
             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
+        })
+
+    def _keyed(self, key: np.ndarray) -> Generator:
+        """The stream's generator, reset to the state `keyed_rng` starts in."""
+        self._state["state"]["key"] = key
+        self._rng.bit_generator.state = self._state
         return self._rng
 
-    def permutation(self, agent: int, epoch: int, m: int) -> np.ndarray:
+    def _fill(self, keys: np.ndarray, m: int) -> np.ndarray:
+        """(len(keys), m) array; row i is the draw `keyed_rng` makes for
+        keys[i].  A permutation is 0..m-1 shuffled in place, as in
+        `Generator.permutation(m)`."""
         if m < 1:
             raise ValueError("m must be >= 1")
-        eff_epoch = 0 if self.mode == "once" else epoch
-        rng = self._keyed(agent, eff_epoch)
+        out = np.empty((len(keys), m), dtype=np.int64)
         if self.mode == "iid":
-            return rng.integers(0, m, size=m)
-        return rng.permutation(m)
+            for key, row in zip(keys, out):
+                row[:] = self._keyed(key).integers(0, m, size=m)
+            return out
+        out[:] = np.arange(m)
+        for key, row in zip(keys, out):
+            self._keyed(key).shuffle(row)
+        return out
+
+    def permutation(self, agent: int, epoch: int, m: int) -> np.ndarray:
+        eff_epoch = 0 if self.mode == "once" else epoch
+        key = _philox_key(self.master_seed, PURPOSE_PERM, agent, eff_epoch)
+        return self._fill(key[None], m)[0]
 
     def epoch_orders(self, n: int, epoch: int, m: int) -> np.ndarray:
         """(n, m) array; row i is agent i's visiting order for this epoch."""
-        return np.stack([self.permutation(i, epoch, m) for i in range(n)])
+        eff_epoch = 0 if self.mode == "once" else epoch
+        return self._fill(_philox_keys(self.master_seed, PURPOSE_PERM, n, eff_epoch), m)
 
 
 def rr_variance(X: np.ndarray, ell: int, mc_draws: int = 200_000,

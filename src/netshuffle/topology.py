@@ -2,11 +2,13 @@
 
 Mixing matrices are symmetric, doubly stochastic, and nonnegative, with a
 positive entry exactly on graph edges and on the diagonal.  All algorithms
-downstream consume ``MixingMatrix`` plus the cached ``SpectralInfo``.
+downstream consume ``MixingMatrix`` plus the cached ``SpectralInfo``, and mix
+through its ``operator``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -14,6 +16,13 @@ import numpy as np
 
 SYM_TOL = 1e-12
 STOCH_TOL = 1e-12
+
+# `MixingMatrix.operator` gathers over neighbours instead of multiplying by
+# the dense W once n >= GATHER_MIN_N and n >= GATHER_PER_ROW * (the most
+# nonzeros in a row); below that the dense product is faster (crossover
+# measured with one BLAS thread, see README)
+GATHER_MIN_N = 256
+GATHER_PER_ROW = 32
 
 
 class TopologyError(ValueError):
@@ -210,8 +219,43 @@ class MixingMatrix:
             self._spectral = spectral_info(self.w)
         return self._spectral
 
+    @functools.cached_property
+    def operator(self) -> np.ndarray | NeighborGather:
+        """What the methods multiply by: ``w`` itself, or a `NeighborGather`
+        of it on a large sparse graph.  Both compute ``W @ X``."""
+        per_row = int(np.count_nonzero(self.w, axis=1).max())
+        if self.n >= GATHER_MIN_N and GATHER_PER_ROW * per_row <= self.n:
+            return NeighborGather(self.w)
+        return self.w
+
     def __repr__(self):
         return f"MixingMatrix(n={self.n})"
+
+
+class NeighborGather:
+    """A mixing matrix as each agent's neighbour list, padded to the longest.
+
+    Row i of ``W @ X`` is the sum over k of ``wt[i, k] * X[idx[i, k]]``, taken
+    over the nonzeros of row i in ascending column order; padding slots point
+    at i with weight 0.  A product costs O(n d p) for d nonzeros per row,
+    against the dense product's O(n^2 p).
+    """
+
+    def __init__(self, w: np.ndarray):
+        n = w.shape[0]
+        counts = np.count_nonzero(w, axis=1)
+        rows, cols = np.nonzero(w)  # row-major, so each row's columns ascend
+        slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        self.per_row = int(counts.max())
+        self.idx = np.repeat(np.arange(n)[:, None], self.per_row, axis=1)
+        self.wt = np.zeros((n, self.per_row))
+        self.idx[rows, slot] = cols
+        self.wt[rows, slot] = w[rows, cols]
+        self.idx.setflags(write=False)
+        self.wt.setflags(write=False)
+
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+        return np.einsum("ik,ik...->i...", self.wt, X[self.idx])
 
 
 def metropolis_weights(g: Graph) -> MixingMatrix:
@@ -268,12 +312,17 @@ def spectral_info(w: np.ndarray | MixingMatrix) -> SpectralInfo:
     )
 
 
-def psd_sqrt(mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Symmetric PSD square root; rejects eigenvalues below -tol."""
+def psd_sqrt(mat: np.ndarray, tol: float = 1e-12, null_tol: float = 0.0) -> np.ndarray:
+    """Symmetric PSD square root; rejects eigenvalues below -tol and takes
+    those at or below null_tol as exact zeros (the root of a round-off 1e-16
+    is 1e-8)."""
     mat = 0.5 * (mat + mat.T)
     vals, vecs = np.linalg.eigh(mat)
     if vals.min() < -tol:
         raise TopologyError(
             f"matrix has negative eigenvalue {vals.min():.3g}; square root undefined"
         )
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    vals = np.clip(vals, 0.0, None)
+    if null_tol > 0.0:
+        vals[vals <= null_tol] = 0.0
+    return (vecs * np.sqrt(vals)) @ vecs.T

@@ -110,7 +110,9 @@ class AbcOperator:
 
     @functools.cached_property
     def B(self) -> np.ndarray:
-        return psd_sqrt(self.B2)
+        # build_operator admits no eigenvalue of B^2 at or below _NULL_TOL
+        # but the consensus one, so any other one there is its round-off
+        return psd_sqrt(self.B2, null_tol=_NULL_TOL)
 
 
 def build_operator(poly_a, poly_b2, poly_c, mix: MixingMatrix,
@@ -160,24 +162,13 @@ def edrr_operator(mix: MixingMatrix) -> AbcOperator:
 # ---------------------------------------------------------------------------
 
 
-def _block_diag(blocks: np.ndarray) -> np.ndarray:
-    """Dense 2k-square matrix whose block i sits on rows and columns (i, k+i)."""
-    k = blocks.shape[0]
-    out = np.zeros((2 * k, 2 * k))
-    diag = np.arange(k)
-    for r in range(2):
-        for c in range(2):
-            out[r * k + diag, c * k + diag] = blocks[:, r, c]
-    return out
-
-
 @dataclass(frozen=True)
 class TransformData:
     """Similarity data for the stacked (x, s) recursion off consensus.
 
     The block map G = V Gamma V^{-1} is kept as its n-1 2x2 blocks, block i
-    acting on rows (i, n-1+i) of the stacked 2(n-1) vector; the dense
-    matrices are built only when the G, V, Vinv and Gamma properties are read.
+    acting on rows (i, n-1+i) of the stacked 2(n-1) vector; nothing here
+    builds the dense 2(n-1)-square matrices.
     """
 
     n: int
@@ -197,22 +188,6 @@ class TransformData:
     lam: float             # spectral norm of W - 11^T/n
     lambda_min: float      # smallest eigenvalue of W
     any_defective: bool
-
-    @property
-    def G(self) -> np.ndarray:
-        return _block_diag(self.G_blocks)
-
-    @property
-    def V(self) -> np.ndarray:
-        return _block_diag(self.V_blocks)
-
-    @property
-    def Vinv(self) -> np.ndarray:
-        return _block_diag(self.Vinv_blocks)
-
-    @property
-    def Gamma(self) -> np.ndarray:
-        return _block_diag(self.Gamma_blocks)
 
     def e_vector(self, X: np.ndarray, S: np.ndarray) -> np.ndarray:
         """e = V^{-1} [Uhat^T x ; Lambda_b^{-1} Uhat^T s], a 2(n-1) x p array."""

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from dense_blocks import block_diag
 
 from netshuffle import algorithms
 from netshuffle.algorithms import EDRRPrimalDual, initial_iterates
@@ -43,6 +44,13 @@ def test_gtrr_preset_realizes_tracking_matrices(ring8):
     assert np.linalg.norm(op.B @ ones) < 1e-12
     sv = np.linalg.svd(op.B, compute_uv=False)
     assert sv[-2] > 1e-12  # only one vanishing direction
+
+
+def test_gtrr_preset_root_vanishes_on_consensus(lazy_ring8):
+    # the consensus eigenvalue of (I - W)^2 rounds to a tiny positive value
+    # here, and its square root alone would put 1e-8 of B on the ones vector
+    op = gtrr_operator(lazy_ring8)
+    assert np.linalg.norm(op.B @ np.ones(lazy_ring8.n)) < 1e-12
 
 
 def test_edrr_preset_square_root(lazy_ring8):
@@ -206,9 +214,10 @@ def test_similarity_reconstructs_block_map(kind, n, mix):
         td = transform_data(op)
         if n == 1:
             continue
-        recon = td.V @ td.Gamma @ td.Vinv
-        assert np.linalg.norm(recon - td.G) < 1e-9
-        assert np.linalg.norm(td.V @ td.Vinv - np.eye(2 * (n - 1))) < 1e-10
+        V, Vinv = block_diag(td.V_blocks), block_diag(td.Vinv_blocks)
+        recon = V @ block_diag(td.Gamma_blocks) @ Vinv
+        assert np.linalg.norm(recon - block_diag(td.G_blocks)) < 1e-9
+        assert np.linalg.norm(V @ Vinv - np.eye(2 * (n - 1))) < 1e-10
 
 
 def test_tracking_norm_bounds_across_twenty_graphs():
@@ -285,12 +294,13 @@ def test_block_transform_matches_dense(op, rng):
         value = getattr(td, field.name)
         if isinstance(value, np.ndarray) and field.name != "uhat":
             assert value.size <= 4 * k, field.name
-    assert td.norm_V2 == pytest.approx(np.linalg.norm(td.V, 2) ** 2, rel=1e-12)
-    assert td.norm_Vinv2 == pytest.approx(np.linalg.norm(td.Vinv, 2) ** 2, rel=1e-12)
+    V, Vinv = block_diag(td.V_blocks), block_diag(td.Vinv_blocks)
+    assert td.norm_V2 == pytest.approx(np.linalg.norm(V, 2) ** 2, rel=1e-12)
+    assert td.norm_Vinv2 == pytest.approx(np.linalg.norm(Vinv, 2) ** 2, rel=1e-12)
     for _ in range(5):
         X = rng.normal(size=(op.n, 3))
         S = rng.normal(size=(op.n, 3))
-        dense = td.Vinv @ np.vstack([td.uhat.T @ X, (td.uhat.T @ S) / td.b_vals[:, None]])
+        dense = Vinv @ np.vstack([td.uhat.T @ X, (td.uhat.T @ S) / td.b_vals[:, None]])
         e = td.e_vector(X, S)
         assert e.shape == (2 * k, 3)
         assert np.max(np.abs(e - dense)) <= 1e-13 * max(1.0, np.max(np.abs(dense)))
@@ -302,7 +312,7 @@ def test_single_agent_transform_is_empty():
         td = transform_data(op)
         assert td.norm_V2 == 1.0 and td.norm_Vinv2 == 1.0
         assert td.e_vector(np.ones((1, 4)), np.ones((1, 4))).shape == (0, 4)
-        assert td.V.shape == (0, 0)
+        assert block_diag(td.V_blocks).shape == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +350,7 @@ def test_transformed_one_step_recursion_matches_blocks(quad8, ring8):
     eng.S, eng._anchor, AGc = eng._anchored_s(alpha)
     orders = eng.stream.epoch_orders(eng.n, t, eng.m)
     Gc = np.linalg.solve(op.A, AGc)
+    Gamma, Vinv = block_diag(td.Gamma_blocks), block_diag(td.Vinv_blocks)
     for ell in range(eng.m):
         e_before = td.e_vector(eng.X, eng.S)
         g = quad8.perm_grads(eng.X, orders[:, ell])
@@ -347,7 +358,7 @@ def test_transformed_one_step_recursion_matches_blocks(quad8, ring8):
             (td.a_vals[:, None]) * (td.uhat.T @ (g - Gc)),
             np.zeros((eng.n - 1, eng.p)),
         ])
-        predicted = td.Gamma @ e_before - alpha * (td.Vinv @ drive)
+        predicted = Gamma @ e_before - alpha * (Vinv @ drive)
         X_new = eng.M @ eng.X - alpha * (op.A @ g) + alpha * AGc - eng.S
         eng.S = eng.S + op.B2 @ eng.X
         eng.X = X_new
