@@ -30,8 +30,9 @@ from .topology import MixingMatrix, psd_sqrt
 DIVERGENCE_NORM = 1e12
 
 # psd_sqrt(I - W) of each live mixing matrix: W is read-only, so the root is
-# fixed by the matrix object, and every exact-diffusion machine built on it
-# (a sweep's validation pass and each of its runs) shares one read-only copy
+# fixed by the matrix object, and every primal-dual exact-diffusion machine
+# built on it (a sweep's validation pass and each of its runs) shares one
+# read-only copy
 _DUAL_SQRT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -235,9 +236,12 @@ class ED(_Method):
 class EDRR(ED):
     """Exact diffusion with random reshuffling, x-only form.
 
-    Carries a shadow dual variable so the transformed-state hooks match the
-    primal-dual reference exactly.  With `strict_alg2` the correction (and
-    the shadow dual) reset at every epoch start instead of persisting.
+    Carries E = (I-W)^(1/2) D, the running sum that the primal-dual form's
+    dual D enters the transformed state through, so the transformed-state
+    hook matches the primal-dual reference exactly.  Each step adds
+    (I-W)^(1/2) (I-W)^(1/2) X = X - W X, which needs no square root.  With
+    `strict_alg2` the correction (and E) reset at every epoch start instead
+    of persisting.
     """
 
     name = "edrr"
@@ -250,6 +254,42 @@ class EDRR(ED):
                 "exact diffusion needs a positive semidefinite W; apply lazify first"
             )
         self.strict_alg2 = strict_alg2
+
+    def reset(self, X0):
+        super().reset(X0)
+        self.E = np.zeros_like(self.X)
+
+    def epoch(self, t, alpha, probe=None):
+        orders = self.stream.epoch_orders(self.n, t, self.m)
+        for ell in range(self.m):
+            if self.strict_alg2 and ell == 0:
+                self._prev_x = None
+                self.E = np.zeros_like(self.X)
+            g = self.obj.perm_grads(self.X, orders[:, ell])
+            half = self._half_step(alpha, g)
+            Xb = self.X
+            self._prev_x, self._prev_ag = self.X, alpha * g
+            self.X = self.W @ half
+            self.E = self.E + (self.X - self.W @ self.X)
+            if probe is not None:
+                probe(ProbeInfo(t, ell, alpha, Xb, self.X, g))
+
+    def abc_state(self, alpha):
+        xbar = self.X.mean(axis=0)
+        Gc = self.obj.grads_at_consensus(xbar)
+        S = self.E - (self.X - self.W @ self.X) + alpha * (self.W @ Gc)
+        return self.X, S
+
+
+class EDRRPrimalDual(EDRR):
+    """Exact diffusion with reshuffling in its two-line primal-dual form;
+    the dual D starts at zero, persists across epochs and mixes through the
+    dense (I-W)^(1/2).  The PSD check is EDRR's."""
+
+    name = "edrr-pd"
+
+    def __init__(self, objective, mix, stream):
+        super().__init__(objective, mix, stream)
         b_half = _DUAL_SQRT.get(mix)
         if b_half is None:
             b_half = _DUAL_SQRT[mix] = psd_sqrt(np.eye(self.n) - mix.w)
@@ -263,14 +303,9 @@ class EDRR(ED):
     def epoch(self, t, alpha, probe=None):
         orders = self.stream.epoch_orders(self.n, t, self.m)
         for ell in range(self.m):
-            if self.strict_alg2 and ell == 0:
-                self._prev_x = None
-                self.D = np.zeros_like(self.X)
             g = self.obj.perm_grads(self.X, orders[:, ell])
-            half = self._half_step(alpha, g)
             Xb = self.X
-            self._prev_x, self._prev_ag = self.X, alpha * g
-            self.X = self.W @ half
+            self.X = self.W @ (self.X - alpha * g) - self._b_half @ self.D
             self.D = self.D + self._b_half @ self.X
             if probe is not None:
                 probe(ProbeInfo(t, ell, alpha, Xb, self.X, g))
@@ -281,24 +316,6 @@ class EDRR(ED):
         S = self._b_half @ self.D - (self.X - self.W @ self.X) \
             + alpha * (self.W @ Gc)
         return self.X, S
-
-
-class EDRRPrimalDual(EDRR):
-    """Exact diffusion with reshuffling in its two-line primal-dual form;
-    the dual starts at zero and persists across epochs.  The PSD check, the
-    dual's square-root mixing and the transformed state are EDRR's."""
-
-    name = "edrr-pd"
-
-    def epoch(self, t, alpha, probe=None):
-        orders = self.stream.epoch_orders(self.n, t, self.m)
-        for ell in range(self.m):
-            g = self.obj.perm_grads(self.X, orders[:, ell])
-            Xb = self.X
-            self.X = self.W @ (self.X - alpha * g) - self._b_half @ self.D
-            self.D = self.D + self._b_half @ self.X
-            if probe is not None:
-                probe(ProbeInfo(t, ell, alpha, Xb, self.X, g))
 
 
 METHODS = {

@@ -102,6 +102,8 @@ class QuadraticObjective(FiniteSumObjective):
 
     A has shape (n, m, k, p) and b (n, m, k).  Per-agent and global Hessians
     and linear terms are precomputed, so full gradients are closed-form.
+    The global f is evaluated about its minimizer, f* + 0.5 (x - x*)^T H
+    (x - x*), so a function gap carries no cancellation error.
     """
 
     family = "quadratic"
@@ -113,20 +115,25 @@ class QuadraticObjective(FiniteSumObjective):
             raise ValueError("A must be (n,m,k,p) and b (n,m,k)")
         self.A, self.b = A, b
         self.n, self.m, _, self.p = A.shape
-        self.H_agent = np.einsum("imkp,imkq->ipq", A, A) / self.m
+        # Gram products through BLAS: an agent's rows stacked over components
+        rows = A.reshape(self.n, -1, self.p)
+        self.H_agent = np.swapaxes(rows, 1, 2) @ rows / self.m
         self.c_agent = np.einsum("imkp,imk->ip", A, b) / self.m
         self.H = self.H_agent.mean(axis=0)
         self.c = self.c_agent.mean(axis=0)
-        self._b2 = 0.5 * float(np.mean(np.sum(b * b, axis=2)))
-        hess_vals = np.linalg.eigvalsh(np.einsum("imkp,imkq->impq", A, A))
+        hess_vals = np.linalg.eigvalsh(np.swapaxes(A, 2, 3) @ A)
         L = float(hess_vals[..., -1].max())
         h_vals = np.linalg.eigvalsh(self.H)
         if h_vals[0] <= 1e-12 * max(h_vals[-1], 1.0):
             raise ValueError("average Hessian is singular; adjust conditioning")
         mu = float(h_vals[0])
         self.x_star = np.linalg.solve(self.H, self.c)
+        # f* from the residuals at x*, not from 0.5 x'Hx - c'x + 0.5|b|^2,
+        # whose terms cancel to round-off of |b|^2 where f* is near zero
+        r = A @ self.x_star - b
+        self._f_star = 0.5 * float(np.mean(np.sum(r * r, axis=2)))
         self.constants = ObjectiveConstants(
-            L=L, mu=mu, f_star=self.value(self.x_star),
+            L=L, mu=mu, f_star=self._f_star,
             f_star_components=self._component_minimum,
             f_star_agents=self._agent_minimum,
             provenance={k: EXACT for k in ("L", "mu") + _MINIMA},
@@ -167,7 +174,8 @@ class QuadraticObjective(FiniteSumObjective):
         return self.H_agent[i] @ x - self.c_agent[i]
 
     def value(self, x):
-        return 0.5 * float(x @ self.H @ x) - float(self.c @ x) + self._b2
+        d = x - self.x_star
+        return 0.5 * float(d @ self.H @ d) + self._f_star
 
     def grad(self, x):
         return self.H @ x - self.c
@@ -182,8 +190,8 @@ class QuadraticObjective(FiniteSumObjective):
         return np.einsum("ipq,iq->ip", self.H_agent, X) - self.c_agent
 
     def values_at(self, X):
-        quad = 0.5 * np.einsum("ip,pq,iq->i", X, self.H, X)
-        return quad - X @ self.c + self._b2
+        D = X - self.x_star
+        return 0.5 * np.einsum("ip,pq,iq->i", D, self.H, D) + self._f_star
 
 
 def make_quadratic(n: int, m: int, p: int, seed: int, condition: float = 1.0,

@@ -119,20 +119,21 @@ class PermutationStream:
         return self._fill(_philox_keys(self.master_seed, PURPOSE_PERM, n, eff_epoch), m)
 
 
-def rr_variance(X: np.ndarray, ell: int, mc_draws: int = 200_000,
-                mc_seed: int = 0) -> tuple[float, float]:
+def rr_variance(X: np.ndarray, ell: int) -> tuple[float, float]:
     """Empirical vs predicted variance of a without-replacement partial mean.
 
     For fixed vectors X_1..X_m with mean Xbar and population variance
     sigma^2, the mean of the first ell entries of a uniform permutation
     deviates from Xbar with expected squared norm (m-ell)/(ell(m-1)) sigma^2.
-    The empirical side enumerates all m! permutations when m <= 7, otherwise
-    falls back to seeded Monte Carlo.  Returns (empirical, predicted).
+    The empirical side enumerates all m! permutations, so m is limited to 7
+    (5040 permutations).  Returns (empirical, predicted).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     m = X.shape[0]
     if m < 2:
         raise ValueError("need m >= 2 for a nondegenerate population variance")
+    if m > 7:
+        raise ValueError(f"m = {m} is above the enumeration limit m <= 7")
     if not 1 <= ell <= m:
         raise ValueError(f"ell must lie in 1..{m}")
     xbar = X.mean(axis=0)
@@ -140,18 +141,8 @@ def rr_variance(X: np.ndarray, ell: int, mc_draws: int = 200_000,
     predicted = (m - ell) / (ell * (m - 1)) * sigma2
     if ell == m:
         return 0.0, 0.0
-    if m <= 7:
-        total = 0.0
-        for perm in _all_perms(range(m)):
-            d = X[list(perm[:ell])].mean(axis=0) - xbar
-            total += float(d @ d)
-        empirical = total / math.factorial(m)
-    else:
-        rng = keyed_rng(mc_seed, PURPOSE_MC)
-        acc = 0.0
-        for _ in range(mc_draws):
-            idx = rng.permutation(m)[:ell]
-            d = X[idx].mean(axis=0) - xbar
-            acc += float(d @ d)
-        empirical = acc / mc_draws
-    return empirical, predicted
+    total = 0.0
+    for perm in _all_perms(range(m)):
+        d = X[list(perm[:ell])].mean(axis=0) - xbar
+        total += float(d @ d)
+    return total / math.factorial(m), predicted

@@ -205,58 +205,81 @@ class TransformData:
         return self.norm_V2 * float(np.sum(e * e))
 
 
-def _block_basis(G2: np.ndarray):
-    """Canonical (V, Gamma, radius, defective) for one 2x2 block."""
-    tr = G2[0, 0] + G2[1, 1]
-    det = G2[0, 0] * G2[1, 1] - G2[0, 1] * G2[1, 0]
+def _row_sq(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of a (k, 2) array, summed as the dot product
+    `r @ r` sums it (so ties between rows break as a per-block loop's do)."""
+    return (rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
+
+
+def _larger_row(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Per block, r1 if its norm is at least r2's, else r2."""
+    return np.where((_row_sq(r1) >= _row_sq(r2))[:, None], r1, r2)
+
+
+def _perp(rows: np.ndarray) -> np.ndarray:
+    """Each row rotated by a quarter turn: (x, y) -> (-y, x)."""
+    return np.stack([-rows[:, 1], rows[:, 0]], axis=1)
+
+
+def _block_bases(G: np.ndarray):
+    """Canonical (V, Gamma, radius, defective, cond) of every 2x2 block of G.
+
+    Each block falls in one branch by the sign of its discriminant: distinct
+    real eigenvalues (unit eigenvectors, diagonal Gamma), a complex pair (a
+    scaled rotation), or a repeated eigenvalue (an orthonormal Schur basis;
+    a block that is already scalar keeps V = I).  Every V is then balanced so
+    that ||V|| == ||V^{-1}||; both squared equal cond, the ratio of V's
+    singular values.
+    """
+    g00, g01, g10, g11 = G[:, 0, 0], G[:, 0, 1], G[:, 1, 0], G[:, 1, 1]
+    tr = g00 + g11
+    det = g00 * g11 - g01 * g10
     disc = tr * tr - 4.0 * det
-    thresh = 1e-10 * max(1.0, tr * tr)
+    thresh = 1e-10 * np.maximum(1.0, tr * tr)
+    real = disc > thresh
+    cplx = disc < -thresh
+    defective = ~(real | cplx)
+    V = np.empty_like(G)
+    Gamma = np.zeros_like(G)
+    radius = np.empty(len(G))
 
-    def eigvec(z):
+    root = np.sqrt(disc[real])
+    zs = (0.5 * (tr[real] + root), 0.5 * (tr[real] - root))
+    for col, z in enumerate(zs):
         # rows of (G - zI) are parallel; take the kernel of the larger one
-        r1 = np.array([G2[0, 0] - z, G2[0, 1]])
-        r2 = np.array([G2[1, 0], G2[1, 1] - z])
-        row = r1 if r1 @ r1 >= r2 @ r2 else r2
-        v = np.array([-row[1], row[0]])
-        return v / np.linalg.norm(v)
+        row = _larger_row(np.stack([g00[real] - z, g01[real]], axis=1),
+                          np.stack([g10[real], g11[real] - z], axis=1))
+        v = _perp(row)
+        V[real, :, col] = v / np.sqrt(_row_sq(v))[:, None]
+        Gamma[real, col, col] = z
+    radius[real] = np.maximum(np.abs(zs[0]), np.abs(zs[1]))
 
-    if disc > thresh:
-        zp = 0.5 * (tr + np.sqrt(disc))
-        zm = 0.5 * (tr - np.sqrt(disc))
-        V = np.column_stack([eigvec(zp), eigvec(zm)])
-        Gamma = np.diag([zp, zm])
-        radius = max(abs(zp), abs(zm))
-        defective = False
-    elif disc < -thresh:
-        sigma = 0.5 * tr
-        omega = 0.5 * np.sqrt(-disc)
-        # complex eigenvector (from the second row) split into re/im columns
-        u = np.array([sigma - G2[1, 1], G2[1, 0]])
-        v = np.array([omega, 0.0])
-        V = np.column_stack([u, v])
-        Gamma = np.array([[sigma, omega], [-omega, sigma]])
-        radius = float(np.hypot(sigma, omega))
-        defective = False
-    else:
-        lam_hat = 0.5 * tr
-        M = G2 - lam_hat * np.eye(2)
-        r1, r2 = M[0], M[1]
-        row = r1 if r1 @ r1 >= r2 @ r2 else r2
-        nrm = np.linalg.norm(row)
-        if nrm < 1e-14:  # block already scalar
-            V = np.eye(2)
-            Gamma = G2.copy()
-        else:
-            v = np.array([-row[1], row[0]]) / nrm
-            w = np.array([-v[1], v[0]])
-            V = np.column_stack([v, w])
-            Gamma = V.T @ G2 @ V
-        radius = abs(lam_hat)
-        defective = True
+    # the complex eigenvector (from the second row) split into re/im columns
+    sigma = 0.5 * tr[cplx]
+    omega = 0.5 * np.sqrt(-disc[cplx])
+    V[cplx] = np.stack([np.stack([sigma - g11[cplx], omega], axis=1),
+                        np.stack([g10[cplx], np.zeros_like(sigma)], axis=1)], axis=1)
+    Gamma[cplx] = np.stack([np.stack([sigma, omega], axis=1),
+                            np.stack([-omega, sigma], axis=1)], axis=1)
+    radius[cplx] = np.hypot(sigma, omega)
+
+    lam_hat = 0.5 * tr[defective]
+    M = G[defective] - lam_hat[:, None, None] * np.eye(2)
+    row = _larger_row(M[:, 0], M[:, 1])
+    nrm = np.sqrt(_row_sq(row))
+    scalar = nrm < 1e-14
+    idx = np.flatnonzero(defective)
+    v = _perp(row[~scalar]) / nrm[~scalar, None]
+    Vd = np.stack([v, _perp(v)], axis=2)
+    V[idx[~scalar]] = Vd
+    Gamma[idx[~scalar]] = np.swapaxes(Vd, 1, 2) @ G[idx[~scalar]] @ Vd
+    V[idx[scalar]] = np.eye(2)
+    Gamma[idx[scalar]] = G[idx[scalar]]
+    radius[defective] = np.abs(lam_hat)
 
     svals = np.linalg.svd(V, compute_uv=False)
-    V = V / np.sqrt(svals[0] * svals[-1])  # balance: ||V|| == ||V^{-1}||
-    return V, Gamma, float(radius), defective
+    V /= np.sqrt(svals[:, 0] * svals[:, -1])[:, None, None]
+    return V, Gamma, radius, defective, svals[:, 0] / svals[:, -1]
 
 
 def transform_data(op: AbcOperator) -> TransformData:
@@ -278,14 +301,9 @@ def transform_data(op: AbcOperator) -> TransformData:
     G[:, 0, 1] = -b_vals
     G[:, 1, 0] = b_vals
     G[:, 1, 1] = 1.0
-    V = np.empty((k, 2, 2))
-    Gamma = np.empty((k, 2, 2))
-    gamma = 0.0
-    any_defective = False
-    for i in range(k):
-        V[i], Gamma[i], radius, defective = _block_basis(G[i])
-        any_defective = any_defective or defective
-        gamma = max(gamma, radius)
+    V, Gamma, radius, defective, cond = _block_bases(G)
+    gamma = float(np.max(radius, initial=0.0))
+    any_defective = bool(defective.any())
     det = V[:, 0, 0] * V[:, 1, 1] - V[:, 0, 1] * V[:, 1, 0]
     adj = np.empty_like(V)
     adj[:, 0, 0], adj[:, 0, 1] = V[:, 1, 1], -V[:, 0, 1]
@@ -297,13 +315,13 @@ def transform_data(op: AbcOperator) -> TransformData:
         raise OperatorError(
             f"operator is not contractive off consensus (gamma = {gamma:.6g} >= 1)"
         )
-    # a block-diagonal matrix's spectral norm is its largest block's
-    norm_V2 = float(np.linalg.norm(V, 2, axis=(1, 2)).max() ** 2) if k else 1.0
-    norm_Vinv2 = float(np.linalg.norm(Vinv, 2, axis=(1, 2)).max() ** 2) if k else 1.0
+    # a block-diagonal matrix's spectral norm is its largest block's, and
+    # balancing made each block's ||V||^2 and ||V^{-1}||^2 its cond
+    norm_V2 = float(np.max(cond, initial=1.0))
     return TransformData(
         n=n, uhat=spec.uhat, lam_vals=lam_vals, a_vals=a_vals, b_vals=b_vals,
         c_vals=c_vals, G_blocks=G, V_blocks=V, Vinv_blocks=Vinv, Gamma_blocks=Gamma,
-        gamma=float(gamma), norm_V2=norm_V2, norm_Vinv2=norm_Vinv2,
+        gamma=gamma, norm_V2=norm_V2, norm_Vinv2=norm_V2,
         norm_La2=float(np.max(a_vals ** 2)) if k else 0.0,
         lam=spec.lam, lambda_min=spec.lambda_min, any_defective=any_defective,
     )

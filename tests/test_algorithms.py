@@ -8,7 +8,7 @@ from netshuffle.algorithms import (METHODS, CentralizedRR, DRR, DSGD, DSGT, ED,
 from netshuffle.objective import make_quadratic
 from netshuffle.shuffling import PermutationStream
 from netshuffle.stepsize import ConstantSchedule, DecreasingSchedule
-from netshuffle.topology import build_graph, lazify, metropolis_weights
+from netshuffle.topology import build_graph, lazify, metropolis_weights, psd_sqrt
 
 ALPHA = 0.02
 
@@ -129,6 +129,71 @@ def test_edrr_strict_mode_differs_after_first_epoch(quad8, lazy_ring8):
     tb = epoch_trajectory(b, 3)
     assert np.allclose(ta[0], tb[0])       # identical during epoch 0
     assert not np.allclose(ta[1], tb[1])   # reset changes epoch 1 onward
+
+
+class ShadowDualEDRR(EDRR):
+    """x-only ED-RR as written with the shadow dual D and a dense
+    (I-W)^(1/2): the reference for the running sum E = (I-W)^(1/2) D."""
+
+    def __init__(self, objective, mix, stream, strict_alg2=False):
+        super().__init__(objective, mix, stream, strict_alg2)
+        self._b_half = psd_sqrt(np.eye(self.n) - mix.w)
+
+    def reset(self, X0):
+        super().reset(X0)
+        self.D = np.zeros_like(self.X)
+
+    def epoch(self, t, alpha, probe=None):
+        orders = self.stream.epoch_orders(self.n, t, self.m)
+        for ell in range(self.m):
+            if self.strict_alg2 and ell == 0:
+                self._prev_x = None
+                self.D = np.zeros_like(self.X)
+            g = self.obj.perm_grads(self.X, orders[:, ell])
+            half = self._half_step(alpha, g)
+            self._prev_x, self._prev_ag = self.X, alpha * g
+            self.X = self.W @ half
+            self.D = self.D + self._b_half @ self.X
+
+
+def lazy_ring(n):
+    return lazify(metropolis_weights(build_graph("ring", n=n)), 0.5)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("n", [8, 64])
+def test_edrr_running_sum_keeps_shadow_dual_iterates(n, strict):
+    obj = make_quadratic(n, 4, 3, seed=5, condition=2.0)
+    mix = lazy_ring(n)
+    x0 = initial_iterates(obj, "random", run_seed=5)
+    machines = [cls(obj, mix, PermutationStream(5, "rr"), strict_alg2=strict)
+                for cls in (EDRR, ShadowDualEDRR)]
+    for machine in machines:
+        machine.reset(x0)
+    for t in range(10):
+        for machine in machines:
+            machine.epoch(t, ALPHA)
+        assert np.array_equal(machines[0].X, machines[1].X)
+        # E is the square root applied to the shadow dual
+        ref = machines[1]
+        E = ref._b_half @ ref.D
+        assert np.linalg.norm(machines[0].E - E) <= 1e-11 * np.linalg.norm(E)
+
+
+@pytest.mark.parametrize("n", [8, 64, 512])
+def test_edrr_transformed_state_matches_closed_form(n):
+    # S = W (x_prev - alpha g_prev + alpha grad F(1 xbar^T)) - X at every
+    # epoch boundary, from the step the machine stored
+    obj = make_quadratic(n, 4, 3, seed=5, condition=2.0)
+    mix = lazy_ring(n)
+    machine = make_method("edrr", obj, mix, seed=5)
+    machine.reset(initial_iterates(obj, "random", run_seed=5))
+    for t in range(10):
+        machine.epoch(t, ALPHA)
+        X, S = machine.abc_state(ALPHA)
+        Gc = obj.grads_at_consensus(X.mean(axis=0))
+        closed = mix.w @ (machine._prev_x - machine._prev_ag + ALPHA * Gc) - X
+        assert np.linalg.norm(S - closed) <= 1e-11 * np.linalg.norm(closed)
 
 
 def test_exact_diffusion_rejects_indefinite_w(quad8, ring8):

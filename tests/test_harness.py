@@ -310,12 +310,20 @@ def test_sweep_builds_each_transform_once(tmp_path, monkeypatch):
     assert len(calls) == 1  # gtrr only; three seeds share it
 
 
-def test_sweep_takes_one_square_root_and_reads_no_dense_b(tmp_path, monkeypatch):
+def count_square_roots(monkeypatch) -> list:
+    """A list that gains an entry at every psd_sqrt call, wherever it is
+    looked up."""
     from netshuffle import algorithms, topology, unified
     roots = []
     for module in (algorithms, topology, unified):
         monkeypatch.setattr(module, "psd_sqrt",
                             lambda mat, root=topology.psd_sqrt: roots.append(1) or root(mat))
+    return roots
+
+
+def test_sweep_takes_one_square_root_and_reads_no_dense_b(tmp_path, monkeypatch):
+    from netshuffle import unified
+    roots = count_square_roots(monkeypatch)
 
     def unread(self):
         raise AssertionError("a sweep read a dense B or B^2")
@@ -327,6 +335,13 @@ def test_sweep_takes_one_square_root_and_reads_no_dense_b(tmp_path, monkeypatch)
     run_sweep(cfg)
     # psd_sqrt(I - W), once for the mixing matrix that edrr and edrr-pd share
     assert len(roots) == 1
+
+
+def test_x_only_edrr_sweep_takes_no_square_root(tmp_path, monkeypatch):
+    roots = count_square_roots(monkeypatch)
+    cfg = dataclasses.replace(SMALL, tau=0.5, methods=("edrr",), outdir=str(tmp_path))
+    run_sweep(cfg)
+    assert roots == []
 
 
 # ---------------------------------------------------------------------------

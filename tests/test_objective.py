@@ -78,6 +78,16 @@ def test_quadratic_batched_build_matches_per_component_loop(condition):
             assert np.array_equal(obj.A[i, l], q if condition == 1.0 else q * s)
 
 
+@pytest.mark.parametrize("n,m,p,condition", [(512, 8, 16, 1.0), (16, 6, 5, 100.0)])
+def test_quadratic_blas_grams_match_einsum_forms(n, m, p, condition):
+    obj = make_quadratic(n, m, p, seed=0, condition=condition)
+    H_agent = np.einsum("imkp,imkq->ipq", obj.A, obj.A) / m
+    hess = np.einsum("imkp,imkq->impq", obj.A, obj.A)
+    L = float(np.linalg.eigvalsh(hess)[..., -1].max())
+    assert np.max(np.abs(obj.H_agent - H_agent)) <= 1e-14 * np.max(np.abs(H_agent))
+    assert obj.constants.L == pytest.approx(L, rel=1e-14, abs=0)
+
+
 def test_component_minima_match_least_squares(rng):
     # a rank-deficient component exercises lstsq's default rank cutoff
     A = rng.normal(size=(3, 4, 6, 3))

@@ -123,3 +123,9 @@ def test_variance_input_validation(rng):
         rr_variance(rng.normal(size=(4, 2)), 0)
     with pytest.raises(ValueError):
         rr_variance(rng.normal(size=(4, 2)), 5)
+
+
+def test_variance_rejects_m_above_enumeration_limit(rng):
+    rr_variance(rng.normal(size=(7, 2)), 3)
+    with pytest.raises(ValueError, match="m <= 7"):
+        rr_variance(rng.normal(size=(8, 2)), 3)

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from dense_blocks import block_diag
+from dense_blocks import block_basis, block_diag
 
 from netshuffle import algorithms
 from netshuffle.algorithms import EDRRPrimalDual, initial_iterates
@@ -10,8 +10,8 @@ from netshuffle.objective import QuadraticObjective, make_quadratic
 from netshuffle.shuffling import PermutationStream
 from netshuffle.topology import build_graph, lazify, metropolis_weights, psd_sqrt
 from netshuffle.unified import (AbcEngine, OperatorError, TransformedEngine,
-                                _poly_matrix, build_operator, edrr_operator,
-                                gtrr_operator, transform_data)
+                                _block_bases, _poly_matrix, build_operator,
+                                edrr_operator, gtrr_operator, transform_data)
 
 ALPHA = 0.02
 
@@ -304,6 +304,56 @@ def test_block_transform_matches_dense(op, rng):
         e = td.e_vector(X, S)
         assert e.shape == (2 * k, 3)
         assert np.max(np.abs(e - dense)) <= 1e-13 * max(1.0, np.max(np.abs(dense)))
+
+
+def _inverse_blocks(V):
+    det = V[:, 0, 0] * V[:, 1, 1] - V[:, 0, 1] * V[:, 1, 0]
+    adj = np.stack([np.stack([V[:, 1, 1], -V[:, 0, 1]], axis=1),
+                    np.stack([-V[:, 1, 0], V[:, 0, 0]], axis=1)], axis=1)
+    return adj / det[:, None, None]
+
+
+def test_vectorized_block_bases_match_per_block_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    unit = st.floats(-1.0, 1.0)
+
+    @st.composite
+    def block_values(draw):
+        # (a, b^2, c) at eigenvalues of W; b^2 = (1 - lam)^2 with a = c = lam
+        # makes the discriminant vanish, and a nudge of up to 1e-9 puts it on
+        # either side of the 1e-10 defective threshold
+        if draw(st.booleans()):
+            return draw(unit), draw(st.floats(0.0, 4.0)), draw(unit)
+        lam = draw(unit)
+        nudge = draw(st.sampled_from([0.0, 1e-12, -1e-12])) \
+            or draw(st.floats(-1e-9, 1e-9))
+        return lam, max((1.0 - lam) ** 2 + nudge, 0.0), lam
+
+    def close(x, y):
+        scale = np.abs(y).max(axis=(1, 2))
+        return np.all(np.abs(x - y).max(axis=(1, 2)) <= 1e-15 * scale)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.lists(block_values(), min_size=1, max_size=12))
+    def check(values):
+        a, b2, c = map(np.array, zip(*values))
+        G = np.empty((len(values), 2, 2))
+        G[:, 0, 0] = a * c - b2
+        G[:, 0, 1] = -np.sqrt(b2)
+        G[:, 1, 0] = np.sqrt(b2)
+        G[:, 1, 1] = 1.0
+        V, Gamma, radius, defective, _ = _block_bases(G)
+        ref = [block_basis(g) for g in G]
+        V_ref = np.array([r[0] for r in ref])
+        Gamma_ref = np.array([r[1] for r in ref])
+        assert close(V, V_ref)
+        assert close(Gamma, Gamma_ref)
+        assert close(_inverse_blocks(V), _inverse_blocks(V_ref))
+        assert radius.max() == max(r[2] for r in ref)
+        assert defective.any() == any(r[3] for r in ref)
+
+    check()
 
 
 def test_single_agent_transform_is_empty():
