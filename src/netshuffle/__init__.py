@@ -3,7 +3,7 @@ random reshuffling: seven methods, a unified two-matrix verification oracle,
 stepsize theory calculators, and an experiment harness."""
 
 from .algorithms import METHODS, initial_iterates, make_method, run
-from .metrics import RateFit, TrajectoryRecord, rate_fit
+from .metrics import RateFit, Trajectory, TrajectoryRecord, rate_fit, read_csv
 from .objective import (LogisticObjective, NonconvexLogisticObjective,
                         ObjectiveConstants, QuadraticObjective, make_logistic,
                         make_nonconvex_logistic, make_quadratic)

@@ -356,19 +356,20 @@ def run(method_name: str, objective, mix: MixingMatrix, schedule, T: int,
         seed: int, sampling: str = "rr", x0: np.ndarray | None = None,
         init: str = "same", init_scale: float = 1.0, init_seed: int = 0,
         transform=None, strict_alg2: bool = False, inner_metrics: bool = False,
-        timings: bool = False) -> list:
+        timings: bool = False) -> _metrics.Trajectory:
     """Advance T epochs and record metrics at every epoch boundary.
 
-    Returns T+1 trajectory records (fewer if the run is truncated by
-    divergence, in which case the last record carries the flag).  Fully
-    deterministic for fixed seeds unless `timings` is set.
+    Returns a trajectory of T+1 rows, plus T(m-1) interior rows with
+    `inner_metrics` (fewer if the run is truncated by divergence, in which
+    case the last row carries the flag).  Fully deterministic for fixed
+    seeds unless `timings` is set.
     """
     method = make_method(method_name, objective, mix, seed, sampling, strict_alg2)
     if x0 is None:
         x0 = initial_iterates(objective, init, init_scale, init_seed, seed)
     method.reset(x0)
     start = time.perf_counter_ns()
-    records: list[_metrics.TrajectoryRecord] = []
+    traj = _metrics.Trajectory(T + 1 + (T * (method.m - 1) if inner_metrics else 0))
     history: list[float] = []
     min_prev = np.inf
 
@@ -380,19 +381,18 @@ def run(method_name: str, objective, mix: MixingMatrix, schedule, T: int,
             e = transform.e_vector(state[0], state[1])
             e_norm_sq = float(np.sum(e * e))
         wall = time.perf_counter_ns() - start if timings else None
-        rec = _metrics.record(method.X, t_mark, alpha, objective,
+        rec = _metrics.record(traj, method.X, t_mark, alpha, objective,
                               min_prev=min_prev, transform=transform,
                               e_norm_sq=e_norm_sq, wall_ns=wall)
         min_prev = rec.min_grad_norm_sq
-        records.append(rec)
         return rec
 
     for t in range(T + 1):
         alpha = float(schedule.alpha(t, history))
-        if not (np.all(np.isfinite(method.X))
-                and np.linalg.norm(method.X) <= DIVERGENCE_NORM):
-            rec = snapshot(t, alpha)
-            records[-1] = rec.flag_diverged()
+        # NaN and inf fail the bound too, so no separate finiteness test
+        if not np.linalg.norm(method.X) <= DIVERGENCE_NORM:
+            snapshot(t, alpha)
+            traj.flag_diverged()
             break
         rec = snapshot(t, alpha)
         history.append(rec.fgap_bar if rec.fgap_bar is not None else rec.grad_norm_sq)
@@ -404,8 +404,7 @@ def run(method_name: str, objective, mix: MixingMatrix, schedule, T: int,
                 if info.ell < method.m - 1:
                     frac = _t + (info.ell + 1) / method.m
                     wall = time.perf_counter_ns() - start if timings else None
-                    records.append(_metrics.record(
-                        info.X_after, frac, _alpha, objective, min_prev=min_prev,
-                        transform=None, e_norm_sq=None, wall_ns=wall))
+                    _metrics.record(traj, info.X_after, frac, _alpha, objective,
+                                    min_prev=min_prev, wall_ns=wall)
         method.epoch(t, alpha, probe=inner)
-    return records
+    return traj

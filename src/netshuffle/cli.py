@@ -62,16 +62,16 @@ def _cmd_run(args) -> int:
     if len(cfg.methods) != 1 or len(cfg.seeds) != 1:
         raise harness.ConfigError("run takes exactly one method and one seed; use sweep")
     method, seed = cfg.methods[0], cfg.seeds[0]
-    records = harness.run_one(cfg, method, seed)
+    traj = harness.run_one(cfg, method, seed)
     meta = {"config_hash": harness.config_hash(cfg), "method": method, "seed": seed,
             "generated_by": harness.GENERATOR_TAG}
-    text = metrics.to_csv(records, meta)
+    text = metrics.to_csv(traj, meta)
     if args.outfile:
         with open(args.outfile, "w", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if records and records[-1].diverged:
+    if traj and traj[-1].diverged:
         return EXIT_DIVERGED
     return EXIT_OK
 

@@ -257,7 +257,7 @@ def build_schedule(cfg: ExperimentConfig, method: str, objective,
 
 
 def run_one(cfg: ExperimentConfig, method: str, seed: int, objective=None,
-            mix: MixingMatrix | None = None, transform=None) -> list:
+            mix: MixingMatrix | None = None, transform=None) -> metrics.Trajectory:
     """One method for one seed; `objective`, `mix` and `transform` are built
     from `cfg` unless given (a sweep builds them once and shares them)."""
     objective = objective if objective is not None else build_objective(cfg)
@@ -279,7 +279,7 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
 
     All method/schedule combinations are validated before any run starts, so
     an invalid pairing (say exact diffusion on an indefinite W) fails fast.
-    Returns {path: records}; raises ConfigError on invalid configs.
+    Returns {path: trajectory}; raises ConfigError on invalid configs.
     """
     outdir = Path(cfg.outdir)
     try:
@@ -311,31 +311,31 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     for method in cfg.methods:
         per_seed = []
         for seed in cfg.seeds:
-            records = results[(method, seed)]
-            per_seed.append(records)
+            traj = results[(method, seed)]
+            per_seed.append(traj)
             meta = {
                 "config_hash": digest, "method": method, "seed": seed,
                 "sampling": cfg.sampling if algorithms.METHODS[method].uses_rr else "iid",
                 "f_star_provenance": f_prov, "generated_by": GENERATOR_TAG,
             }
             path = outdir / f"{method}_seed{seed}.csv"
-            metrics.write_csv(path, records, meta)
-            written[path] = records
-        mean_records = metrics.aggregate(per_seed)
+            metrics.write_csv(path, traj, meta)
+            written[path] = traj
+        mean = metrics.aggregate(per_seed)
         meta = {
             "config_hash": digest, "method": method,
             "seeds": ",".join(str(s) for s in cfg.seeds), "aggregate": "mean",
             "f_star_provenance": f_prov, "generated_by": GENERATOR_TAG,
         }
         path = outdir / f"{method}_mean.csv"
-        metrics.write_csv(path, mean_records, meta)
-        written[path] = mean_records
+        metrics.write_csv(path, mean, meta)
+        written[path] = mean
     return written
 
 
 def all_diverged(results: dict) -> bool:
-    runs = [recs for path, recs in results.items() if "seed" in path.name]
-    return bool(runs) and all(recs and recs[-1].diverged for recs in runs)
+    runs = [traj for path, traj in results.items() if "seed" in path.name]
+    return bool(runs) and all(traj and traj[-1].diverged for traj in runs)
 
 
 # ---------------------------------------------------------------------------

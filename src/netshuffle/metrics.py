@@ -1,9 +1,18 @@
-"""Per-epoch trajectory metrics, CSV serialization, and rate fitting."""
+"""Per-epoch trajectory metrics, CSV serialization, and rate fitting.
+
+A run's metrics are held column by column in a `Trajectory`: one
+preallocated array per CSV column, plus a presence mask for each column that
+may be absent.  An absent value is masked, never stored as NaN, so the NaN
+and inf of a diverged row stay values and stay distinct from an empty field.
+"""
 
 from __future__ import annotations
 
 import dataclasses
+import operator
+import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -11,30 +20,147 @@ CSV_COLUMNS = (
     "t", "alpha", "grad_norm_sq", "min_grad_norm_sq", "consensus_sq",
     "fgap_mean", "fgap_bar", "q_t", "e_norm_sq", "wall_ns", "diverged",
 )
+# the columns that may be absent: no minimum value, no transform, no timings
+OPTIONAL_COLUMNS = ("fgap_mean", "fgap_bar", "q_t", "e_norm_sq", "wall_ns")
+_DTYPES = {**dict.fromkeys(CSV_COLUMNS, np.float64),
+           "wall_ns": np.int64, "diverged": np.bool_}
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
+    """One trajectory row as Python values; an absent value is None."""
+
     t: float
     alpha: float
     grad_norm_sq: float
     min_grad_norm_sq: float
     consensus_sq: float
-    fgap_mean: float | None
-    fgap_bar: float | None
-    q_t: float | None
-    e_norm_sq: float | None
-    wall_ns: int | None
+    fgap_mean: float | None = None
+    fgap_bar: float | None = None
+    q_t: float | None = None
+    e_norm_sq: float | None = None
+    wall_ns: int | None = None
     diverged: bool = False
 
-    def flag_diverged(self) -> "TrajectoryRecord":
-        return dataclasses.replace(self, diverged=True)
+
+class Trajectory:
+    """Run metrics stored by column.
+
+    Each CSV column is one array of `capacity` rows (float64; `wall_ns`
+    int64, `diverged` bool), filled a row at a time by `append`.  `len()`
+    counts the rows filled so far; indexing and iteration give
+    `TrajectoryRecord` rows, and `column`/`present` give a column's filled
+    values and presence mask as read-only arrays.
+    """
+
+    def __init__(self, capacity: int):
+        self._cols = {name: np.zeros(capacity, _DTYPES[name]) for name in CSV_COLUMNS}
+        self._present = {name: np.zeros(capacity, bool) for name in OPTIONAL_COLUMNS}
+        # (values, presence mask or None) in CSV_COLUMNS order, for append
+        self._slots = [(self._cols[name], self._present.get(name))
+                       for name in CSV_COLUMNS]
+        self._len = 0
+
+    @classmethod
+    def from_rows(cls, rows) -> "Trajectory":
+        """A trajectory holding `rows`, each a `TrajectoryRecord` or a tuple
+        in `CSV_COLUMNS` order."""
+        rows = list(rows)
+        traj = cls(len(rows))
+        for row in rows:
+            traj.append(row)
+        return traj
+
+    def append(self, row) -> None:
+        """Fill the next row from a `TrajectoryRecord` or a tuple in
+        `CSV_COLUMNS` order; None marks an absent optional value."""
+        i = self._len
+        if i == len(self._cols["t"]):
+            raise IndexError(f"trajectory is full ({i} rows)")
+        for (values, mask), value, name in zip(self._slots, row, CSV_COLUMNS,
+                                               strict=True):
+            if value is not None:
+                values[i] = value
+                if mask is not None:
+                    mask[i] = True
+            elif mask is None:
+                raise ValueError(f"column {name!r} cannot be absent")
+        self._len = i + 1
+
+    def flag_diverged(self) -> None:
+        """Mark the last filled row diverged."""
+        self._cols["diverged"][self._len - 1] = True
+
+    def column(self, name: str) -> np.ndarray:
+        """The filled rows of a column, read-only; an absent cell holds 0
+        (see `present`)."""
+        view = self._cols[name][:self._len]
+        view.flags.writeable = False
+        return view
+
+    def present(self, name: str) -> np.ndarray:
+        """Which filled rows of a column hold a value, read-only."""
+        if name not in self._present:
+            if name not in self._cols:
+                raise KeyError(name)
+            return np.ones(self._len, bool)
+        view = self._present[name][:self._len]
+        view.flags.writeable = False
+        return view
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index) -> TrajectoryRecord:
+        index = operator.index(index)
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError("trajectory row out of range")
+        return TrajectoryRecord(*(
+            None if name in self._present and not self._present[name][index]
+            else self._cols[name][index].item() for name in CSV_COLUMNS))
+
+    def __iter__(self):
+        return (self[i] for i in range(self._len))
+
+    def __eq__(self, other) -> bool:
+        """Equal rows: the same presence everywhere and the same present
+        values, NaN equal to NaN."""
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        if len(self) != len(other):
+            return False
+        for name in CSV_COLUMNS:
+            mask = self.present(name)
+            if not (np.array_equal(mask, other.present(name))
+                    and np.array_equal(self.column(name)[mask],
+                                       other.column(name)[mask], equal_nan=True)):
+                return False
+        return True
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Trajectory({self._len} rows)"
+
+    def _fill(self, name: str, values, present=None) -> None:
+        """Set a whole column of a trajectory built with its final length."""
+        self._cols[name][:] = values
+        if present is not None:
+            self._present[name][:] = present
 
 
-def record(X: np.ndarray, t: float, alpha: float, objective, min_prev: float = np.inf,
-           transform=None, e_norm_sq: float | None = None,
+def _filled(length: int) -> Trajectory:
+    traj = Trajectory(length)
+    traj._len = length
+    return traj
+
+
+def record(traj: Trajectory, X: np.ndarray, t: float, alpha: float, objective,
+           min_prev: float = np.inf, transform=None, e_norm_sq: float | None = None,
            wall_ns: int | None = None) -> TrajectoryRecord:
-    """Metrics of a stacked-iterate snapshot.
+    """Append the metrics of a stacked-iterate snapshot to `traj` and return
+    them as a row.
 
     The function gap columns are absent (None), never zero, when the
     objective carries no minimum value.  The Lyapunov value combines the mean
@@ -57,65 +183,108 @@ def record(X: np.ndarray, t: float, alpha: float, objective, min_prev: float = n
             weight = 8.0 * alpha * L * L * transform.norm_V2 / (
                 objective.n * (1.0 - transform.gamma ** 2))
             q_t = fgap_bar + weight * e_norm_sq
-    return TrajectoryRecord(
-        t=t, alpha=alpha, grad_norm_sq=grad_norm_sq,
-        min_grad_norm_sq=min(min_prev, grad_norm_sq),
-        consensus_sq=consensus_sq, fgap_mean=fgap_mean, fgap_bar=fgap_bar,
-        q_t=q_t, e_norm_sq=e_norm_sq, wall_ns=wall_ns,
-    )
+    row = TrajectoryRecord(t, alpha, grad_norm_sq, min(min_prev, grad_norm_sq),
+                           consensus_sq, fgap_mean, fgap_bar, q_t, e_norm_sq, wall_ns)
+    traj.append(row)
+    return row
 
 
-def _render(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float) and value.is_integer() and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value) if isinstance(value, float) else str(value)
+def _render_column(values: np.ndarray, present: np.ndarray) -> list:
+    """The CSV cells of one column: an integral float below 1e15 as an
+    integer, any other float as its shortest round-trip repr, a bool as 1 or
+    0, an absent value as an empty field."""
+    cells = np.empty(len(values), dtype=object)
+    if values.dtype == np.bool_:
+        cells[:] = "0"
+        cells[values] = "1"
+    elif values.dtype == np.int64:
+        cells[:] = list(map(str, values.tolist()))
+    else:
+        with np.errstate(invalid="ignore"):
+            integral = (np.abs(values) < 1e15) & (np.floor(values) == values)
+        cells[integral] = list(map(str, values[integral].astype(np.int64).tolist()))
+        rest = ~integral
+        cells[rest] = list(map(repr, values[rest].tolist()))
+    cells[~present] = ""
+    return cells.tolist()
 
 
-def to_csv(records, metadata: dict | None = None) -> str:
-    """Render records with `#`-prefixed metadata lines and a header row.
+def to_csv(traj: Trajectory, metadata: dict | None = None) -> str:
+    """Render a trajectory with `#`-prefixed metadata lines and a header row.
 
     Absent values are empty fields.  Output is byte-deterministic for equal
     inputs (floats use shortest round-trip repr)."""
-    lines = []
-    for key, value in (metadata or {}).items():
-        lines.append(f"# {key} = {value}")
+    lines = [f"# {key} = {value}" for key, value in (metadata or {}).items()]
     lines.append(",".join(CSV_COLUMNS))
-    for rec in records:
-        row = [_render(getattr(rec, col)) for col in CSV_COLUMNS]
-        lines.append(",".join(row))
+    cells = [_render_column(traj.column(name), traj.present(name))
+             for name in CSV_COLUMNS]
+    lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path, records, metadata: dict | None = None) -> None:
+def write_csv(path, traj: Trajectory, metadata: dict | None = None) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(to_csv(records, metadata))
+        fh.write(to_csv(traj, metadata))
 
 
-def aggregate(record_sets) -> list:
-    """Row-wise arithmetic mean across seeds; None stays None when uniformly
-    absent and otherwise averages the present values."""
-    if not record_sets:
-        return []
-    length = min(len(rs) for rs in record_sets)
-    out = []
-    for row in range(length):
-        vals = {}
-        for col in CSV_COLUMNS:
-            entries = [getattr(rs[row], col) for rs in record_sets]
-            if col == "diverged":
-                vals[col] = any(entries)
-                continue
-            present = [e for e in entries if e is not None]
-            if not present:
-                vals[col] = None
-            else:
-                vals[col] = float(np.mean(present))
-        vals["wall_ns"] = None if vals["wall_ns"] is None else int(vals["wall_ns"])
-        out.append(TrajectoryRecord(**vals))
+def read_csv(source) -> Trajectory:
+    """The trajectory in a CSV written by `to_csv`, from a path or an open
+    text file; the `#` metadata lines are skipped."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, newline="") as fh:
+            return read_csv(fh)
+    lines = [line.rstrip("\r\n") for line in source if not line.startswith("#")]
+    lines = [line for line in lines if line]
+    if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
+        raise ValueError("CSV header is not " + ",".join(CSV_COLUMNS))
+    rows = [line.split(",") for line in lines[1:]]
+    if any(len(row) != len(CSV_COLUMNS) for row in rows):
+        raise ValueError(f"every CSV row needs {len(CSV_COLUMNS)} fields")
+    traj = _filled(len(rows))
+    for name, cells in zip(CSV_COLUMNS, zip(*rows)):
+        if name == "diverged":
+            traj._fill(name, [cell == "1" for cell in cells])
+            continue
+        parse = int if name == "wall_ns" else float
+        mask = [cell != "" for cell in cells]
+        if name not in OPTIONAL_COLUMNS and not all(mask):
+            raise ValueError(f"column {name!r} cannot be absent")
+        traj._fill(name, [parse(cell) if cell else 0 for cell in cells],
+                   mask if name in OPTIONAL_COLUMNS else None)
+    return traj
+
+
+def aggregate(trajectories) -> Trajectory:
+    """Row-wise arithmetic mean across seeds, truncated to the shortest run.
+
+    A value absent in every seed stays absent; otherwise the row's present
+    values are averaged.  A row is diverged when any seed's is, and `wall_ns`
+    is the integer part of its mean.  Each mean sums its values in the order
+    `np.mean` sums a list of them.
+    """
+    trajectories = list(trajectories)
+    if not trajectories:
+        return Trajectory(0)
+    length = min(len(traj) for traj in trajectories)
+    out = _filled(length)
+    for name in CSV_COLUMNS:
+        # (rows, seeds), C-contiguous: reducing along the last axis sums
+        # each row's seeds pairwise, exactly as np.mean sums a 1-D list
+        stack = np.stack([traj._cols[name][:length] for traj in trajectories], axis=1)
+        if name == "diverged":
+            out._fill(name, stack.any(axis=1))
+            continue
+        stack = stack.astype(np.float64, copy=False)
+        if name not in OPTIONAL_COLUMNS:
+            out._fill(name, stack.mean(axis=1))
+            continue
+        mask = np.stack([traj._present[name][:length] for traj in trajectories], axis=1)
+        full, some = mask.all(axis=1), mask.any(axis=1)
+        mean = np.zeros(length)
+        mean[full] = stack[full].mean(axis=1)
+        for row in np.flatnonzero(some & ~full):
+            mean[row] = np.mean(stack[row, mask[row]])
+        out._fill(name, mean.astype(np.int64) if name == "wall_ns" else mean, some)
     return out
 
 
@@ -128,27 +297,26 @@ class RateFit:
     points: int
 
 
-def rate_fit(records, metric: str, window: tuple) -> RateFit:
+def rate_fit(traj: Trajectory, metric: str, window: tuple) -> RateFit:
     """Least squares of log(metric) on log(t) over t in [window[0], window[1]].
 
-    Non-finite entries are ignored; non-positive metric values inside the
-    window are an error (a log-log slope is meaningless there).
+    Absent and non-finite entries are ignored; non-positive metric values
+    inside the window are an error (a log-log slope is meaningless there).
     """
     lo, hi = window
-    ts, ys = [], []
-    for rec in records:
-        if not (lo <= rec.t <= hi) or rec.t <= 0:
-            continue
-        y = getattr(rec, metric)
-        if y is None or not np.isfinite(y):
-            continue
-        if y <= 0.0:
-            raise ValueError(f"non-positive {metric}={y} at t={rec.t} in window")
-        ts.append(rec.t)
-        ys.append(y)
-    if len(ts) < 10:
-        raise ValueError(f"need at least 10 records in window, got {len(ts)}")
-    return dataclasses.replace(fit_powerlaw(ts, ys), window=(lo, hi))
+    t, y = traj.column("t"), traj.column(metric)
+    with np.errstate(invalid="ignore"):
+        keep = traj.present(metric) & (lo <= t) & (t <= hi) & (t > 0) & np.isfinite(y)
+        bad = keep & (y <= 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        t_k = t[k].item()
+        raise ValueError(f"non-positive {metric}={y[k].item()} at "
+                         f"t={int(t_k) if t_k.is_integer() else t_k} in window")
+    points = int(keep.sum())
+    if points < 10:
+        raise ValueError(f"need at least 10 records in window, got {points}")
+    return dataclasses.replace(fit_powerlaw(t[keep], y[keep]), window=(lo, hi))
 
 
 def fit_powerlaw(xs, ys) -> RateFit:

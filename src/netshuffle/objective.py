@@ -150,11 +150,11 @@ class QuadraticObjective(FiniteSumObjective):
         return float(np.mean(0.5 * np.sum(r * r, axis=2)))
 
     def _agent_minimum(self) -> float:
-        agent_min = np.empty(self.n)
-        for i in range(self.n):
-            xi = np.linalg.solve(self.H_agent[i], self.c_agent[i])
-            agent_min[i] = self.agent_value(i, xi)
-        return float(agent_min.mean())
+        # from the residuals at each agent's own minimizer, as f* is
+        x_agent = np.array([np.linalg.solve(H, c)
+                            for H, c in zip(self.H_agent, self.c_agent)])
+        r = np.einsum("imkp,ip->imk", self.A, x_agent) - self.b
+        return 0.5 * float(np.mean(np.sum(r * r, axis=2)))
 
     def component_value(self, i, l, x):
         self._check_indices(i, l)
@@ -232,8 +232,14 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, z)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+def _loss_slope(z):
+    """-sigmoid(-z) = -0.5 (1 + tanh(-z/2)), the derivative of softplus(-z),
+    with both sign flips folded into the arithmetic; bit-equal to the
+    unfolded form."""
+    s = np.tanh(-0.5 * z)
+    s += 1.0
+    s *= -0.5
+    return s
 
 
 class _LogisticBase(FiniteSumObjective):
@@ -256,6 +262,7 @@ class _LogisticBase(FiniteSumObjective):
         self.feats, self.labels = feats, labels
         self.n, self.m, self.p = feats.shape
         self.signed = feats * labels[:, :, None]  # u_j v_j rows
+        self._agents = np.arange(self.n)
         self.weight = float(weight)
         self.convex = convex
         # exact L and mu; f* is estimated on its first read
@@ -270,6 +277,7 @@ class _LogisticBase(FiniteSumObjective):
         )
 
     def _reg_value(self, x):
+        """Regularizer value at x, or row-wise at a stack of points."""
         raise NotImplementedError
 
     def _reg_grad(self, x):
@@ -278,45 +286,43 @@ class _LogisticBase(FiniteSumObjective):
 
     def component_value(self, i, l, x):
         self._check_indices(i, l)
-        return float(_softplus(-self.signed[i, l] @ x)) + self._reg_value(x)
+        return float(_softplus(-(self.signed[i, l] @ x))) + self._reg_value(x)
 
     def component_grad(self, i, l, x):
         self._check_indices(i, l)
         z = self.signed[i, l] @ x
-        return -_sigmoid(-z) * self.signed[i, l] + self._reg_grad(x)
+        return _loss_slope(z) * self.signed[i, l] + self._reg_grad(x)
 
     def agent_value(self, i, x):
-        return float(np.mean(_softplus(-self.signed[i] @ x))) + self._reg_value(x)
+        return float(np.mean(_softplus(-(self.signed[i] @ x)))) + self._reg_value(x)
 
     def agent_grad(self, i, x):
         z = self.signed[i] @ x
-        coef = -_sigmoid(-z) / self.m
+        coef = _loss_slope(z) / self.m
         return coef @ self.signed[i] + self._reg_grad(x)
 
     def value(self, x):
-        return float(np.mean(_softplus(-self.signed @ x))) + self._reg_value(x)
+        return float(np.mean(_softplus(-(self.signed @ x)))) + self._reg_value(x)
 
     def grad(self, x):
         z = self.signed @ x
-        coef = -_sigmoid(-z) / (self.n * self.m)
+        coef = _loss_slope(z) / (self.n * self.m)
         return np.einsum("im,imp->p", coef, self.signed) + self._reg_grad(x)
 
     def perm_grads(self, X, idx):
-        ar = np.arange(self.n)
-        rows = self.signed[ar, idx]                    # (n, p)
+        rows = self.signed[self._agents, idx]          # (n, p)
         z = np.einsum("ip,ip->i", rows, X)
-        base = -_sigmoid(-z)[:, None] * rows
-        return base + self._reg_grad(X)
+        return _loss_slope(z)[:, None] * rows + self._reg_grad(X)
 
     def stacked_agent_grads(self, X):
         z = np.einsum("imp,ip->im", self.signed, X)
-        coef = -_sigmoid(-z) / self.m
+        coef = _loss_slope(z) / self.m
         return np.einsum("im,imp->ip", coef, self.signed) + self._reg_grad(X)
 
     def values_at(self, X):
         z = np.einsum("imp,jp->imj", self.signed, X)
         loss = _softplus(-z).mean(axis=(0, 1))
-        return loss + np.array([self._reg_value(x) for x in X])
+        return loss + self._reg_value(X)
 
 
 class LogisticObjective(_LogisticBase):
@@ -329,7 +335,9 @@ class LogisticObjective(_LogisticBase):
         self.rho = self.weight
 
     def _reg_value(self, x):
-        return 0.5 * self.rho * float(x @ x)
+        if x.ndim == 1:
+            return 0.5 * self.rho * float(x @ x)
+        return 0.5 * self.rho * (x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
     def _reg_grad(self, x):
         return self.rho * x
@@ -346,7 +354,9 @@ class NonconvexLogisticObjective(_LogisticBase):
         self.eta = self.weight
 
     def _reg_value(self, x):
-        return 0.5 * self.eta * float(np.sum(x * x / (1.0 + x * x)))
+        if x.ndim == 1:
+            return 0.5 * self.eta * float(np.sum(x * x / (1.0 + x * x)))
+        return 0.5 * self.eta * np.sum(x * x / (1.0 + x * x), axis=1)
 
     def _reg_grad(self, x):
         return self.eta * x / (1.0 + x * x) ** 2

@@ -223,6 +223,49 @@ def test_run_divergence_flagged(ring8):
     assert len(records) < 52
 
 
+# CSV digests of diverging runs, pinned when the check also tested
+# np.isfinite before the norm bound: the bound alone flags the same rows.
+# Each case: method, make_quadratic arguments, stepsize, epochs, run keywords,
+# the diverged t, the digest.
+_QUAD = (8, 3, 4, 5, 2.0)      # n, m, p, seed, condition
+_SCALAR = (8, 1, 1, 3, 1.0)    # one coordinate: crr's overflow stays +inf
+DIVERGED_RUNS = {
+    "drr passes the bound": (
+        "drr", _QUAD, 5.0, 60, {}, 5,
+        "19cc189a436c0dd21ce1a86e97a6a19efedb5fb3f0e646388d5b37b5b39c4cd7"),
+    "gtrr hits NaN": (
+        "gtrr", _QUAD, 1e200, 60, {}, 1,
+        "facb2195ceac79068b4ab91dcce4ecd20701285ae8759ee7e2dbbc9063e7b082"),
+    "crr hits inf": (
+        "crr", _SCALAR, 1e308, 20, {"init_scale": 100.0}, 1,
+        "647be2caa2cea413391ef80930db9258d788c14e98d3eb97b7c1142249cbccd4"),
+    "starts at NaN": (
+        "gtrr", _QUAD, 0.01, 20, {"x0": np.full((8, 4), np.nan)}, 0,
+        "49cdd08e560143483f0c32f9b66949b21a79b955e2735ccc65758b86ec6cf97d"),
+    "starts at -inf": (
+        "gtrr", _QUAD, 0.01, 20, {"x0": np.full((8, 4), -np.inf)}, 0,
+        "49cdd08e560143483f0c32f9b66949b21a79b955e2735ccc65758b86ec6cf97d"),
+    "starts past the bound": (
+        "gtrr", _QUAD, 0.01, 20, {"x0": np.full((8, 4), 1e12)}, 0,
+        "7d8622b49e88a9ebdbf9d14e7de9e14bd77db2d77f7655328d7bd5af03bbcdaf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIVERGED_RUNS))
+def test_divergence_flagged_at_the_same_row_with_the_same_bytes(case, ring8):
+    import hashlib
+
+    from netshuffle.metrics import to_csv
+    method, (n, m, p, seed, cond), alpha, T, kwargs, t_div, digest = DIVERGED_RUNS[case]
+    obj = make_quadratic(n, m, p, seed=seed, condition=cond)
+    with np.errstate(all="ignore"):
+        traj = run(method, obj, ring8, ConstantSchedule(alpha), T, seed=0, **kwargs)
+    assert len(traj) == t_div + 1
+    assert traj[-1].diverged and traj[-1].t == t_div
+    assert not traj.column("diverged")[:-1].any()
+    assert hashlib.sha256(to_csv(traj).encode()).hexdigest() == digest
+
+
 def test_run_decreasing_monotone_trend(ring8):
     obj = make_quadratic(8, 5, 4, seed=8, condition=2.0)
     sched = DecreasingSchedule(theta=20.0, K=650.0, mu=obj.constants.mu, m=5)

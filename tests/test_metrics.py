@@ -1,9 +1,12 @@
+import io
+
 import numpy as np
 import pytest
 
 from netshuffle.algorithms import run
-from netshuffle.metrics import (CSV_COLUMNS, TrajectoryRecord, aggregate,
-                                fit_powerlaw, rate_fit, record, to_csv)
+from netshuffle.metrics import (CSV_COLUMNS, OPTIONAL_COLUMNS, Trajectory,
+                                TrajectoryRecord, aggregate, fit_powerlaw,
+                                rate_fit, read_csv, record, to_csv, write_csv)
 from netshuffle.objective import ObjectiveConstants, make_quadratic
 from netshuffle.stepsize import ConstantSchedule
 from netshuffle.topology import build_graph, metropolis_weights
@@ -13,7 +16,7 @@ from netshuffle.unified import gtrr_operator, transform_data
 def test_record_at_consensus_optimum_all_tiny():
     obj = make_quadratic(6, 3, 4, seed=9, consistent=True)
     X = np.tile(obj.x_star, (6, 1))
-    rec = record(X, 0, 0.01, obj)
+    rec = record(Trajectory(1), X, 0, 0.01, obj)
     assert rec.grad_norm_sq < 1e-18
     assert rec.consensus_sq < 1e-18
     assert rec.fgap_mean < 1e-18 and rec.fgap_bar < 1e-18
@@ -22,7 +25,7 @@ def test_record_at_consensus_optimum_all_tiny():
 def test_record_single_agent_zero_consensus():
     obj = make_quadratic(1, 3, 4, seed=9)
     X = np.ones((1, 4))
-    rec = record(X, 0, 0.01, obj)
+    rec = record(Trajectory(1), X, 0, 0.01, obj)
     assert rec.consensus_sq == 0.0
 
 
@@ -31,7 +34,8 @@ def test_q_t_dominates_function_gap(quad8, ring8, rng):
     X = rng.normal(size=(8, 4))
     S = rng.normal(size=(8, 4))
     e = td.e_vector(X, S)
-    rec = record(X, 0, 0.02, quad8, transform=td, e_norm_sq=float(np.sum(e * e)))
+    rec = record(Trajectory(1), X, 0, 0.02, quad8, transform=td,
+                 e_norm_sq=float(np.sum(e * e)))
     assert rec.q_t is not None
     assert rec.q_t >= rec.fgap_bar
     assert rec.e_norm_sq > 0.0
@@ -42,7 +46,7 @@ def test_fgap_absent_when_f_star_unknown(rng):
     obj.constants = ObjectiveConstants(L=obj.constants.L, mu=None, f_star=None,
                                        f_star_components=None,
                                        f_star_agents=None)
-    rec = record(rng.normal(size=(3, 3)), 0, 0.01, obj)
+    rec = record(Trajectory(1), rng.normal(size=(3, 3)), 0, 0.01, obj)
     assert rec.fgap_mean is None and rec.fgap_bar is None and rec.q_t is None
 
 
@@ -98,11 +102,11 @@ def test_exact_consensus_under_decreasing_stepsize_vs_dsgd_stall():
 
 
 def test_csv_layout_and_absent_fields():
-    recs = [
+    recs = Trajectory.from_rows([
         TrajectoryRecord(0, 0.1, 1.0, 1.0, 0.5, None, None, None, None, None),
         TrajectoryRecord(1, 0.1, 0.5, 0.5, 0.25, 0.1, 0.05, 0.07, 0.2, 12,
                          diverged=True),
-    ]
+    ])
     text = to_csv(recs, {"config_hash": "abc", "seed": 0})
     lines = text.strip().split("\n")
     assert lines[0] == "# config_hash = abc"
@@ -118,7 +122,8 @@ def test_csv_layout_and_absent_fields():
 def test_aggregate_means_and_divergence_flag():
     mk = lambda g, div=False: TrajectoryRecord(0, 0.1, g, g, 0.0, None, g,
                                                None, None, None, diverged=div)
-    agg = aggregate([[mk(1.0)], [mk(3.0, div=True)]])
+    agg = aggregate([Trajectory.from_rows([mk(1.0)]),
+                     Trajectory.from_rows([mk(3.0, div=True)])])
     assert agg[0].grad_norm_sq == pytest.approx(2.0)
     assert agg[0].fgap_bar == pytest.approx(2.0)
     assert agg[0].fgap_mean is None
@@ -126,13 +131,15 @@ def test_aggregate_means_and_divergence_flag():
 
 
 def test_rate_fit_exact_power_laws():
-    recs = [TrajectoryRecord(t, 0.1, 1.0, 1.0, 0.0, 7.0 / t ** 2, None, None,
-                             None, None) for t in range(1, 200)]
+    recs = Trajectory.from_rows(
+        TrajectoryRecord(t, 0.1, 1.0, 1.0, 0.0, 7.0 / t ** 2, None, None, None, None)
+        for t in range(1, 200))
     fit = rate_fit(recs, "fgap_mean", (10, 150))
     assert fit.slope == pytest.approx(-2.0, abs=1e-6)
     assert fit.r2 == pytest.approx(1.0, abs=1e-12)
-    recs = [TrajectoryRecord(t, 0.1, 1.0, 1.0, 0.0, 2.0 * t ** (-2.0 / 3.0),
-                             None, None, None, None) for t in range(1, 200)]
+    recs = Trajectory.from_rows(
+        TrajectoryRecord(t, 0.1, 1.0, 1.0, 0.0, 2.0 * t ** (-2.0 / 3.0), None, None,
+                         None, None) for t in range(1, 200))
     fit = rate_fit(recs, "fgap_mean", (10, 150))
     assert fit.slope == pytest.approx(-2.0 / 3.0, abs=1e-3)
 
@@ -141,15 +148,16 @@ def test_rate_fit_guards():
     recs = [TrajectoryRecord(t, 0.1, 1.0, 1.0, 0.0, 1.0 / t, None, None, None,
                              None) for t in range(1, 12)]
     with pytest.raises(ValueError, match="at least 10"):
-        rate_fit(recs, "fgap_mean", (1, 5))
+        rate_fit(Trajectory.from_rows(recs), "fgap_mean", (1, 5))
     bad = recs + [TrajectoryRecord(12, 0.1, 1.0, 1.0, 0.0, -1.0, None, None,
                                    None, None)]
     with pytest.raises(ValueError, match="non-positive"):
-        rate_fit(bad, "fgap_mean", (1, 12))
+        rate_fit(Trajectory.from_rows(bad), "fgap_mean", (1, 12))
     # non-finite entries are skipped, not fatal
     nanrec = TrajectoryRecord(6, 0.1, 1.0, 1.0, 0.0, float("nan"), None, None,
                               None, None)
-    fit = rate_fit(recs[:5] + [nanrec] + recs[5:], "fgap_mean", (1, 11))
+    fit = rate_fit(Trajectory.from_rows(recs[:5] + [nanrec] + recs[5:]),
+                   "fgap_mean", (1, 11))
     assert fit.points == 11
 
 
@@ -159,3 +167,186 @@ def test_fit_powerlaw_simple():
     assert fit.slope == pytest.approx(-0.7, abs=1e-9)
     with pytest.raises(ValueError):
         fit_powerlaw(xs, [1.0, -1.0, 1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# columnar trajectories against the row-wise reference
+# ---------------------------------------------------------------------------
+
+
+def _row_render(value) -> str:
+    # the row-wise cell renderer the columnar `to_csv` replaced
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float) and value.is_integer() and abs(value) < 1e15:
+        return str(int(value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _row_to_csv(rows, metadata=None) -> str:
+    lines = [f"# {key} = {value}" for key, value in (metadata or {}).items()]
+    lines.append(",".join(CSV_COLUMNS))
+    for rec in rows:
+        lines.append(",".join(_row_render(getattr(rec, col)) for col in CSV_COLUMNS))
+    return "\n".join(lines) + "\n"
+
+
+def _row_aggregate(row_sets) -> list:
+    # the row-wise mean across seeds the columnar `aggregate` replaced
+    if not row_sets:
+        return []
+    length = min(len(rs) for rs in row_sets)
+    out = []
+    for row in range(length):
+        vals = {}
+        for col in CSV_COLUMNS:
+            entries = [getattr(rs[row], col) for rs in row_sets]
+            if col == "diverged":
+                vals[col] = any(entries)
+                continue
+            present = [e for e in entries if e is not None]
+            vals[col] = None if not present else float(np.mean(present))
+        vals["wall_ns"] = None if vals["wall_ns"] is None else int(vals["wall_ns"])
+        out.append(TrajectoryRecord(**vals))
+    return out
+
+
+def _row_sets():
+    """A hypothesis strategy for 1-12 seeds' rows of unequal lengths: NaN,
+    inf, integral floats, floats of 1e15 and above, absent values with
+    uniform or mixed presence across seeds, and diverged rows."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cell = st.one_of(
+        st.floats(-1.0, 1.0),  # ordinary values, where summation order shows
+        st.floats(0.0, 1e3),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(-10 ** 6, 10 ** 6).map(float),
+        st.floats(1e15, 1e300) | st.floats(-1e300, -1e15),
+        st.sampled_from([0.0, -0.0, 0.1, 1e15, 999999999999999.0, float("nan"),
+                         float("inf"), -float("inf")]))
+    required = CSV_COLUMNS[:5]
+
+    @st.composite
+    def row_sets(draw):
+        seeds = draw(st.integers(1, 12))
+        # each optional column is always, never or sometimes present
+        policy = {col: draw(st.sampled_from(("all", "none", "mixed")))
+                  for col in OPTIONAL_COLUMNS}
+
+        def optional(col, values):
+            if policy[col] == "none" or (policy[col] == "mixed"
+                                         and draw(st.booleans())):
+                return None
+            return draw(values)
+
+        sets = []
+        for _ in range(seeds):
+            rows = []
+            for _ in range(draw(st.integers(0, 6))):
+                vals = {col: draw(cell) for col in required}
+                vals.update({col: optional(col, cell) for col in OPTIONAL_COLUMNS[:-1]})
+                vals["wall_ns"] = optional("wall_ns", st.integers(0, 2 ** 53))
+                vals["diverged"] = draw(st.booleans())
+                rows.append(TrajectoryRecord(**vals))
+            sets.append(rows)
+        return sets
+
+    return hypothesis, row_sets()
+
+
+def test_columnar_aggregate_and_csv_match_row_wise_reference():
+    hypothesis, row_sets = _row_sets()
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(row_sets)
+    def check(sets):
+        meta = {"method": "gtrr", "seeds": len(sets)}
+        trajectories = [Trajectory.from_rows(rows) for rows in sets]
+        for rows, traj in zip(sets, trajectories):
+            assert to_csv(traj, meta) == _row_to_csv(rows, meta)
+        assert to_csv(aggregate(trajectories), meta) == \
+            _row_to_csv(_row_aggregate(sets), meta)
+
+    check()
+
+
+def test_read_csv_round_trips_cell_and_presence():
+    hypothesis, row_sets = _row_sets()
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(row_sets)
+    def check(sets):
+        for rows in sets:
+            traj = Trajectory.from_rows(rows)
+            back = read_csv(io.StringIO(to_csv(traj, {"seed": 0})))
+            assert back == traj
+            for col in CSV_COLUMNS:
+                assert np.array_equal(back.present(col), traj.present(col))
+
+    check()
+
+
+def test_read_csv_from_a_written_file(tmp_path, ring8):
+    obj = make_quadratic(8, 3, 4, seed=4, condition=2.0)
+    traj = run("gtrr", obj, ring8, ConstantSchedule(0.02), 12, seed=0,
+               inner_metrics=True, transform=transform_data(gtrr_operator(ring8)))
+    path = tmp_path / "run.csv"
+    write_csv(path, traj, {"method": "gtrr"})
+    back = read_csv(path)
+    assert back == traj and len(back) == 12 + 1 + 12 * 2
+    assert to_csv(back, {"method": "gtrr"}) == path.read_text()
+
+
+def test_trajectory_rows_and_columns():
+    traj = Trajectory(3)
+    assert len(traj) == 0 and not traj
+    traj.append(TrajectoryRecord(0, 0.1, 4.0, 4.0, 1.0, None, 2.0, None, None, 7))
+    traj.append(TrajectoryRecord(1, 0.1, float("nan"), 4.0, float("inf")))
+    assert len(traj) == 2
+    first, last = traj[0], traj[-1]
+    assert first.fgap_mean is None and first.fgap_bar == 2.0 and first.wall_ns == 7
+    assert type(first.wall_ns) is int and type(last.diverged) is bool
+    assert np.isnan(last.grad_norm_sq) and last.consensus_sq == float("inf")
+    assert last.fgap_bar is None and last.wall_ns is None
+    assert [r.t for r in traj] == [0.0, 1.0]
+    with pytest.raises(IndexError):
+        traj[2]
+    assert list(traj.present("fgap_bar")) == [True, False]
+    assert list(traj.present("t")) == [True, True]
+    col = traj.column("grad_norm_sq")
+    assert col.shape == (2,)
+    with pytest.raises(ValueError):
+        col[0] = 1.0
+    traj.flag_diverged()
+    assert traj[-1].diverged and not traj[0].diverged
+    with pytest.raises(ValueError, match="cannot be absent"):
+        traj.append(TrajectoryRecord(2, 0.1, None, 1.0, 1.0))
+    traj.append(TrajectoryRecord(2, 0.1, 1.0, 1.0, 1.0))
+    with pytest.raises(IndexError, match="full"):
+        traj.append(TrajectoryRecord(3, 0.1, 1.0, 1.0, 1.0))
+
+
+def test_diverged_row_keeps_nan_apart_from_absent(ring8):
+    traj = run("gtrr", make_quadratic(8, 5, 4, seed=1, condition=10), ring8,
+               ConstantSchedule(1e200), 50, seed=0)
+    last = to_csv(traj).splitlines()[-1]
+    assert last == "1,1e+200,nan,309.790680439199,nan,nan,nan,,,,1"
+    assert np.isnan(traj[-1].fgap_bar) and traj[-1].q_t is None
+
+
+def test_rate_fit_message_text():
+    rows = [TrajectoryRecord(t, 0.1, 1.0, 1.0, 0.0, 1.0 / t) for t in range(1, 12)]
+    rows.append(TrajectoryRecord(12, 0.1, 1.0, 1.0, 0.0, -1.0))
+    with pytest.raises(ValueError) as err:
+        rate_fit(Trajectory.from_rows(rows), "fgap_mean", (1, 12))
+    assert str(err.value) == "non-positive fgap_mean=-1.0 at t=12 in window"
+    rows[-1] = TrajectoryRecord(11.5, 0.1, 1.0, 1.0, 0.0, 0.0)
+    with pytest.raises(ValueError) as err:
+        rate_fit(Trajectory.from_rows(rows), "fgap_mean", (1, 12))
+    assert str(err.value) == "non-positive fgap_mean=0.0 at t=11.5 in window"
+    with pytest.raises(ValueError) as err:
+        rate_fit(Trajectory.from_rows(rows), "fgap_bar", (1, 12))
+    assert str(err.value) == "need at least 10 records in window, got 0"

@@ -296,3 +296,70 @@ def test_gradcheck_suite_estimates_no_minimum(monkeypatch):
     calls = _count_estimates(monkeypatch)
     assert all(check.passed for check in harness.verify_gradcheck(points=5))
     assert len(calls) == 0
+
+
+def test_quadratic_minima_from_residuals_on_consistent_systems():
+    # each agent's minimum comes from the residuals at its own minimizer, so
+    # a consistent system reads round-off above zero, never below it
+    for seed in range(30):
+        c = make_quadratic(4, 3, 5, seed, consistent=True).constants
+        assert c.f_star_agents >= 0.0, seed
+        assert max(c.f_star, c.f_star_agents, c.f_star_components) < 1e-28, seed
+
+
+def _logistic_draws():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def draws(draw):
+        n, m, p = draw(st.integers(1, 9)), draw(st.integers(1, 5)), draw(st.integers(1, 12))
+        seed = draw(st.integers(0, 2 ** 16))
+        scale = draw(st.sampled_from([1e-3, 1.0, 30.0]))
+        family = draw(st.sampled_from([make_logistic, make_nonconvex_logistic]))
+        obj = family(n, m, p, seed, scale=draw(st.sampled_from([0.5, 1.0, 4.0])))
+        rng = np.random.default_rng(seed)
+        return obj, scale * rng.normal(size=(n, p)), rng.integers(0, m, size=n)
+
+    return hypothesis, draws()
+
+
+def test_logistic_row_wise_regularizer_is_bit_equal_to_per_row_list():
+    hypothesis, draws = _logistic_draws()
+
+    def per_row(obj, X):
+        # the per-agent list `values_at` built before the row-wise form
+        if obj.family == "logistic":
+            return np.array([0.5 * obj.rho * float(x @ x) for x in X])
+        return np.array([0.5 * obj.eta * float(np.sum(x * x / (1.0 + x * x)))
+                         for x in X])
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(draws)
+    def check(drawn):
+        obj, X, _ = drawn
+        assert np.array_equal(obj._reg_value(X), per_row(obj, X))
+        z = np.einsum("imp,jp->imj", obj.signed, X)
+        want = np.logaddexp(0.0, -z).mean(axis=(0, 1)) + per_row(obj, X)
+        assert np.array_equal(obj.values_at(X), want)
+
+    check()
+
+
+def test_logistic_perm_grads_bit_equal_to_unfolded_sigmoid():
+    hypothesis, draws = _logistic_draws()
+
+    def unfolded(obj, X, idx):
+        # the formula before the sign flips were folded in
+        rows = obj.signed[np.arange(obj.n), idx]
+        z = np.einsum("ip,ip->i", rows, X)
+        sigmoid = lambda v: 0.5 * (1.0 + np.tanh(0.5 * v))  # noqa: E731
+        return -sigmoid(-z)[:, None] * rows + obj._reg_grad(X)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(draws)
+    def check(drawn):
+        obj, X, idx = drawn
+        assert np.array_equal(obj.perm_grads(X, idx), unfolded(obj, X, idx))
+
+    check()
