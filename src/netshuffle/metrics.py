@@ -46,7 +46,7 @@ class Trajectory:
     """Run metrics stored by column.
 
     Each CSV column is one array of `capacity` rows (float64; `wall_ns`
-    int64, `diverged` bool), filled a row at a time by `append`.  `len()`
+    int64, `diverged` bool), filled a row at a time by `record`.  `len()`
     counts the rows filled so far; indexing and iteration give
     `TrajectoryRecord` rows, and `column`/`present` give a column's filled
     values and presence mask as read-only arrays.
@@ -55,40 +55,36 @@ class Trajectory:
     def __init__(self, capacity: int):
         self._cols = {name: np.zeros(capacity, _DTYPES[name]) for name in CSV_COLUMNS}
         self._present = {name: np.zeros(capacity, bool) for name in OPTIONAL_COLUMNS}
-        # (values, presence mask or None) in CSV_COLUMNS order, for append
-        self._slots = [(self._cols[name], self._present.get(name))
-                       for name in CSV_COLUMNS]
         self._len = 0
+        self._csv_rows = None   # the rendered data rows, kept by to_csv
 
     @classmethod
     def from_rows(cls, rows) -> "Trajectory":
         """A trajectory holding `rows`, each a `TrajectoryRecord` or a tuple
-        in `CSV_COLUMNS` order."""
-        rows = list(rows)
-        traj = cls(len(rows))
-        for row in rows:
-            traj.append(row)
+        in `CSV_COLUMNS` order; None marks an absent optional value."""
+        rows = [TrajectoryRecord(*row) for row in rows]
+        traj = _filled(len(rows))
+        for name, cells in zip(CSV_COLUMNS, zip(*rows)):
+            present = [cell is not None for cell in cells]
+            if name not in OPTIONAL_COLUMNS and not all(present):
+                raise ValueError(f"column {name!r} cannot be absent")
+            traj._fill(name, [0 if cell is None else cell for cell in cells],
+                       present if name in OPTIONAL_COLUMNS else None)
         return traj
 
-    def append(self, row) -> None:
-        """Fill the next row from a `TrajectoryRecord` or a tuple in
-        `CSV_COLUMNS` order; None marks an absent optional value."""
+    def _claim_row(self) -> int:
+        """The index of the next row to fill, counted as filled."""
         i = self._len
         if i == len(self._cols["t"]):
             raise IndexError(f"trajectory is full ({i} rows)")
-        for (values, mask), value, name in zip(self._slots, row, CSV_COLUMNS,
-                                               strict=True):
-            if value is not None:
-                values[i] = value
-                if mask is not None:
-                    mask[i] = True
-            elif mask is None:
-                raise ValueError(f"column {name!r} cannot be absent")
         self._len = i + 1
+        self._csv_rows = None
+        return i
 
     def flag_diverged(self) -> None:
         """Mark the last filled row diverged."""
         self._cols["diverged"][self._len - 1] = True
+        self._csv_rows = None
 
     def column(self, name: str) -> np.ndarray:
         """The filled rows of a column, read-only; an absent cell holds 0
@@ -148,6 +144,7 @@ class Trajectory:
         self._cols[name][:] = values
         if present is not None:
             self._present[name][:] = present
+        self._csv_rows = None
 
 
 def _filled(length: int) -> Trajectory:
@@ -159,34 +156,51 @@ def _filled(length: int) -> Trajectory:
 def record(traj: Trajectory, X: np.ndarray, t: float, alpha: float, objective,
            min_prev: float = np.inf, transform=None, e_norm_sq: float | None = None,
            wall_ns: int | None = None) -> TrajectoryRecord:
-    """Append the metrics of a stacked-iterate snapshot to `traj` and return
-    them as a row.
+    """Fill the next row of `traj` with the metrics of a stacked-iterate
+    snapshot and return them as a row.
 
     The function gap columns are absent (None), never zero, when the
     objective carries no minimum value.  The Lyapunov value combines the mean
     function gap with the weighted transformed consensus energy and is only
     defined when both a transform and e_norm_sq are supplied.
     """
+    # sums and divisions as np.mean and np.sum make them, without their
+    # per-call overhead
     with np.errstate(all="ignore"):
-        xbar = X.mean(axis=0)
-        g = objective.grad(xbar)
-        grad_norm_sq = float(g @ g)
-        consensus_sq = float(np.sum((X - xbar) ** 2))
+        xbar = X.sum(axis=0) / len(X)
+        dev = X - xbar
+        consensus_sq = float((dev * dev).sum())
         f_star = objective.constants.f_star
         fgap_mean = fgap_bar = None
-        if f_star is not None:
-            fgap_mean = float(np.mean(objective.values_at(X))) - f_star
-            fgap_bar = objective.value(xbar) - f_star
+        if f_star is None:
+            g = objective.grad(xbar)
+        else:
+            f_bar, g = objective.value_and_grad(xbar)
+            fgap_bar = f_bar - f_star
+            values = objective.values_at(X)
+            fgap_mean = float(values.sum() / len(values)) - f_star
+        grad_norm_sq = float(g @ g)
         q_t = None
         if transform is not None and e_norm_sq is not None and fgap_bar is not None:
             L = objective.constants.L
             weight = 8.0 * alpha * L * L * transform.norm_V2 / (
                 objective.n * (1.0 - transform.gamma ** 2))
             q_t = fgap_bar + weight * e_norm_sq
-    row = TrajectoryRecord(t, alpha, grad_norm_sq, min(min_prev, grad_norm_sq),
-                           consensus_sq, fgap_mean, fgap_bar, q_t, e_norm_sq, wall_ns)
-    traj.append(row)
-    return row
+    min_grad_norm_sq = min(min_prev, grad_norm_sq)
+    i = traj._claim_row()
+    cols, present = traj._cols, traj._present
+    cols["t"][i] = t
+    cols["alpha"][i] = alpha
+    cols["grad_norm_sq"][i] = grad_norm_sq
+    cols["min_grad_norm_sq"][i] = min_grad_norm_sq
+    cols["consensus_sq"][i] = consensus_sq
+    for name, value in (("fgap_mean", fgap_mean), ("fgap_bar", fgap_bar), ("q_t", q_t),
+                        ("e_norm_sq", e_norm_sq), ("wall_ns", wall_ns)):
+        if value is not None:
+            cols[name][i] = value
+            present[name][i] = True
+    return TrajectoryRecord(t, alpha, grad_norm_sq, min_grad_norm_sq, consensus_sq,
+                            fgap_mean, fgap_bar, q_t, e_norm_sq, wall_ns)
 
 
 def _render_column(values: np.ndarray, present: np.ndarray) -> list:
@@ -216,10 +230,11 @@ def to_csv(traj: Trajectory, metadata: dict | None = None) -> str:
     inputs (floats use shortest round-trip repr)."""
     lines = [f"# {key} = {value}" for key, value in (metadata or {}).items()]
     lines.append(",".join(CSV_COLUMNS))
-    cells = [_render_column(traj.column(name), traj.present(name))
-             for name in CSV_COLUMNS]
-    lines.extend(map(",".join, zip(*cells)))
-    return "\n".join(lines) + "\n"
+    if traj._csv_rows is None:
+        cells = [_render_column(traj.column(name), traj.present(name))
+                 for name in CSV_COLUMNS]
+        traj._csv_rows = "".join(",".join(row) + "\n" for row in zip(*cells))
+    return "\n".join(lines) + "\n" + traj._csv_rows
 
 
 def write_csv(path, traj: Trajectory, metadata: dict | None = None) -> None:
@@ -285,6 +300,9 @@ def aggregate(trajectories) -> Trajectory:
         for row in np.flatnonzero(some & ~full):
             mean[row] = np.mean(stack[row, mask[row]])
         out._fill(name, mean.astype(np.int64) if name == "wall_ns" else mean, some)
+    if len(trajectories) == 1 and out == trajectories[0]:
+        # the mean of one run is that run: it renders to the same rows
+        out._csv_rows = trajectories[0]._csv_rows
     return out
 
 

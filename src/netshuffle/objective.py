@@ -66,7 +66,8 @@ class FiniteSumObjective:
     """Interface shared by all families; subclasses fill in the math.
 
     Besides the component oracles each family provides agent_value,
-    agent_grad, value, grad, and the stacked oracles used by the simulators:
+    agent_grad, value, grad, value_and_grad, and the stacked oracles used by
+    the simulators:
     perm_grads(X, idx) with rows grad f_{i, idx[i]}(X[i]),
     stacked_agent_grads(X) with rows grad f_i(X[i]), and values_at(X), the
     global f at each row of X.
@@ -83,6 +84,10 @@ class FiniteSumObjective:
 
     def component_grad(self, i: int, l: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """value(x) and grad(x), bit-equal to the two calls."""
+        return self.value(x), self.grad(x)
 
     def grads_at_consensus(self, xbar: np.ndarray) -> np.ndarray:
         return self.stacked_agent_grads(np.broadcast_to(xbar, (self.n, self.p)))
@@ -286,7 +291,7 @@ class _LogisticBase(FiniteSumObjective):
 
     def component_value(self, i, l, x):
         self._check_indices(i, l)
-        return float(_softplus(-(self.signed[i, l] @ x))) + self._reg_value(x)
+        return float(_softplus(-(self.signed[i, l] @ x)) + self._reg_value(x))
 
     def component_grad(self, i, l, x):
         self._check_indices(i, l)
@@ -294,7 +299,7 @@ class _LogisticBase(FiniteSumObjective):
         return _loss_slope(z) * self.signed[i, l] + self._reg_grad(x)
 
     def agent_value(self, i, x):
-        return float(np.mean(_softplus(-(self.signed[i] @ x)))) + self._reg_value(x)
+        return float(np.mean(_softplus(-(self.signed[i] @ x))) + self._reg_value(x))
 
     def agent_grad(self, i, x):
         z = self.signed[i] @ x
@@ -302,11 +307,24 @@ class _LogisticBase(FiniteSumObjective):
         return coef @ self.signed[i] + self._reg_grad(x)
 
     def value(self, x):
-        return float(np.mean(_softplus(-(self.signed @ x)))) + self._reg_value(x)
+        return self._value_at(self.signed @ x, x)
 
     def grad(self, x):
+        return self._grad_at(self.signed @ x, x)
+
+    def value_and_grad(self, x):
+        # one product signed @ x serves both
         z = self.signed @ x
-        coef = _loss_slope(z) / (self.n * self.m)
+        return self._value_at(z, x), self._grad_at(z, x)
+
+    def _value_at(self, z, x):
+        # the mean as np.mean takes it, without its per-call overhead
+        loss = _softplus(-z)
+        return float(loss.sum() / loss.size + self._reg_value(x))
+
+    def _grad_at(self, z, x):
+        coef = _loss_slope(z)
+        coef /= self.n * self.m
         return np.einsum("im,imp->p", coef, self.signed) + self._reg_grad(x)
 
     def perm_grads(self, X, idx):
@@ -335,9 +353,7 @@ class LogisticObjective(_LogisticBase):
         self.rho = self.weight
 
     def _reg_value(self, x):
-        if x.ndim == 1:
-            return 0.5 * self.rho * float(x @ x)
-        return 0.5 * self.rho * (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+        return 0.5 * self.rho * (x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
     def _reg_grad(self, x):
         return self.rho * x
@@ -354,9 +370,7 @@ class NonconvexLogisticObjective(_LogisticBase):
         self.eta = self.weight
 
     def _reg_value(self, x):
-        if x.ndim == 1:
-            return 0.5 * self.eta * float(np.sum(x * x / (1.0 + x * x)))
-        return 0.5 * self.eta * np.sum(x * x / (1.0 + x * x), axis=1)
+        return 0.5 * self.eta * np.sum(x * x / (1.0 + x * x), axis=-1)
 
     def _reg_grad(self, x):
         return self.eta * x / (1.0 + x * x) ** 2

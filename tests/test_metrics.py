@@ -301,10 +301,9 @@ def test_read_csv_from_a_written_file(tmp_path, ring8):
 
 
 def test_trajectory_rows_and_columns():
-    traj = Trajectory(3)
-    assert len(traj) == 0 and not traj
-    traj.append(TrajectoryRecord(0, 0.1, 4.0, 4.0, 1.0, None, 2.0, None, None, 7))
-    traj.append(TrajectoryRecord(1, 0.1, float("nan"), 4.0, float("inf")))
+    traj = Trajectory.from_rows([
+        TrajectoryRecord(0, 0.1, 4.0, 4.0, 1.0, None, 2.0, None, None, 7),
+        TrajectoryRecord(1, 0.1, float("nan"), 4.0, float("inf"))])
     assert len(traj) == 2
     first, last = traj[0], traj[-1]
     assert first.fgap_mean is None and first.fgap_bar == 2.0 and first.wall_ns == 7
@@ -323,10 +322,32 @@ def test_trajectory_rows_and_columns():
     traj.flag_diverged()
     assert traj[-1].diverged and not traj[0].diverged
     with pytest.raises(ValueError, match="cannot be absent"):
-        traj.append(TrajectoryRecord(2, 0.1, None, 1.0, 1.0))
-    traj.append(TrajectoryRecord(2, 0.1, 1.0, 1.0, 1.0))
+        Trajectory.from_rows([TrajectoryRecord(2, 0.1, None, 1.0, 1.0)])
+
+
+def test_record_fills_rows_in_order_until_full(quad8, rng):
+    traj = Trajectory(2)
+    assert len(traj) == 0 and not traj
+    X = rng.normal(size=(8, 4))
+    first = record(traj, X, 0, 0.1, quad8, wall_ns=5)
+    assert len(traj) == 1 and traj[0] == first
+    text = to_csv(traj)
+    second = record(traj, 2.0 * X, 1, 0.1, quad8, min_prev=first.min_grad_norm_sq)
+    assert traj[1] == second and second.wall_ns is None
+    # rows filled or flagged after a render show in the next one
+    assert to_csv(traj).startswith(text) and len(to_csv(traj)) > len(text)
+    traj.flag_diverged()
+    assert to_csv(traj).endswith(",1\n")
     with pytest.raises(IndexError, match="full"):
-        traj.append(TrajectoryRecord(3, 0.1, 1.0, 1.0, 1.0))
+        record(traj, X, 2, 0.1, quad8)
+
+
+def test_one_seed_mean_renders_as_its_run(ring8):
+    traj = run("gtrr", make_quadratic(8, 3, 4, seed=4), ring8, ConstantSchedule(0.02),
+               10, seed=0, timings=True)
+    rows = to_csv(traj, {"seed": 0}).split("\n", 1)[1]
+    mean = aggregate([traj])
+    assert mean == traj and to_csv(mean, {"seeds": "0"}).split("\n", 1)[1] == rows
 
 
 def test_diverged_row_keeps_nan_apart_from_absent(ring8):

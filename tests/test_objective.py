@@ -339,6 +339,10 @@ def test_logistic_row_wise_regularizer_is_bit_equal_to_per_row_list():
     def check(drawn):
         obj, X, _ = drawn
         assert np.array_equal(obj._reg_value(X), per_row(obj, X))
+        # one point takes the same expression as a stack of points
+        for x, want_reg in zip(X, per_row(obj, X)):
+            assert obj._reg_value(x) == want_reg
+            assert obj.value(x) == float(np.mean(np.logaddexp(0.0, -(obj.signed @ x)))) + want_reg
         z = np.einsum("imp,jp->imj", obj.signed, X)
         want = np.logaddexp(0.0, -z).mean(axis=(0, 1)) + per_row(obj, X)
         assert np.array_equal(obj.values_at(X), want)
@@ -363,3 +367,32 @@ def test_logistic_perm_grads_bit_equal_to_unfolded_sigmoid():
         assert np.array_equal(obj.perm_grads(X, idx), unfolded(obj, X, idx))
 
     check()
+
+
+def test_value_and_grad_bit_equal_to_separate_calls():
+    hypothesis, draws = _logistic_draws()
+
+    def reference(obj, x):
+        # value and grad as computed before they shared one product
+        z = obj.signed @ x
+        sigmoid = 0.5 * (1.0 + np.tanh(0.5 * -z))
+        value = float(np.mean(np.logaddexp(0.0, -z))) + obj._reg_value(x)
+        grad = np.einsum("im,imp->p", -sigmoid / (obj.n * obj.m), obj.signed)
+        return value, grad + obj._reg_grad(x)
+
+    def same(obj, x, want):
+        value, grad = obj.value_and_grad(x)
+        assert value == want[0] == obj.value(x) and type(value) is float
+        assert np.array_equal(grad, want[1]) and np.array_equal(obj.grad(x), want[1])
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(draws)
+    def check(drawn):
+        obj, X, _ = drawn
+        for x in X:
+            same(obj, x, reference(obj, x))
+
+    check()
+    quad = make_quadratic(4, 3, 5, seed=2)
+    x = np.random.default_rng(2).normal(size=5)
+    same(quad, x, (quad.value(x), quad.grad(x)))
