@@ -83,6 +83,10 @@ class _Method:
         or None for methods outside the A/B/C family."""
         return None
 
+    def _consensus_anchor(self, alpha: float) -> np.ndarray:
+        """alpha W grad F(1 xbar^T), the term every transformed state S adds."""
+        return alpha * (self.W @ self.obj.grads_at_consensus(self.X.mean(axis=0)))
+
 
 class CentralizedRR(_Method):
     """All agents share one iterate and one permutation per epoch."""
@@ -158,10 +162,7 @@ class GTRR(_Method):
                 probe(ProbeInfo(t, ell, alpha, Xb, self.X, g_ell, Y_before=Yb))
 
     def abc_state(self, alpha):
-        xbar = self.X.mean(axis=0)
-        Gc = self.obj.grads_at_consensus(xbar)
-        S = self.W @ self.X - self.X + alpha * (self.W @ Gc)
-        return self.X, S
+        return self.X, self.W @ self.X - self.X + self._consensus_anchor(alpha)
 
 
 class DSGT(_Method):
@@ -175,28 +176,27 @@ class DSGT(_Method):
         super().reset(X0)
         self.Y = None
         self._g = None
-        self._orders = {}
-        self._t_next = 0
-
-    def _order(self, t):
-        if t not in self._orders:
-            self._orders = {k: v for k, v in self._orders.items() if k >= t - 1}
-            self._orders[t] = self.stream.epoch_orders(self.n, t, self.m)
-        return self._orders[t]
+        # the epoch to run next and its orders (None until drawn)
+        self._t_next, self._orders = 0, None
 
     def epoch(self, t, alpha, probe=None):
         if t != self._t_next:
             raise ValueError("dsgt epochs must be advanced consecutively from 0")
         self._t_next += 1
-        orders = self._order(t)
+        if self._orders is None:
+            self._orders = self.stream.epoch_orders(self.n, t, self.m)
+        orders = self._orders
         if self.Y is None:
             self._g = self.obj.perm_grads(self.X, orders[:, 0])
             self.Y = self._g.copy()
         for ell in range(self.m):
             Xb, Yb, gb = self.X, self.Y, self._g
             self.X = self.W @ (self.X - alpha * self.Y)
-            k_next = t * self.m + ell + 1
-            nxt = self._order(k_next // self.m)[:, k_next % self.m]
+            if ell + 1 < self.m:
+                nxt = orders[:, ell + 1]
+            else:  # the first index of the next epoch
+                self._orders = self.stream.epoch_orders(self.n, t + 1, self.m)
+                nxt = self._orders[:, 0]
             g_new = self.obj.perm_grads(self.X, nxt)
             self.Y = self.W @ self.Y + g_new - self._g
             self._g = g_new
@@ -275,10 +275,7 @@ class EDRR(ED):
                 probe(ProbeInfo(t, ell, alpha, Xb, self.X, g))
 
     def abc_state(self, alpha):
-        xbar = self.X.mean(axis=0)
-        Gc = self.obj.grads_at_consensus(xbar)
-        S = self.E - (self.X - self.W @ self.X) + alpha * (self.W @ Gc)
-        return self.X, S
+        return self.X, self.E - (self.X - self.W @ self.X) + self._consensus_anchor(alpha)
 
 
 class EDRRPrimalDual(EDRR):
@@ -311,18 +308,14 @@ class EDRRPrimalDual(EDRR):
                 probe(ProbeInfo(t, ell, alpha, Xb, self.X, g))
 
     def abc_state(self, alpha):
-        xbar = self.X.mean(axis=0)
-        Gc = self.obj.grads_at_consensus(xbar)
-        S = self._b_half @ self.D - (self.X - self.W @ self.X) \
-            + alpha * (self.W @ Gc)
-        return self.X, S
+        return self.X, (self._b_half @ self.D - (self.X - self.W @ self.X)
+                        + self._consensus_anchor(alpha))
 
 
 METHODS = {
     cls.name: cls
     for cls in (CentralizedRR, DSGD, DRR, DSGT, GTRR, ED, EDRR, EDRRPrimalDual)
 }
-RR_METHODS = tuple(name for name, cls in METHODS.items() if cls.uses_rr)
 
 
 def make_method(name: str, objective, mix, seed: int, sampling: str = "rr",
@@ -371,30 +364,19 @@ def run(method_name: str, objective, mix: MixingMatrix, schedule, T: int,
     start = time.perf_counter_ns()
     traj = _metrics.Trajectory(T + 1 + (T * (method.m - 1) if inner_metrics else 0))
     history: list[float] = []
-    min_prev = np.inf
 
-    def snapshot(t_mark, alpha):
-        nonlocal min_prev
-        e_norm_sq = None
-        state = method.abc_state(alpha) if transform is not None else None
-        if state is not None:
-            e = transform.e_vector(state[0], state[1])
-            e_norm_sq = float(np.sum(e * e))
-        wall = time.perf_counter_ns() - start if timings else None
-        rec = _metrics.record(traj, method.X, t_mark, alpha, objective,
-                              min_prev=min_prev, transform=transform,
-                              e_norm_sq=e_norm_sq, wall_ns=wall)
-        min_prev = rec.min_grad_norm_sq
-        return rec
+    def elapsed():
+        return time.perf_counter_ns() - start if timings else None
 
     for t in range(T + 1):
         alpha = float(schedule.alpha(t, history))
+        state = method.abc_state(alpha) if transform is not None else None
+        rec = _metrics.record(traj, method.X, t, alpha, objective, transform,
+                              None if state is None else state[1], elapsed())
         # NaN and inf fail the bound too, so no separate finiteness test
         if not np.linalg.norm(method.X) <= DIVERGENCE_NORM:
-            snapshot(t, alpha)
             traj.flag_diverged()
             break
-        rec = snapshot(t, alpha)
         history.append(rec.fgap_bar if rec.fgap_bar is not None else rec.grad_norm_sq)
         if t == T:
             break
@@ -402,9 +384,7 @@ def run(method_name: str, objective, mix: MixingMatrix, schedule, T: int,
         if inner_metrics:
             def inner(info, _t=t, _alpha=alpha):
                 if info.ell < method.m - 1:
-                    frac = _t + (info.ell + 1) / method.m
-                    wall = time.perf_counter_ns() - start if timings else None
-                    _metrics.record(traj, info.X_after, frac, _alpha, objective,
-                                    min_prev=min_prev, wall_ns=wall)
+                    _metrics.record(traj, info.X_after, _t + (info.ell + 1) / method.m,
+                                    _alpha, objective, wall_ns=elapsed())
         method.epoch(t, alpha, probe=inner)
     return traj

@@ -62,10 +62,9 @@ def _cmd_run(args) -> int:
     if len(cfg.methods) != 1 or len(cfg.seeds) != 1:
         raise harness.ConfigError("run takes exactly one method and one seed; use sweep")
     method, seed = cfg.methods[0], cfg.seeds[0]
-    traj = harness.run_one(cfg, method, seed)
-    meta = {"config_hash": harness.config_hash(cfg), "method": method, "seed": seed,
-            "generated_by": harness.GENERATOR_TAG}
-    text = metrics.to_csv(traj, meta)
+    objective, mix, plans = harness.plan_runs(cfg)
+    traj = harness.run_one(cfg, method, seed, objective, mix, plans[method])
+    text = metrics.to_csv(traj, harness.csv_metadata(cfg, method, objective, seed))
     if args.outfile:
         with open(args.outfile, "w", newline="\n") as fh:
             fh.write(text)

@@ -256,15 +256,37 @@ def build_schedule(cfg: ExperimentConfig, method: str, objective,
 # ---------------------------------------------------------------------------
 
 
-def run_one(cfg: ExperimentConfig, method: str, seed: int, objective=None,
-            mix: MixingMatrix | None = None, transform=None) -> metrics.Trajectory:
-    """One method for one seed; `objective`, `mix` and `transform` are built
-    from `cfg` unless given (a sweep builds them once and shares them)."""
-    objective = objective if objective is not None else build_objective(cfg)
-    mix = mix if mix is not None else build_mix(cfg)
-    if transform is None:
-        transform = method_transform(method, mix)
-    schedule = build_schedule(cfg, method, objective, transform)
+def plan_runs(cfg: ExperimentConfig) -> tuple:
+    """Build `cfg`'s objective and mixing matrix and validate every method on
+    them, before any run starts.
+
+    Returns (objective, mix, plans): `plans[method]` is the (transform,
+    schedule) that all of the method's seeds share.  An invalid pairing (say
+    exact diffusion on an indefinite W) raises a ConfigError naming the
+    method.
+    """
+    objective = build_objective(cfg)
+    mix = build_mix(cfg)
+    plans = {}
+    for method in cfg.methods:
+        try:
+            algorithms.make_method(method, objective, mix, seed=0,
+                                   sampling=cfg.sampling, strict_alg2=cfg.strict_alg2)
+            transform = method_transform(method, mix)
+            plans[method] = transform, build_schedule(cfg, method, objective, transform)
+        except (ValueError, unified.OperatorError) as exc:
+            raise ConfigError(f"method {method!r}: {exc}") from exc
+    # every run's first snapshot reads f*; an estimated f* is computed here,
+    # with the rest of the set-up
+    objective.constants.f_star
+    return objective, mix, plans
+
+
+def run_one(cfg: ExperimentConfig, method: str, seed: int, objective,
+            mix: MixingMatrix, plan: tuple) -> metrics.Trajectory:
+    """One method for one seed, with the (transform, schedule) that
+    `plan_runs` gave for it."""
+    transform, schedule = plan
     return algorithms.run(
         method, objective, mix, schedule, cfg.epochs, seed,
         sampling=cfg.sampling, init=cfg.init, init_scale=cfg.init_scale,
@@ -274,61 +296,48 @@ def run_one(cfg: ExperimentConfig, method: str, seed: int, objective=None,
     )
 
 
+def csv_metadata(cfg: ExperimentConfig, method: str, objective,
+                 seed: int | None = None) -> dict:
+    """The `#` lines of a method's CSV: its run with `seed`, or its mean over
+    `cfg.seeds` when `seed` is None."""
+    meta = {"config_hash": config_hash(cfg), "method": method}
+    if seed is None:
+        meta.update(seeds=",".join(str(s) for s in cfg.seeds), aggregate="mean")
+    else:
+        uses_rr = algorithms.METHODS[method].uses_rr
+        meta.update(seed=seed, sampling=cfg.sampling if uses_rr else "iid")
+    meta.update(f_star_provenance=objective.constants.tag("f_star"),
+                generated_by=GENERATOR_TAG)
+    return meta
+
+
 def run_sweep(cfg: ExperimentConfig) -> dict:
     """Run methods x seeds, write one CSV per run plus per-method means.
 
-    All method/schedule combinations are validated before any run starts, so
-    an invalid pairing (say exact diffusion on an indefinite W) fails fast.
-    Returns {path: trajectory}; raises ConfigError on invalid configs.
+    Returns {path: trajectory}; raises ConfigError on invalid configs, before
+    any run starts.
     """
     outdir = Path(cfg.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output dir {outdir}: {exc}") from exc
-    objective = build_objective(cfg)
-    mix = build_mix(cfg)
-    plans = {}
-    for method in cfg.methods:
-        try:
-            algorithms.make_method(method, objective, mix, seed=0,
-                                   sampling=cfg.sampling, strict_alg2=cfg.strict_alg2)
-            transform = method_transform(method, mix)
-            build_schedule(cfg, method, objective, transform)
-        except (ValueError, unified.OperatorError) as exc:
-            raise ConfigError(f"method {method!r}: {exc}") from exc
-        plans[method] = transform
-    # every run's first snapshot reads f*; an estimated f* is computed here,
-    # with the rest of the set-up, before any run starts
-    objective.constants.f_star
-
+    objective, mix, plans = plan_runs(cfg)
     results = {(method, seed): run_one(cfg, method, seed, objective, mix, plans[method])
                for method in cfg.methods for seed in cfg.seeds}
 
-    digest = config_hash(cfg)
     written = {}
-    f_prov = objective.constants.tag("f_star")
     for method in cfg.methods:
         per_seed = []
         for seed in cfg.seeds:
             traj = results[(method, seed)]
             per_seed.append(traj)
-            meta = {
-                "config_hash": digest, "method": method, "seed": seed,
-                "sampling": cfg.sampling if algorithms.METHODS[method].uses_rr else "iid",
-                "f_star_provenance": f_prov, "generated_by": GENERATOR_TAG,
-            }
             path = outdir / f"{method}_seed{seed}.csv"
-            metrics.write_csv(path, traj, meta)
+            metrics.write_csv(path, traj, csv_metadata(cfg, method, objective, seed))
             written[path] = traj
         mean = metrics.aggregate(per_seed)
-        meta = {
-            "config_hash": digest, "method": method,
-            "seeds": ",".join(str(s) for s in cfg.seeds), "aggregate": "mean",
-            "f_star_provenance": f_prov, "generated_by": GENERATOR_TAG,
-        }
         path = outdir / f"{method}_mean.csv"
-        metrics.write_csv(path, mean, meta)
+        metrics.write_csv(path, mean, csv_metadata(cfg, method, objective))
         written[path] = mean
     return written
 

@@ -154,15 +154,18 @@ def _filled(length: int) -> Trajectory:
 
 
 def record(traj: Trajectory, X: np.ndarray, t: float, alpha: float, objective,
-           min_prev: float = np.inf, transform=None, e_norm_sq: float | None = None,
+           transform=None, S: np.ndarray | None = None,
            wall_ns: int | None = None) -> TrajectoryRecord:
     """Fill the next row of `traj` with the metrics of a stacked-iterate
     snapshot and return them as a row.
 
-    The function gap columns are absent (None), never zero, when the
-    objective carries no minimum value.  The Lyapunov value combines the mean
-    function gap with the weighted transformed consensus energy and is only
-    defined when both a transform and e_norm_sq are supplied.
+    `min_grad_norm_sq` is the running minimum of `grad_norm_sq` over the rows
+    filled so far, this one included.  The function gap columns are absent
+    (None), never zero, when the objective carries no minimum value.
+    `e_norm_sq` is the squared norm of the transformed consensus error of
+    (X, S), the state of the unified recursion, and the Lyapunov value `q_t`
+    adds it, weighted, to the function gap at the mean; both are only
+    defined when a transform and S are supplied.
     """
     # sums and divisions as np.mean and np.sum make them, without their
     # per-call overhead
@@ -180,15 +183,21 @@ def record(traj: Trajectory, X: np.ndarray, t: float, alpha: float, objective,
             values = objective.values_at(X)
             fgap_mean = float(values.sum() / len(values)) - f_star
         grad_norm_sq = float(g @ g)
-        q_t = None
-        if transform is not None and e_norm_sq is not None and fgap_bar is not None:
-            L = objective.constants.L
-            weight = 8.0 * alpha * L * L * transform.norm_V2 / (
-                objective.n * (1.0 - transform.gamma ** 2))
-            q_t = fgap_bar + weight * e_norm_sq
-    min_grad_norm_sq = min(min_prev, grad_norm_sq)
+        e_norm_sq = q_t = None
+        if transform is not None and S is not None:
+            e = transform.e_vector(X, S)
+            e_norm_sq = float(np.sum(e * e))
+            if fgap_bar is not None:
+                L = objective.constants.L
+                weight = 8.0 * alpha * L * L * transform.norm_V2 / (
+                    objective.n * (1.0 - transform.gamma ** 2))
+                q_t = fgap_bar + weight * e_norm_sq
     i = traj._claim_row()
     cols, present = traj._cols, traj._present
+    # Python's min keeps its first argument against a NaN: a run that starts
+    # at NaN keeps inf
+    min_grad_norm_sq = min(cols["min_grad_norm_sq"][i - 1].item() if i else np.inf,
+                           grad_norm_sq)
     cols["t"][i] = t
     cols["alpha"][i] = alpha
     cols["grad_norm_sq"][i] = grad_norm_sq
@@ -275,11 +284,14 @@ def aggregate(trajectories) -> Trajectory:
     A value absent in every seed stays absent; otherwise the row's present
     values are averaged.  A row is diverged when any seed's is, and `wall_ns`
     is the integer part of its mean.  Each mean sums its values in the order
-    `np.mean` sums a list of them.
+    `np.mean` sums a list of them.  The mean of one trajectory is that
+    trajectory.
     """
     trajectories = list(trajectories)
     if not trajectories:
         return Trajectory(0)
+    if len(trajectories) == 1:
+        return trajectories[0]
     length = min(len(traj) for traj in trajectories)
     out = _filled(length)
     for name in CSV_COLUMNS:
@@ -300,9 +312,6 @@ def aggregate(trajectories) -> Trajectory:
         for row in np.flatnonzero(some & ~full):
             mean[row] = np.mean(stack[row, mask[row]])
         out._fill(name, mean.astype(np.int64) if name == "wall_ns" else mean, some)
-    if len(trajectories) == 1 and out == trajectories[0]:
-        # the mean of one run is that run: it renders to the same rows
-        out._csv_rows = trajectories[0]._csv_rows
     return out
 
 

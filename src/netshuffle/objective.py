@@ -65,9 +65,8 @@ class ObjectiveConstants:
 class FiniteSumObjective:
     """Interface shared by all families; subclasses fill in the math.
 
-    Besides the component oracles each family provides agent_value,
-    agent_grad, value, grad, value_and_grad, and the stacked oracles used by
-    the simulators:
+    Besides the component oracles each family provides agent_grad, value,
+    grad, value_and_grad, and the stacked oracles used by the simulators:
     perm_grads(X, idx) with rows grad f_{i, idx[i]}(X[i]),
     stacked_agent_grads(X) with rows grad f_i(X[i]), and values_at(X), the
     global f at each row of X.
@@ -170,10 +169,6 @@ class QuadraticObjective(FiniteSumObjective):
         self._check_indices(i, l)
         r = self.A[i, l] @ x - self.b[i, l]
         return self.A[i, l].T @ r
-
-    def agent_value(self, i, x):
-        return 0.5 * float(x @ self.H_agent[i] @ x) - float(self.c_agent[i] @ x) \
-            + 0.5 * float(np.mean(np.sum(self.b[i] ** 2, axis=1)))
 
     def agent_grad(self, i, x):
         return self.H_agent[i] @ x - self.c_agent[i]
@@ -297,9 +292,6 @@ class _LogisticBase(FiniteSumObjective):
         self._check_indices(i, l)
         z = self.signed[i, l] @ x
         return _loss_slope(z) * self.signed[i, l] + self._reg_grad(x)
-
-    def agent_value(self, i, x):
-        return float(np.mean(_softplus(-(self.signed[i] @ x))) + self._reg_value(x))
 
     def agent_grad(self, i, x):
         z = self.signed[i] @ x

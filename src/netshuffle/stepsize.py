@@ -28,8 +28,6 @@ class Schedule:
     def alpha(self, t: int, history=()) -> float:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -39,8 +37,6 @@ class ConstantSchedule(Schedule):
     def alpha(self, t, history=()):
         return self.value
 
-    def describe(self):
-        return f"const:{self.value!r}"
 
 
 @dataclass(frozen=True)
@@ -55,8 +51,6 @@ class DecreasingSchedule(Schedule):
     def alpha(self, t, history=()):
         return self.theta / (self.mu * self.m * (t + self.K))
 
-    def describe(self):
-        return f"dec:{self.theta!r},{self.K!r} (mu={self.mu!r}, m={self.m})"
 
 
 @dataclass(frozen=True)
@@ -69,8 +63,6 @@ class HarmonicSchedule(Schedule):
     def alpha(self, t, history=()):
         return 1.0 / (self.a * t + self.b)
 
-    def describe(self):
-        return f"harmonic:{self.a!r},{self.b!r}"
 
 
 @dataclass(frozen=True)
@@ -117,8 +109,6 @@ class PlateauSchedule(Schedule):
         object.__setattr__(self, "_scan", (history, len(history), last, idx, best, stale))
         return self.levels[idx]
 
-    def describe(self):
-        return "plateau:" + ",".join(repr(v) for v in self.levels)
 
 
 def _parse_number(text: str) -> float:

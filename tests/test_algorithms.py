@@ -283,6 +283,17 @@ def test_run_inner_metrics_density(quad8, ring8):
     assert len(fr) == 3 * (quad8.m - 1)
 
 
+def test_dsgt_epochs_must_run_consecutively(quad8, ring8):
+    machine = make_method("dsgt", quad8, ring8, seed=0)
+    machine.reset(initial_iterates(quad8))
+    with pytest.raises(ValueError, match="consecutively"):
+        machine.epoch(1, 0.01)
+    machine.epoch(0, 0.01)
+    with pytest.raises(ValueError, match="consecutively"):
+        machine.epoch(0, 0.01)
+    machine.epoch(1, 0.01)
+
+
 def test_methods_registry_complete():
     assert set(METHODS) == {"crr", "dsgd", "drr", "dsgt", "gtrr", "ed",
                             "edrr", "edrr-pd"}

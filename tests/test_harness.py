@@ -379,14 +379,27 @@ def test_cli_spectrum_and_constants(capsys):
 
 def test_cli_run_writes_csv(tmp_path, capsys):
     out = tmp_path / "run.csv"
-    code = cli.main([
-        "run", "--objective", "quadratic", "--n", "8", "--m", "3", "--dim", "3",
-        "--graph", "ring", "--method", "gtrr", "--epochs", "5", "--seed", "0",
-        "--stepsize", "const:0.01", "--outfile", str(out)])
+    flags = ["--objective", "quadratic", "--n", "8", "--m", "3", "--dim", "3",
+             "--graph", "ring", "--method", "gtrr", "--epochs", "5", "--seed", "0",
+             "--stepsize", "const:0.01"]
+    code = cli.main(["run", *flags, "--outfile", str(out)])
     assert code == 0
     text = out.read_text()
     assert text.splitlines()[0].startswith("# config_hash = ")
     assert "t,alpha,grad_norm_sq" in text
+    # run prints exactly the seed CSV a sweep of the same config writes
+    assert cli.main(["sweep", *flags, "--out", str(tmp_path / "sweep")]) == 0
+    assert out.read_bytes() == (tmp_path / "sweep" / "gtrr_seed0.csv").read_bytes()
+
+
+def test_cli_run_and_sweep_reject_edrr_on_an_indefinite_ring(tmp_path, capsys):
+    flags = ["--graph", "ring", "--n", "8", "--method", "edrr", "--epochs", "1",
+             "--seed", "0"]
+    errors = []
+    for command in (["run"], ["sweep", "--out", str(tmp_path)]):
+        assert cli.main([*command, *flags]) == cli.EXIT_CONFIG
+        errors.append(capsys.readouterr().err)
+    assert "method 'edrr'" in errors[0] and errors[0] == errors[1]
 
 
 def test_cli_config_error_exit_code(capsys):

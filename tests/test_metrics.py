@@ -33,9 +33,7 @@ def test_q_t_dominates_function_gap(quad8, ring8, rng):
     td = transform_data(gtrr_operator(ring8))
     X = rng.normal(size=(8, 4))
     S = rng.normal(size=(8, 4))
-    e = td.e_vector(X, S)
-    rec = record(Trajectory(1), X, 0, 0.02, quad8, transform=td,
-                 e_norm_sq=float(np.sum(e * e)))
+    rec = record(Trajectory(1), X, 0, 0.02, quad8, transform=td, S=S)
     assert rec.q_t is not None
     assert rec.q_t >= rec.fgap_bar
     assert rec.e_norm_sq > 0.0
@@ -57,6 +55,16 @@ def test_min_grad_norm_non_increasing_along_run(ring8):
     mins = [r.min_grad_norm_sq for r in records]
     assert all(a >= b for a, b in zip(mins, mins[1:]))
     assert all(r.min_grad_norm_sq <= r.grad_norm_sq for r in records)
+
+
+@pytest.mark.parametrize("method", ["drr", "gtrr", "edrr"])
+def test_min_grad_norm_is_running_minimum_over_inner_rows(method, ring8, lazy_ring8):
+    obj = make_quadratic(8, 5, 4, seed=11, condition=2.0, spread=5.0)
+    mix = lazy_ring8 if method == "edrr" else ring8
+    traj = run(method, obj, mix, ConstantSchedule(0.3), 30, seed=0, inner_metrics=True)
+    assert len(traj) == 31 + 30 * (obj.m - 1) and not traj[-1].diverged
+    grads = traj.column("grad_norm_sq")
+    assert np.array_equal(traj.column("min_grad_norm_sq"), np.minimum.accumulate(grads))
 
 
 def test_consensus_bounded_by_transform_along_run(ring8):
@@ -332,7 +340,7 @@ def test_record_fills_rows_in_order_until_full(quad8, rng):
     first = record(traj, X, 0, 0.1, quad8, wall_ns=5)
     assert len(traj) == 1 and traj[0] == first
     text = to_csv(traj)
-    second = record(traj, 2.0 * X, 1, 0.1, quad8, min_prev=first.min_grad_norm_sq)
+    second = record(traj, 2.0 * X, 1, 0.1, quad8)
     assert traj[1] == second and second.wall_ns is None
     # rows filled or flagged after a render show in the next one
     assert to_csv(traj).startswith(text) and len(to_csv(traj)) > len(text)
