@@ -104,7 +104,9 @@ class FiniteSumObjective:
 class QuadraticObjective(FiniteSumObjective):
     """f_il(x) = 0.5 ||A_il x - b_il||^2 with exact constants.
 
-    A has shape (n, m, k, p) and b (n, m, k).  Per-agent and global Hessians
+    A has shape (n, m, k, p) and b (n, m, k).  L, the largest eigenvalue of
+    any component Gram A_il^T A_il, is found by eigvalsh unless the caller
+    knows it from how A was built.  Per-agent and global Hessians
     and linear terms are precomputed, so full gradients are closed-form.
     The global f is evaluated about its minimizer, f* + 0.5 (x - x*)^T H
     (x - x*), so a function gap carries no cancellation error.
@@ -112,7 +114,7 @@ class QuadraticObjective(FiniteSumObjective):
 
     family = "quadratic"
 
-    def __init__(self, A: np.ndarray, b: np.ndarray):
+    def __init__(self, A: np.ndarray, b: np.ndarray, L: float | None = None):
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
         if A.ndim != 4 or b.ndim != 3 or A.shape[:3] != b.shape[:3]:
@@ -125,8 +127,8 @@ class QuadraticObjective(FiniteSumObjective):
         self.c_agent = np.einsum("imkp,imk->ip", A, b) / self.m
         self.H = self.H_agent.mean(axis=0)
         self.c = self.c_agent.mean(axis=0)
-        hess_vals = np.linalg.eigvalsh(np.swapaxes(A, 2, 3) @ A)
-        L = float(hess_vals[..., -1].max())
+        if L is None:
+            L = float(np.linalg.eigvalsh(np.swapaxes(A, 2, 3) @ A)[..., -1].max())
         h_vals = np.linalg.eigvalsh(self.H)
         if h_vals[0] <= 1e-12 * max(h_vals[-1], 1.0):
             raise ValueError("average Hessian is singular; adjust conditioning")
@@ -209,8 +211,10 @@ def make_quadratic(n: int, m: int, p: int, seed: int, condition: float = 1.0,
         raise ValueError("condition must be >= 1")
     rng = keyed_rng(seed, PURPOSE_MC, agent=2, epoch=0)
     A = np.linalg.qr(rng.normal(size=(n, m, p, p)))[0]
-    # scale columns: A^T A = diag(s^2); s is all ones at condition 1
-    A *= np.logspace(0.0, 0.5 * np.log10(condition), p)
+    # scale columns: A^T A = diag(scale^2), so L = max scale^2; scale is all
+    # ones at condition 1
+    scale = np.logspace(0.0, 0.5 * np.log10(condition), p)
+    A *= scale
     x_hat = rng.normal(size=p)
     if consistent:
         targets = np.broadcast_to(x_hat, (n, m, p)).copy()
@@ -219,7 +223,7 @@ def make_quadratic(n: int, m: int, p: int, seed: int, condition: float = 1.0,
         xi = spread * rng.normal(size=(n, m, p))
         targets = x_hat + h + xi
     b = np.einsum("imkp,imp->imk", A, targets)
-    return QuadraticObjective(A, b)
+    return QuadraticObjective(A, b, L=float(scale.max() ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ through its ``operator``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
+from numpy.fft import rfft
 
 SYM_TOL = 1e-12
 STOCH_TOL = 1e-12
@@ -50,20 +52,6 @@ class Graph:
                 f"{self.kind} graph on {self.n} nodes with {len(self.edges)} "
                 "edges is not connected"
             )
-
-    def neighbors(self, i: int) -> list:
-        return sorted(
-            {b for a, b in self.edges if a == i} | {a for a, b in self.edges if b == i}
-        )
-
-    def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
-
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=bool)
-        for i, j in self.edges:
-            a[i, j] = a[j, i] = True
-        return a
 
 
 def _normalize_edges(edges: Iterable) -> frozenset:
@@ -178,15 +166,81 @@ class SpectralInfo:
     1 - lam.  ``lambda_min`` is the smallest eigenvalue of W itself (the
     quantity the exact-diffusion rate constants call for; it is positive exactly
     when W is positive definite).  ``eigvecs`` is an orthonormal basis whose
-    first column is exactly 1/sqrt(n); ``uhat`` is the remaining n-1 columns.
+    first column is exactly 1/sqrt(n); ``uhat`` is the remaining n-1 columns,
+    and ``project(M)`` is Uhat^T M.
+
+    On a symmetric circulant W (ring, lazified ring, complete graph) the basis
+    is the real Fourier basis: ``modes`` names the Fourier mode of each
+    eigenvalue (see `_fourier_modes`), ``project`` takes one rfft, and
+    ``eigvecs`` is built on its first read.  Elsewhere ``modes`` is None and
+    the basis comes from a dense ``eigh``.
     """
 
     eigenvalues: np.ndarray
     lam: float
     gap: float
     lambda_min: float
-    eigvecs: np.ndarray
-    uhat: np.ndarray
+    modes: np.ndarray | None = None
+    dense_vecs: np.ndarray | None = field(default=None, repr=False)
+
+    @functools.cached_property
+    def eigvecs(self) -> np.ndarray:
+        if self.modes is None:
+            return self.dense_vecs
+        n = len(self.modes)
+        freq, sine, scale = _fourier_modes(self.modes, n)
+        # j*k reduced mod n before scaling keeps every angle in [0, 2 pi)
+        angle = (2.0 * np.pi / n) * (np.outer(np.arange(n), freq) % n)
+        return np.where(sine, np.sin(angle), np.cos(angle)) * scale
+
+    @property
+    def uhat(self) -> np.ndarray:
+        return self.eigvecs[:, 1:]
+
+    def project(self, M: np.ndarray) -> np.ndarray:
+        """Uhat^T M for an (n, p) array M."""
+        if self.modes is None:
+            return self.uhat.T @ M
+        freq, part, weight = self._rfft_rows
+        F = np.ascontiguousarray(rfft(M, axis=0))
+        # (n//2 + 1, p, 2): the real and imaginary part of each coefficient
+        parts = F.view(float).reshape(len(F), -1, 2)
+        return parts[freq, :, part] * weight[:, None]
+
+    @functools.cached_property
+    def _rfft_rows(self):
+        # row r of Uhat^T M is weight[r] times part[r] (0 real, 1 imaginary)
+        # of the rfft coefficient at freq[r]: sum_j M_j cos(2 pi j k / n) is
+        # its real part and sum_j M_j sin(2 pi j k / n) minus its imaginary part
+        freq, sine, scale = _fourier_modes(self.modes[1:], len(self.modes))
+        return freq, sine.astype(np.intp), np.where(sine, -scale, scale)
+
+
+def _fourier_modes(modes: np.ndarray, n: int):
+    """Frequency, sine flag and normalizing factor of each real Fourier mode
+    of R^n.
+
+    Mode 0 is the constant vector; mode i >= 1 is the cosine (i odd) or sine
+    (i even) at frequency k = (i + 1) // 2, so at even n the last mode, n - 1,
+    is the alternating cosine at k = n/2.  Modes at k = 0 and k = n/2 have norm
+    sqrt(n) before scaling, the rest sqrt(n/2).
+    """
+    freq = (modes + 1) // 2
+    sine = (modes % 2 == 0) & (modes > 0)
+    single = (freq == 0) | (2 * freq == n)
+    scale = np.where(single, 1.0 / np.sqrt(n), np.sqrt(2.0 / n))
+    return freq, sine, scale
+
+
+def _is_symmetric_circulant(w: np.ndarray) -> bool:
+    """Exactly W[i, j] == W[0, (j - i) mod n] and W[0, k] == W[0, n - k]."""
+    n = w.shape[0]
+    row = w[0]
+    # row i of a circulant is row 0 rotated right by i, which is window n - i
+    # of row 0 written twice
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((row, row)), n)
+    return bool(np.array_equal(row[1:], row[:0:-1])
+                and np.array_equal(w, windows[n:0:-1]))
 
 
 class MixingMatrix:
@@ -262,14 +316,19 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
     """Metropolis-Hastings weights: w_ij = 1/(1+max(deg_i,deg_j)) on edges."""
     n = g.n
     w = np.zeros((n, n))
-    deg = [0] * n  # one pass over the edges; Graph.degree rescans them all
+    deg = [0] * n
     for i, j in _normalize_edges(g.edges):
         deg[i] += 1
         deg[j] += 1
+    incident = [[] for _ in range(n)]
     for i, j in g.edges:
         w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+        incident[i].append(w[i, j])
+        incident[j].append(w[i, j])
     for i in range(n):
-        w[i, i] = 1.0 - w[i].sum()
+        # fsum rounds once, in any order, so rows that hold the same weights
+        # get the same diagonal: a ring or complete graph is exactly circulant
+        w[i, i] = 1.0 - math.fsum(incident[i])
     return MixingMatrix(w)
 
 
@@ -281,34 +340,47 @@ def lazify(mix: MixingMatrix, tau: float) -> MixingMatrix:
 
 
 def spectral_info(w: np.ndarray | MixingMatrix) -> SpectralInfo:
-    """Full eigendecomposition of a mixing matrix with 1/sqrt(n) pinned first."""
+    """Eigendata of a mixing matrix with 1/sqrt(n) pinned first.
+
+    A symmetric circulant W takes its eigenvalues from the rfft of its first
+    row, one per Fourier mode, so both modes of a cosine/sine pair carry the
+    same bits; any other W takes a dense ``eigh``.
+    """
     if isinstance(w, MixingMatrix):
         w = w.w
     w = np.asarray(w, dtype=float)
-    asym = float(np.max(np.abs(w - w.T)))
-    if asym > SYM_TOL:
-        raise TopologyError(f"matrix is asymmetric beyond {SYM_TOL:g}")
     n = w.shape[0]
-    vals, vecs = np.linalg.eigh(w)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
+    modes = vecs = None
+    if _is_symmetric_circulant(w):
+        vals = rfft(w[0]).real[(np.arange(n) + 1) // 2]
+        # the consensus mode first, then descending; the stable sort keeps
+        # the cosine of a pair before its sine
+        modes = np.concatenate(([0], 1 + np.argsort(-vals[1:], kind="stable")))
+        vals = vals[modes]
+    else:
+        asym = float(np.max(np.abs(w - w.T)))
+        if asym > SYM_TOL:
+            raise TopologyError(f"matrix is asymmetric beyond {SYM_TOL:g}")
+        vals, vecs = np.linalg.eigh(w)
+        order = np.argsort(vals)[::-1]
+        vals = vals[order]
+        vecs = vecs[:, order]
+        ones = np.full(n, 1.0 / np.sqrt(n))
+        # eigenvalue 1 is simple for connected W, so column 0 is +-ones
+        if vecs[:, 0] @ ones < 0:
+            vecs[:, 0] *= -1.0
+        vecs = vecs.copy()
+        vecs[:, 0] = ones
     if abs(vals[0] - 1.0) > 1e-10:
         raise TopologyError(f"leading eigenvalue {vals[0]} != 1; not doubly stochastic?")
-    ones = np.full(n, 1.0 / np.sqrt(n))
-    # eigenvalue 1 is simple for connected W, so column 0 is +-ones
-    if vecs[:, 0] @ ones < 0:
-        vecs[:, 0] *= -1.0
-    vecs = vecs.copy()
-    vecs[:, 0] = ones
     lam = float(max(abs(vals[1]), abs(vals[-1]))) if n > 1 else 0.0
     return SpectralInfo(
         eigenvalues=vals,
         lam=lam,
         gap=1.0 - lam,
         lambda_min=float(vals[-1]),
-        eigvecs=vecs,
-        uhat=vecs[:, 1:],
+        modes=modes,
+        dense_vecs=vecs,
     )
 
 

@@ -41,7 +41,7 @@ import numpy as np
 from .algorithms import ProbeInfo, _Method
 from .objective import FiniteSumObjective
 from .shuffling import PermutationStream
-from .topology import MixingMatrix, psd_sqrt
+from .topology import MixingMatrix, SpectralInfo, psd_sqrt
 
 DEFECTIVE_GUARD = 1e-12
 _B2_NEG_TOL = 1e-12
@@ -82,6 +82,53 @@ def _poly_scalar(coeffs, x):
     return out
 
 
+def _divide_one_minus(coeffs) -> tuple[tuple, float]:
+    """Synthetic division of sum_i c_i lam^i by (1 - lam): the quotient's
+    coefficients (ascending) and the remainder, which is the sum at lam = 1.
+
+    From (1 - lam) q(lam) = c(lam), q_{i-1} = q_i - c_i downwards from
+    q_{d-1} = -c_d.
+    """
+    q = [0.0] * (len(coeffs) - 1)
+    acc = 0.0
+    for i in range(len(coeffs) - 1, 0, -1):
+        acc -= coeffs[i]
+        q[i - 1] = acc
+    return tuple(q), coeffs[0] - acc
+
+
+def factor_b2(poly_b2, eigenvalues: np.ndarray) -> tuple[int, tuple]:
+    """Factor b^2(lam) = (1 - lam)^k r(lam) and check it on a spectrum.
+
+    ``eigenvalues`` is W's spectrum with the consensus eigenvalue first.  The
+    b-polynomial must vanish at 1 (within _B2_NEG_TOL); the root at 1 is
+    divided out as often as it repeats.  B^2 must then be nonnegative on the
+    spectrum, and r must have no root on the non-consensus part, judged
+    against the size of the terms it sums (an absolute bound on b^2 itself
+    would reject a large ring whose (1 - lam_2)^2 is tiny but exact).
+    Returns (k, r); raises OperatorError otherwise.
+    """
+    coeffs = tuple(float(c) for c in poly_b2)
+    if abs(_poly_scalar(coeffs, 1.0)) > _B2_NEG_TOL:
+        raise OperatorError("B must vanish on consensus: the b-polynomial at 1 is nonzero")
+    k, r = 0, coeffs
+    while len(r) > 1:
+        q, rem = _divide_one_minus(r)
+        if k and abs(rem) > _B2_NEG_TOL * sum(abs(c) for c in r):
+            break
+        k, r = k + 1, q
+    r_at = _poly_scalar(r, eigenvalues)
+    b2_at = (1.0 - eigenvalues) ** k * r_at
+    if b2_at.min() < -_B2_NEG_TOL:
+        raise OperatorError(f"B^2 has negative eigenvalue {b2_at.min():.3g}")
+    if np.any(r_at[1:] <= _NULL_TOL * _poly_scalar(np.abs(r), np.abs(eigenvalues[1:]))):
+        raise OperatorError(
+            "the null space of B exceeds the consensus span "
+            "(b-polynomial vanishes at an eigenvalue below 1)"
+        )
+    return k, r
+
+
 @dataclass(frozen=True)
 class AbcOperator:
     """Realized (A, B, C) triple over a mixing matrix.
@@ -90,6 +137,8 @@ class AbcOperator:
     their first read (only the engines read them, and the spectral transform
     needs only the polynomials).  z_mode 'reset' reapplies z = -W x at every
     epoch start; 'persist' starts z at zero once and carries it across epochs.
+    ``root_order`` and ``poly_r`` are the factored b-polynomial,
+    b^2(lam) = (1 - lam)^root_order r(lam).
     """
 
     mix: MixingMatrix
@@ -99,6 +148,8 @@ class AbcOperator:
     A: np.ndarray
     C: np.ndarray
     z_mode: str
+    root_order: int
+    poly_r: tuple
 
     @property
     def n(self):
@@ -110,9 +161,21 @@ class AbcOperator:
 
     @functools.cached_property
     def B(self) -> np.ndarray:
-        # build_operator admits no eigenvalue of B^2 at or below _NULL_TOL
-        # but the consensus one, so any other one there is its round-off
-        return psd_sqrt(self.B2, null_tol=_NULL_TOL)
+        # every eigenvalue of B^2 but the consensus one is at least b2_min > 0
+        # (build_operator checked), so one below both bounds is its round-off
+        b2_min = self.b2_and_b(self.mix.spectral.eigenvalues[1:])[0].min(initial=np.inf)
+        return psd_sqrt(self.B2, null_tol=min(_NULL_TOL, 0.5 * b2_min))
+
+    def b2_and_b(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """b^2 and b at eigenvalues below 1, from the factored form: 1 - lam
+        is exact for lam in [0.5, 2] (Sterbenz), so neither cancels near
+        lam = 1 as an expanded 1 - 2 lam + lam^2 does."""
+        one_minus = 1.0 - lam
+        r_vals = _poly_scalar(self.poly_r, lam)
+        k = self.root_order
+        b2 = np.clip(one_minus ** k * r_vals, 0.0, None)
+        b = one_minus ** (k // 2) * np.sqrt(np.clip(one_minus ** (k % 2) * r_vals, 0.0, None))
+        return b2, b
 
 
 def build_operator(poly_a, poly_b2, poly_c, mix: MixingMatrix,
@@ -127,19 +190,9 @@ def build_operator(poly_a, poly_b2, poly_c, mix: MixingMatrix,
             raise OperatorError(f"{name} is not stochastic for these coefficients")
         if M.min() < -1e-12:
             raise OperatorError(f"{name} has negative entries; not doubly stochastic")
-    eigvals = mix.spectral.eigenvalues
-    b2_at = _poly_scalar(poly_b2, eigvals)
-    if abs(_poly_scalar(poly_b2, 1.0)) > _B2_NEG_TOL:
-        raise OperatorError("B must vanish on consensus: the b-polynomial at 1 is nonzero")
-    if b2_at.min() < -_B2_NEG_TOL:
-        raise OperatorError(f"B^2 has negative eigenvalue {b2_at.min():.3g}")
-    non_consensus = eigvals < 1.0 - 1e-12
-    if np.any(non_consensus) and b2_at[non_consensus].min() <= _NULL_TOL:
-        raise OperatorError(
-            "the null space of B exceeds the consensus span "
-            "(b-polynomial vanishes at an eigenvalue below 1)"
-        )
-    return AbcOperator(mix, tuple(poly_a), tuple(poly_b2), tuple(poly_c), A, C, z_mode)
+    k, r = factor_b2(poly_b2, mix.spectral.eigenvalues)
+    return AbcOperator(mix, tuple(poly_a), tuple(poly_b2), tuple(poly_c), A, C, z_mode,
+                       k, r)
 
 
 def gtrr_operator(mix: MixingMatrix) -> AbcOperator:
@@ -172,7 +225,7 @@ class TransformData:
     """
 
     n: int
-    uhat: np.ndarray
+    spectral: SpectralInfo
     lam_vals: np.ndarray   # eigenvalues lambda_2..lambda_n of W
     a_vals: np.ndarray
     b_vals: np.ndarray
@@ -185,24 +238,33 @@ class TransformData:
     norm_V2: float
     norm_Vinv2: float
     norm_La2: float        # ||Lambda_a||^2 on the non-consensus spectrum
-    lam: float             # spectral norm of W - 11^T/n
-    lambda_min: float      # smallest eigenvalue of W
     any_defective: bool
+
+    @property
+    def uhat(self) -> np.ndarray:
+        return self.spectral.uhat
+
+    @property
+    def lam(self) -> float:
+        """Spectral norm of W - 11^T/n."""
+        return self.spectral.lam
+
+    @property
+    def lambda_min(self) -> float:
+        """Smallest eigenvalue of W."""
+        return self.spectral.lambda_min
 
     def e_vector(self, X: np.ndarray, S: np.ndarray) -> np.ndarray:
         """e = V^{-1} [Uhat^T x ; Lambda_b^{-1} Uhat^T s], a 2(n-1) x p array."""
         if self.n == 1:
             return np.zeros((0, X.shape[1]))
         p = X.shape[1]
-        proj = self.uhat.T @ np.concatenate((X, S), axis=1)
+        proj = self.spectral.project(np.concatenate((X, S), axis=1))
         top = proj[:, :p]
         bottom = proj[:, p:] / self.b_vals[:, None]
         Vi = self.Vinv_blocks[:, :, :, None]
         return np.vstack([Vi[:, 0, 0] * top + Vi[:, 0, 1] * bottom,
                           Vi[:, 1, 0] * top + Vi[:, 1, 1] * bottom])
-
-    def consensus_bound(self, e: np.ndarray) -> float:
-        return self.norm_V2 * float(np.sum(e * e))
 
 
 def _row_sq(rows: np.ndarray) -> np.ndarray:
@@ -292,8 +354,7 @@ def transform_data(op: AbcOperator) -> TransformData:
     n = op.n
     lam_vals = spec.eigenvalues[1:]
     a_vals = _poly_scalar(op.poly_a, lam_vals)
-    b2_vals = np.clip(_poly_scalar(op.poly_b2, lam_vals), 0.0, None)
-    b_vals = np.sqrt(b2_vals)
+    b2_vals, b_vals = op.b2_and_b(lam_vals)
     c_vals = _poly_scalar(op.poly_c, lam_vals)
     k = n - 1
     G = np.empty((k, 2, 2))
@@ -319,11 +380,11 @@ def transform_data(op: AbcOperator) -> TransformData:
     # balancing made each block's ||V||^2 and ||V^{-1}||^2 its cond
     norm_V2 = float(np.max(cond, initial=1.0))
     return TransformData(
-        n=n, uhat=spec.uhat, lam_vals=lam_vals, a_vals=a_vals, b_vals=b_vals,
+        n=n, spectral=spec, lam_vals=lam_vals, a_vals=a_vals, b_vals=b_vals,
         c_vals=c_vals, G_blocks=G, V_blocks=V, Vinv_blocks=Vinv, Gamma_blocks=Gamma,
         gamma=gamma, norm_V2=norm_V2, norm_Vinv2=norm_V2,
         norm_La2=float(np.max(a_vals ** 2)) if k else 0.0,
-        lam=spec.lam, lambda_min=spec.lambda_min, any_defective=any_defective,
+        any_defective=any_defective,
     )
 
 

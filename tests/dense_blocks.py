@@ -1,5 +1,6 @@
-"""Dense forms of the spectral transform's 2x2 blocks and a per-block
-reference for their canonical bases, for checks only."""
+"""Dense forms of the spectral transform's 2x2 blocks, a per-block
+reference for their canonical bases, and the consensus bound they give, for
+checks only."""
 
 import numpy as np
 
@@ -68,3 +69,8 @@ def block_basis(G2: np.ndarray):
     svals = np.linalg.svd(V, compute_uv=False)
     V = V / np.sqrt(svals[0] * svals[-1])  # balance: ||V|| == ||V^{-1}||
     return V, Gamma, float(radius), defective
+
+
+def consensus_bound(td, e: np.ndarray) -> float:
+    """||V||^2 ||e||^2, an upper bound on the consensus error ||x - 1 xbar^T||^2."""
+    return td.norm_V2 * float(np.sum(e * e))

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +272,25 @@ def test_sweep_rerun_byte_identical(tmp_path):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b
+
+
+def test_ring512_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # n = 512 is large enough for a threaded BLAS to split a dense eigh
+    sweep = ("import sys; from netshuffle.harness import ExperimentConfig, run_sweep; "
+             "run_sweep(ExperimentConfig(objective='quadratic', n=512, m=8, dim=16, "
+             "hetero=True, graph='ring', tau=0.5, methods=('gtrr', 'edrr'), epochs=3, "
+             "stepsize='const:0.01', seeds=(0,), outdir=sys.argv[1]))")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", sweep, str(tmp_path / threads)],
+                       env=env, check=True, timeout=300)
+    names = sorted(path.name for path in (tmp_path / "1").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "2").iterdir())
+    assert len(names) == 4
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_sweep_invalid_combination_surfaces_before_running(tmp_path):

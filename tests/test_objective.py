@@ -396,3 +396,12 @@ def test_value_and_grad_bit_equal_to_separate_calls():
     quad = make_quadratic(4, 3, 5, seed=2)
     x = np.random.default_rng(2).normal(size=5)
     same(quad, x, (quad.value(x), quad.grad(x)))
+
+
+def test_make_quadratic_l_matches_component_eigvalsh():
+    for seed in range(4):
+        for condition in (1.0, 2.0, 10.0, 1e3):
+            obj = make_quadratic(5, 4, 6, seed=seed, condition=condition)
+            dense = QuadraticObjective(obj.A, obj.b).constants.L
+            assert obj.constants.L == pytest.approx(dense, rel=1e-13, abs=0)
+            assert obj.constants.L == pytest.approx(condition, rel=1e-15, abs=0)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from graph_helpers import adjacency, degree
 
 from netshuffle.topology import (MixingMatrix, TopologyError, build_graph,
                                  lazify, metropolis_weights, psd_sqrt,
@@ -9,7 +10,7 @@ from netshuffle.topology import (MixingMatrix, TopologyError, build_graph,
 def test_ring16_every_node_has_two_neighbors():
     g = build_graph("ring", n=16)
     assert g.n == 16
-    assert all(g.degree(i) == 2 for i in range(16))
+    assert all(degree(g, i) == 2 for i in range(16))
 
 
 def test_complete_one_node_has_no_edges():
@@ -19,11 +20,11 @@ def test_complete_one_node_has_no_edges():
 
 def test_grid_4x4_corner_and_interior_degrees():
     g = build_graph("grid", rows=4, cols=4)
-    degs = sorted(g.degree(i) for i in range(16))
+    degs = sorted(degree(g, i) for i in range(16))
     corners = [0, 3, 12, 15]
     interior = [5, 6, 9, 10]
-    assert all(g.degree(i) == 2 for i in corners)
-    assert all(g.degree(i) == 4 for i in interior)
+    assert all(degree(g, i) == 2 for i in corners)
+    assert all(degree(g, i) == 4 for i in interior)
     assert degs.count(3) == 8
 
 
@@ -49,7 +50,7 @@ def test_metropolis_invariants(kind, n):
     assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12
     assert np.abs(w.sum(axis=0) - 1.0).max() <= 1e-12
     assert w.min() >= 0.0
-    adj = g.adjacency()
+    adj = adjacency(g)
     off = ~np.eye(g.n, dtype=bool)
     assert np.array_equal(w[off] > 0, adj[off])
     assert np.all(np.diag(w) > 0)
@@ -178,8 +179,95 @@ def test_metropolis_weights_property_random_connected_graphs():
         assert w.min() >= 0.0
         expected = np.zeros((g.n, g.n))
         for i, j in g.edges:
-            expected[i, j] = expected[j, i] = 1.0 / (1.0 + max(g.degree(i), g.degree(j)))
+            expected[i, j] = expected[j, i] = 1.0 / (1.0 + max(degree(g, i), degree(g, j)))
         off = ~np.eye(g.n, dtype=bool)
         assert np.array_equal(w[off], expected[off])
 
     check()
+
+
+def _group_energies(vals: np.ndarray, proj: np.ndarray, gap: float) -> np.ndarray:
+    """Energy of `proj`'s rows summed over runs of sorted `vals` whose
+    neighbours lie within `gap`: invariant to the basis chosen inside such
+    a run, since the run spans an invariant subspace of W."""
+    starts = np.concatenate(([True], np.diff(vals) < -gap))
+    return np.add.reduceat(np.sum(proj * proj, axis=1), np.flatnonzero(starts))
+
+
+def test_circulant_spectrum_property():
+    """Closed-form circulant spectra against a dense eigh, over random
+    symmetric doubly stochastic circulants, complete graphs and lazified
+    rings."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def circulants(draw):
+        kind = draw(st.sampled_from(("random", "complete", "lazy-ring")))
+        n = draw(st.integers(1, 64))
+        if kind == "complete":
+            return metropolis_weights(build_graph("complete", n=n)).w
+        if kind == "lazy-ring":
+            tau = draw(st.floats(0.05, 0.95))
+            return lazify(metropolis_weights(build_graph("ring", n=n)), tau).w
+        half = n // 2
+        raw = draw(st.lists(st.floats(0.0, 1.0), min_size=half, max_size=half))
+        row = np.zeros(n)
+        if half:
+            # offset 1 carries weight, so the circulant graph is connected
+            raw = np.array(raw) + np.eye(half)[0]
+            weights = draw(st.floats(0.05, 0.95)) * raw / (2.0 * raw.sum())
+            row[1:half + 1] = weights
+            row[n - half:] = weights[::-1]
+        row[0] = 1.0 - row[1:].sum()
+        idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+        return row[idx]
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(circulants(), st.integers(0, 2 ** 32 - 1))
+    def check(w, seed):
+        n = len(w)
+        s = spectral_info(w)
+        assert s.modes is not None
+        vals, vecs = np.linalg.eigh(w)
+        vals, vecs = vals[::-1], vecs[:, ::-1]
+        assert np.max(np.abs(s.eigenvalues - vals)) <= 1e-13
+        U = s.eigvecs
+        assert np.all(U[:, 0] == 1.0 / np.sqrt(n))
+        assert np.max(np.abs(U.T @ U - np.eye(n))) <= 1e-13
+        assert np.max(np.abs(w @ U - U * s.eigenvalues)) <= 1e-13
+        M = np.random.default_rng(seed).normal(size=(n, 3))
+        proj = s.project(M)
+        assert proj.shape == (n - 1, 3)
+        assert np.max(np.abs(proj - s.uhat.T @ M), initial=0.0) <= 1e-13
+        # dense reference: eigh's basis with the consensus vector removed
+        dense = vecs.T @ M
+        dense[0] = 0.0
+        ours = np.vstack([np.zeros((1, 3)), proj])
+        total = float(np.sum(M * M))
+        # runs of eigenvalues closer than 1e-4 are compared as one group:
+        # eigh's basis inside a near-tie is rotated by up to eps/gap
+        diff = (_group_energies(s.eigenvalues, ours, 1e-4)
+                - _group_energies(s.eigenvalues, dense, 1e-4))
+        assert np.max(np.abs(diff)) <= 1e-12 * total
+
+    check()
+
+
+def test_non_circulant_graphs_take_eigh(ring16):
+    w = ring16.w.copy()
+    # one symmetric pair moved, rows still stochastic: no longer circulant
+    w[0, 1] = w[1, 0] = w[0, 1] + 1e-3
+    w[0, 0] -= 1e-3
+    w[1, 1] -= 1e-3
+    mixes = (metropolis_weights(build_graph("grid", rows=4, cols=4)),
+             metropolis_weights(build_graph("star", n=7)), MixingMatrix(w))
+    for mix in mixes:
+        s = mix.spectral
+        assert s.modes is None
+        M = np.arange(3.0 * mix.n).reshape(mix.n, 3)
+        assert np.array_equal(s.project(M), s.uhat.T @ M)
+    for mix in (ring16, lazify(ring16, 0.5),
+                metropolis_weights(build_graph("complete", n=6)),
+                metropolis_weights(build_graph("ring", n=2))):
+        assert mix.spectral.modes is not None

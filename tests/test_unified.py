@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from dense_blocks import block_basis, block_diag
+from dense_blocks import block_basis, block_diag, consensus_bound
 
 from netshuffle import algorithms
 from netshuffle.algorithms import EDRRPrimalDual, initial_iterates
@@ -11,6 +11,7 @@ from netshuffle.shuffling import PermutationStream
 from netshuffle.topology import build_graph, lazify, metropolis_weights, psd_sqrt
 from netshuffle.unified import (AbcEngine, OperatorError, TransformedEngine,
                                 _block_bases, _poly_matrix, build_operator,
+                                factor_b2,
                                 edrr_operator, gtrr_operator, transform_data)
 
 ALPHA = 0.02
@@ -112,6 +113,35 @@ def test_non_stochastic_a_rejected(ring8):
 def test_negative_b2_rejected(ring8):
     with pytest.raises(OperatorError, match="negative eigenvalue"):
         build_operator((0.0, 1.0), (-1.0, 1.0), (0.0, 1.0), ring8)
+
+
+def lazy_ring_spectrum(n: int, tau: float = 0.5) -> np.ndarray:
+    """Eigenvalues of lazify(Metropolis ring, tau) in closed form, descending:
+    1 - (1 - tau) (2/3) (1 - cos(2 pi k / n)) for k = 0..n-1."""
+    k = np.arange(n)
+    return np.sort(1.0 - (1.0 - tau) * (2.0 / 3.0) * (1.0 - np.cos(2.0 * np.pi * k / n)))[::-1]
+
+
+def test_b_polynomial_check_accepts_a_lazy_ring_at_4096():
+    lam = lazy_ring_spectrum(4096)
+    # an absolute bound of 1e-12 on b^2 rejected GT-RR here
+    assert (1.0 - lam[1]) ** 2 < 1e-12
+    assert factor_b2((1.0, -2.0, 1.0), lam) == (2, (1.0,))
+    assert factor_b2((1.0, -1.0), lam) == (1, (1.0,))
+    # b^2 = (1 - lam)(lam - c)^2 vanishes at the eigenvalue c inside (-1, 1)
+    c = lam[1000]
+    with pytest.raises(OperatorError, match="null space"):
+        factor_b2((c * c, -2.0 * c - c * c, 1.0 + 2.0 * c, -1.0), lam)
+    # the same shape with c off the spectrum is admissible
+    c = 0.5 * (lam[1000] + lam[1002])
+    assert factor_b2((c * c, -2.0 * c - c * c, 1.0 + 2.0 * c, -1.0), lam)[0] == 1
+
+
+def test_gtrr_b_is_exactly_one_minus_lambda(lazy_ring8):
+    td = transform_data(gtrr_operator(lazy_ring8))
+    assert np.array_equal(td.b_vals, 1.0 - td.lam_vals)
+    td = transform_data(edrr_operator(lazy_ring8))
+    assert np.array_equal(td.b_vals, np.sqrt(1.0 - td.lam_vals))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +416,7 @@ def test_consensus_error_bounded_by_transform(quad8, ring8, rng):
         S = rng.normal(size=(8, 4))
         e = td.e_vector(X, S)
         consensus = float(np.sum((X - X.mean(axis=0)) ** 2))
-        assert consensus <= td.consensus_bound(e) * (1 + 1e-12)
+        assert consensus <= consensus_bound(td, e) * (1 + 1e-12)
 
 
 def test_transformed_one_step_recursion_matches_blocks(quad8, ring8):
@@ -500,3 +530,58 @@ def test_epoch_chaining_jump_vanishes_linearly_for_tracker_reset(quad8, ring8):
 
     j1, j2 = jump_at(1e-3), jump_at(1e-4)
     assert 5.0 < j1 / j2 < 20.0
+
+
+@pytest.mark.parametrize("method", ["gtrr", "edrr"])
+def test_e_norm_sq_matches_long_double_reference_on_lazy_ring512(method, monkeypatch):
+    """Every written e_norm_sq of a lazy ring512 run against the same
+    quantity in long double: a real Fourier basis built in long double,
+    b = 1 - lambda (GT-RR) or its root (ED-RR), and the run's V blocks."""
+    from netshuffle import metrics
+    from netshuffle.harness import ExperimentConfig, build_mix, build_objective
+    from netshuffle.stepsize import ConstantSchedule
+
+    cfg = ExperimentConfig(objective="quadratic", n=512, m=8, dim=16, hetero=True,
+                           graph="ring", tau=0.5, methods=(method,), epochs=6)
+    mix, obj = build_mix(cfg), build_objective(cfg)
+    op = gtrr_operator(mix) if method == "gtrr" else edrr_operator(mix)
+    td = transform_data(op)
+    states = []
+    record = metrics.record
+
+    def keep_state(traj, X, t, alpha, objective, transform=None, S=None, wall_ns=None):
+        states.append(np.concatenate((X, S), axis=1))
+        return record(traj, X, t, alpha, objective, transform, S, wall_ns)
+
+    monkeypatch.setattr(algorithms._metrics, "record", keep_state)
+    traj = algorithms.run(method, obj, mix, ConstantSchedule(0.01), cfg.epochs, seed=0,
+                          transform=td)
+    got = traj.column("e_norm_sq")
+    assert len(got) == len(states) == cfg.epochs + 1
+
+    n, p = cfg.n, cfg.dim
+    ld = np.longdouble
+    # rows in the spectrum's order: the cosine and sine of k = 1, 2, ...,
+    # n/2 - 1, then the alternating vector; a pair shares its eigenvalue's
+    # bits and so its V block, which makes e_norm_sq blind to the basis
+    # chosen inside the pair
+    lam = td.lam_vals
+    assert np.all(lam[:-1:2] == lam[1::2]) and np.all(np.diff(lam) <= 0)
+    freq = np.arange(1, n // 2 + 1).repeat(2)[:n - 1]
+    sine = np.arange(n - 1) % 2 == 1
+    angle = 2 * np.pi * (np.outer(np.arange(n), freq) % n).astype(ld) / n
+    scale = np.where(freq == n // 2, 1 / np.sqrt(ld(n)), np.sqrt(ld(2) / n))
+    basis = np.where(sine, np.sin(angle), np.cos(angle)) * scale
+    lam_ld = lam.astype(ld)
+    assert np.max(np.abs(lam_ld - (1 - (1 - cfg.tau) * (2 / ld(3)) * (1 - np.cos(
+        2 * np.pi * freq.astype(ld) / n))))) < 1e-15
+    b = 1 - lam_ld if method == "gtrr" else np.sqrt(1 - lam_ld)
+    Vi = td.Vinv_blocks.astype(ld)[:, :, :, None]
+    proj = basis.T @ np.concatenate(states, axis=1).astype(ld)
+    for row, value in enumerate(got):
+        block = proj[:, 2 * p * row:2 * p * (row + 1)]
+        top, bottom = block[:, :p], block[:, p:] / b[:, None]
+        e = np.concatenate([Vi[:, 0, 0] * top + Vi[:, 0, 1] * bottom,
+                            Vi[:, 1, 0] * top + Vi[:, 1, 1] * bottom])
+        ref = np.sum(e * e)
+        assert abs(value - ref) <= 1e-11 * ref, (row, value, ref)
