@@ -13,6 +13,7 @@ import dataclasses
 import sys
 
 from . import harness, metrics, stepsize, unified
+from .topology import NeighborGather
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -142,7 +143,8 @@ def _cmd_spectrum(args) -> int:
     print(f"gap = {s.gap:.12g}")
     print(f"lambda_min = {s.lambda_min:.12g}")
     op = mix.operator
-    print("mixing = dense" if op is mix.w else f"mixing = gather ({op.per_row} per row)")
+    kind = f"gather ({op.per_row} per row)" if isinstance(op, NeighborGather) else "dense"
+    print(f"mixing = {kind}")
     return EXIT_OK
 
 

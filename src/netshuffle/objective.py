@@ -8,6 +8,7 @@ average uses numpy's pairwise summation so runs are bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -101,6 +102,17 @@ class FiniteSumObjective:
 # ---------------------------------------------------------------------------
 
 
+# floats per block of agents (1 MB) when a quadratic's component stack is
+# drawn, factored or eigen-solved, so no step holds a second copy of the stack
+_BLOCK_FLOATS = 2 ** 17
+
+
+def _agent_blocks(A: np.ndarray):
+    """Consecutive views of A along its agent axis, about _BLOCK_FLOATS each."""
+    step = max(1, _BLOCK_FLOATS // max(1, math.prod(A.shape[1:])))
+    return (A[lo:lo + step] for lo in range(0, len(A), step))
+
+
 class QuadraticObjective(FiniteSumObjective):
     """f_il(x) = 0.5 ||A_il x - b_il||^2 with exact constants.
 
@@ -123,12 +135,14 @@ class QuadraticObjective(FiniteSumObjective):
         self.n, self.m, _, self.p = A.shape
         # Gram products through BLAS: an agent's rows stacked over components
         rows = A.reshape(self.n, -1, self.p)
-        self.H_agent = np.swapaxes(rows, 1, 2) @ rows / self.m
+        self.H_agent = np.swapaxes(rows, 1, 2) @ rows
+        self.H_agent /= self.m
         self.c_agent = np.einsum("imkp,imk->ip", A, b) / self.m
         self.H = self.H_agent.mean(axis=0)
         self.c = self.c_agent.mean(axis=0)
         if L is None:
-            L = float(np.linalg.eigvalsh(np.swapaxes(A, 2, 3) @ A)[..., -1].max())
+            L = max(float(np.linalg.eigvalsh(np.swapaxes(blk, 2, 3) @ blk)[..., -1].max())
+                    for blk in _agent_blocks(A))
         h_vals = np.linalg.eigvalsh(self.H)
         if h_vals[0] <= 1e-12 * max(h_vals[-1], 1.0):
             raise ValueError("average Hessian is singular; adjust conditioning")
@@ -210,18 +224,24 @@ def make_quadratic(n: int, m: int, p: int, seed: int, condition: float = 1.0,
     if condition < 1.0:
         raise ValueError("condition must be >= 1")
     rng = keyed_rng(seed, PURPOSE_MC, agent=2, epoch=0)
-    A = np.linalg.qr(rng.normal(size=(n, m, p, p)))[0]
     # scale columns: A^T A = diag(scale^2), so L = max scale^2; scale is all
     # ones at condition 1
     scale = np.logspace(0.0, 0.5 * np.log10(condition), p)
-    A *= scale
+    # one draw and one QR per block of agents: the generator's draws follow
+    # in order and QR factors each matrix alone, so the blocks fill the same
+    # A as one (n, m, p, p) draw would, without a copy of the whole stack
+    A = np.empty((n, m, p, p))
+    for blk in _agent_blocks(A):
+        np.multiply(np.linalg.qr(rng.normal(size=blk.shape))[0], scale, out=blk)
     x_hat = rng.normal(size=p)
     if consistent:
         targets = np.broadcast_to(x_hat, (n, m, p)).copy()
     else:
         h = hetero * rng.normal(size=(n, 1, p))
-        xi = spread * rng.normal(size=(n, m, p))
-        targets = x_hat + h + xi
+        # x_hat + h + xi, summed in place into the dispersion draw xi
+        targets = rng.normal(size=(n, m, p))
+        targets *= spread
+        targets += x_hat + h
     b = np.einsum("imkp,imp->imk", A, targets)
     return QuadraticObjective(A, b, L=float(scale.max() ** 2))
 

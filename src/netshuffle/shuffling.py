@@ -28,8 +28,6 @@ PURPOSE_MC = 2
 
 _AGENT_BITS = 24
 _EPOCH_BITS = 24
-_ZEROS4 = np.zeros(4, dtype=np.uint64)  # the Philox state setter copies it
-_ZEROS4.setflags(write=False)
 
 
 def _philox_key(master_seed: int, purpose: int, agent: int, epoch: int) -> np.ndarray:
@@ -77,17 +75,20 @@ class PermutationStream:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         object.__setattr__(self, "_rng", Generator(Philox()))
-        # the Philox state setter copies every array out of this dict, so one
-        # dict serves every re-keying; only its key changes between draws
+        # the Philox state setter copies every word out of this dict, so one
+        # dict serves every re-keying; only its key changes between draws.
+        # It reads the words one index at a time, which is cheaper on Python
+        # ints than on numpy arrays
         object.__setattr__(self, "_state", {
             "bit_generator": "Philox",
-            "state": {"counter": _ZEROS4, "key": None},
-            "buffer": _ZEROS4,
+            "state": {"counter": (0, 0, 0, 0), "key": None},
+            "buffer": (0, 0, 0, 0),
             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         })
 
-    def _keyed(self, key: np.ndarray) -> Generator:
-        """The stream's generator, reset to the state `keyed_rng` starts in."""
+    def _keyed(self, key: list) -> Generator:
+        """The stream's generator, reset to the state `keyed_rng` starts in
+        for the two key words `key`."""
         self._state["state"]["key"] = key
         self._rng.bit_generator.state = self._state
         return self._rng
@@ -100,11 +101,11 @@ class PermutationStream:
             raise ValueError("m must be >= 1")
         out = np.empty((len(keys), m), dtype=np.int64)
         if self.mode == "iid":
-            for key, row in zip(keys, out):
+            for key, row in zip(keys.tolist(), out):
                 row[:] = self._keyed(key).integers(0, m, size=m)
             return out
         out[:] = np.arange(m)
-        for key, row in zip(keys, out):
+        for key, row in zip(keys.tolist(), out):
             self._keyed(key).shuffle(row)
         return out
 

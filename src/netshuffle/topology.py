@@ -232,54 +232,115 @@ def _fourier_modes(modes: np.ndarray, n: int):
     return freq, sine, scale
 
 
-def _is_symmetric_circulant(w: np.ndarray) -> bool:
-    """Exactly W[i, j] == W[0, (j - i) mod n] and W[0, k] == W[0, n - k]."""
-    n = w.shape[0]
-    row = w[0]
-    # row i of a circulant is row 0 rotated right by i, which is window n - i
-    # of row 0 written twice
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((row, row)), n)
-    return bool(np.array_equal(row[1:], row[:0:-1])
-                and np.array_equal(w, windows[n:0:-1]))
+def _nonzeros(w: np.ndarray) -> tuple:
+    """(rows, cols, vals) of a dense matrix's nonzeros, in np.nonzero order."""
+    rows, cols = np.nonzero(w)
+    return rows, cols, w[rows, cols]
+
+
+def _sorted_entries(n: int, rows, cols, vals) -> tuple:
+    """The nonzero entries among (rows, cols, vals), in np.nonzero order."""
+    order = np.argsort(rows * n + cols)
+    order = order[vals[order] != 0.0]
+    return rows[order], cols[order], vals[order]
+
+
+def _circulant_row(n: int, rows, cols, vals) -> np.ndarray | None:
+    """Row 0 of W, dense, when W is exactly a symmetric circulant
+    (W[i, j] == W[0, (j - i) mod n] and W[0, k] == W[0, n - k]); else None.
+
+    Every row must hold as many nonzeros as row 0, at the same offsets
+    (cols - i) mod n and with the same values.
+    """
+    per_row, rest = divmod(len(vals), n)
+    if rest or np.any(np.bincount(rows, minlength=n) != per_row):
+        return None
+    offsets = ((cols - rows) % n).reshape(n, per_row)
+    order = np.argsort(offsets, axis=1)
+    offsets = np.take_along_axis(offsets, order, axis=1)
+    values = np.take_along_axis(vals.reshape(n, per_row), order, axis=1)
+    if not (np.array_equal(offsets, np.broadcast_to(offsets[0], offsets.shape))
+            and np.array_equal(values, np.broadcast_to(values[0], values.shape))):
+        return None
+    row = np.zeros(n)
+    row[cols[:per_row]] = vals[:per_row]
+    return row if np.array_equal(row[1:], row[:0:-1]) else None
 
 
 class MixingMatrix:
-    """Symmetric doubly stochastic weight matrix with cached spectral data."""
+    """Symmetric doubly stochastic weight matrix with cached spectral data.
+
+    W is kept as its nonzeros ``rows``, ``cols``, ``vals``, in the order
+    ``np.nonzero`` gives (row-major, columns ascending); the dense ``w`` is
+    built on its first read, so a sparse graph never holds an n x n array
+    unless something asks for one.  A dense input is converted on the way
+    in; dense and entry input pass the same checks.
+    """
 
     def __init__(self, w: np.ndarray):
         w = np.asarray(w, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise TopologyError("mixing matrix must be square")
-        n = w.shape[0]
-        asym = float(np.max(np.abs(w - w.T))) if n else 0.0
+        self._set_entries(w.shape[0], *_nonzeros(w))
+
+    @classmethod
+    def from_entries(cls, n: int, rows: np.ndarray, cols: np.ndarray,
+                     vals: np.ndarray) -> MixingMatrix:
+        """W from its nonzero entries, given in np.nonzero order."""
+        mix = cls.__new__(cls)
+        mix._set_entries(n, rows, cols, vals)
+        return mix
+
+    def _set_entries(self, n, rows, cols, vals):
+        if n < 1:
+            raise TopologyError(f"need at least one agent, got n={n}")
+        if not np.all(np.isfinite(vals)):
+            raise TopologyError("weights must be finite")
+        # |w_ij - w_ji| over the nonzeros, where an absent mirror entry is 0,
+        # is the largest entry of |W - W^T|
+        key, mirror_key = rows * n + cols, cols * n + rows
+        pos = np.minimum(np.searchsorted(key, mirror_key), len(key) - 1)
+        mirror = np.where(key[pos] == mirror_key, vals[pos], 0.0)
+        asym = float(np.max(np.abs(vals - mirror), initial=0.0))
         if asym > SYM_TOL:
             raise TopologyError(f"matrix is asymmetric beyond {SYM_TOL:g} (got {asym:.3g})")
-        row = np.abs(w.sum(axis=1) - 1.0).max()
+        row = np.abs(np.bincount(rows, vals, minlength=n) - 1.0).max(initial=0.0)
         if row > STOCH_TOL:
             raise TopologyError(f"rows must sum to 1 within {STOCH_TOL:g} (off by {row:.3g})")
-        if w.min() < -1e-12:
-            raise TopologyError(f"negative weight {w.min():.3g}")
-        if not _connected(n, zip(*np.nonzero(np.triu(w > 0, k=1)))):
+        # an entry off the pattern is 0, so only a stored one can be negative
+        low = vals.min(initial=0.0)
+        if low < -1e-12:
+            raise TopologyError(f"negative weight {low:.3g}")
+        up = (vals > 0) & (rows < cols)
+        if not _connected(n, zip(rows[up].tolist(), cols[up].tolist())):
             raise TopologyError("positivity pattern of W is not connected")
-        w = w.copy()
-        w.setflags(write=False)
-        self.w = w
+        for a in (rows, cols, vals):
+            a.setflags(write=False)
         self.n = n
+        self.rows, self.cols, self.vals = rows, cols, vals
         self._spectral: SpectralInfo | None = None
+
+    @functools.cached_property
+    def w(self) -> np.ndarray:
+        """The dense W, read-only."""
+        w = np.zeros((self.n, self.n))
+        w[self.rows, self.cols] = self.vals
+        w.setflags(write=False)
+        return w
 
     @property
     def spectral(self) -> SpectralInfo:
         if self._spectral is None:
-            self._spectral = spectral_info(self.w)
+            self._spectral = spectral_info(self)
         return self._spectral
 
     @functools.cached_property
     def operator(self) -> np.ndarray | NeighborGather:
         """What the methods multiply by: ``w`` itself, or a `NeighborGather`
         of it on a large sparse graph.  Both compute ``W @ X``."""
-        per_row = int(np.count_nonzero(self.w, axis=1).max())
+        per_row = int(np.bincount(self.rows, minlength=self.n).max())
         if self.n >= GATHER_MIN_N and GATHER_PER_ROW * per_row <= self.n:
-            return NeighborGather(self.w)
+            return NeighborGather(self)
         return self.w
 
     def __repr__(self):
@@ -295,16 +356,15 @@ class NeighborGather:
     against the dense product's O(n^2 p).
     """
 
-    def __init__(self, w: np.ndarray):
-        n = w.shape[0]
-        counts = np.count_nonzero(w, axis=1)
-        rows, cols = np.nonzero(w)  # row-major, so each row's columns ascend
+    def __init__(self, mix: MixingMatrix):
+        n, rows = mix.n, mix.rows
+        counts = np.bincount(rows, minlength=n)
         slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
         self.per_row = int(counts.max())
         self.idx = np.repeat(np.arange(n)[:, None], self.per_row, axis=1)
         self.wt = np.zeros((n, self.per_row))
-        self.idx[rows, slot] = cols
-        self.wt[rows, slot] = w[rows, cols]
+        self.idx[rows, slot] = mix.cols
+        self.wt[rows, slot] = mix.vals
         self.idx.setflags(write=False)
         self.wt.setflags(write=False)
 
@@ -315,28 +375,42 @@ class NeighborGather:
 def metropolis_weights(g: Graph) -> MixingMatrix:
     """Metropolis-Hastings weights: w_ij = 1/(1+max(deg_i,deg_j)) on edges."""
     n = g.n
-    w = np.zeros((n, n))
-    deg = [0] * n
-    for i, j in _normalize_edges(g.edges):
-        deg[i] += 1
-        deg[j] += 1
-    incident = [[] for _ in range(n)]
-    for i, j in g.edges:
-        w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
-        incident[i].append(w[i, j])
-        incident[j].append(w[i, j])
-    for i in range(n):
-        # fsum rounds once, in any order, so rows that hold the same weights
-        # get the same diagonal: a ring or complete graph is exactly circulant
-        w[i, i] = 1.0 - math.fsum(incident[i])
-    return MixingMatrix(w)
+    ends = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2)
+    deg = np.bincount(ends.ravel(), minlength=n)
+    weight = 1.0 / (1.0 + np.maximum(deg[ends[:, 0]], deg[ends[:, 1]]))
+    rows = np.concatenate((ends[:, 0], ends[:, 1]))
+    cols = np.concatenate((ends[:, 1], ends[:, 0]))
+    off = np.concatenate((weight, weight))
+    incident = off[np.argsort(rows, kind="stable")].tolist()
+    ends_at = np.cumsum(deg).tolist()
+    # fsum rounds once, in any order, so rows that hold the same weights
+    # get the same diagonal: a ring or complete graph is exactly circulant
+    diag = [1.0 - math.fsum(incident[hi - d:hi]) for hi, d in zip(ends_at, deg.tolist())]
+    agents = np.arange(n)
+    return MixingMatrix.from_entries(n, *_sorted_entries(
+        n, np.concatenate((rows, agents)), np.concatenate((cols, agents)),
+        np.concatenate((off, diag))))
 
 
 def lazify(mix: MixingMatrix, tau: float) -> MixingMatrix:
-    """Return (1-tau) W + tau I; maps every eigenvalue to (1-tau) lam + tau."""
+    """Return (1-tau) W + tau I; maps every eigenvalue to (1-tau) lam + tau.
+
+    Built on W's nonzeros with the dense formula's bits: fl((1-tau) w_ij)
+    off the diagonal and fl((1-tau) w_ii) + tau on it, where a diagonal W
+    lacks gets tau.
+    """
     if not 0.0 < tau < 1.0:
         raise TopologyError(f"tau must lie in (0,1), got {tau}")
-    return MixingMatrix((1.0 - tau) * mix.w + tau * np.eye(mix.n))
+    n, rows, cols = mix.n, mix.rows, mix.cols
+    vals = (1.0 - tau) * mix.vals
+    on_diag = rows == cols
+    vals[on_diag] += tau
+    missing = np.ones(n, dtype=bool)
+    missing[rows[on_diag]] = False
+    missing = np.flatnonzero(missing)
+    return MixingMatrix.from_entries(n, *_sorted_entries(
+        n, np.concatenate((rows, missing)), np.concatenate((cols, missing)),
+        np.concatenate((vals, np.full(len(missing), tau)))))
 
 
 def spectral_info(w: np.ndarray | MixingMatrix) -> SpectralInfo:
@@ -344,24 +418,31 @@ def spectral_info(w: np.ndarray | MixingMatrix) -> SpectralInfo:
 
     A symmetric circulant W takes its eigenvalues from the rfft of its first
     row, one per Fourier mode, so both modes of a cosine/sine pair carry the
-    same bits; any other W takes a dense ``eigh``.
+    same bits; any other W takes a dense ``eigh``.  A `MixingMatrix` is
+    tested for the circulant form on its nonzeros, and builds its dense
+    ``w`` only for ``eigh``.
     """
     if isinstance(w, MixingMatrix):
-        w = w.w
-    w = np.asarray(w, dtype=float)
-    n = w.shape[0]
+        n, entries, dense = w.n, (w.rows, w.cols, w.vals), None
+    else:
+        dense = np.asarray(w, dtype=float)
+        n, entries = dense.shape[0], _nonzeros(dense)
+    first_row = _circulant_row(n, *entries)
     modes = vecs = None
-    if _is_symmetric_circulant(w):
-        vals = rfft(w[0]).real[(np.arange(n) + 1) // 2]
+    if first_row is not None:
+        vals = rfft(first_row).real[(np.arange(n) + 1) // 2]
         # the consensus mode first, then descending; the stable sort keeps
         # the cosine of a pair before its sine
         modes = np.concatenate(([0], 1 + np.argsort(-vals[1:], kind="stable")))
         vals = vals[modes]
     else:
-        asym = float(np.max(np.abs(w - w.T)))
-        if asym > SYM_TOL:
-            raise TopologyError(f"matrix is asymmetric beyond {SYM_TOL:g}")
-        vals, vecs = np.linalg.eigh(w)
+        if dense is None:
+            dense = w.w
+        else:
+            asym = float(np.max(np.abs(dense - dense.T)))
+            if asym > SYM_TOL:
+                raise TopologyError(f"matrix is asymmetric beyond {SYM_TOL:g}")
+        vals, vecs = np.linalg.eigh(dense)
         order = np.argsort(vals)[::-1]
         vals = vals[order]
         vecs = vecs[:, order]

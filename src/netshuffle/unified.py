@@ -133,10 +133,12 @@ def factor_b2(poly_b2, eigenvalues: np.ndarray) -> tuple[int, tuple]:
 class AbcOperator:
     """Realized (A, B, C) triple over a mixing matrix.
 
-    A and C are dense from the start; B^2 and its square root B are built on
-    their first read (only the engines read them, and the spectral transform
-    needs only the polynomials).  z_mode 'reset' reapplies z = -W x at every
-    epoch start; 'persist' starts z at zero once and carries it across epochs.
+    The dense A, C, B^2 and its square root B are built on their first read:
+    only the engines read them, and the spectral transform needs only the
+    polynomials, so a sweep keeps W as its nonzeros (`build_operator` checks
+    A and C of degree <= 1 on them).  z_mode 'reset' reapplies z = -W x at
+    every epoch start; 'persist' starts z at zero once and carries it across
+    epochs.
     ``root_order`` and ``poly_r`` are the factored b-polynomial,
     b^2(lam) = (1 - lam)^root_order r(lam).
     """
@@ -145,8 +147,6 @@ class AbcOperator:
     poly_a: tuple
     poly_b2: tuple
     poly_c: tuple
-    A: np.ndarray
-    C: np.ndarray
     z_mode: str
     root_order: int
     poly_r: tuple
@@ -154,6 +154,14 @@ class AbcOperator:
     @property
     def n(self):
         return self.mix.n
+
+    @functools.cached_property
+    def A(self) -> np.ndarray:
+        return _poly_matrix(self.poly_a, self.mix.w)
+
+    @functools.cached_property
+    def C(self) -> np.ndarray:
+        return _poly_matrix(self.poly_c, self.mix.w)
 
     @functools.cached_property
     def B2(self) -> np.ndarray:
@@ -180,19 +188,39 @@ class AbcOperator:
 
 def build_operator(poly_a, poly_b2, poly_c, mix: MixingMatrix,
                    z_mode: str = "persist") -> AbcOperator:
-    """Realize and validate an operator triple from polynomial coefficients."""
+    """Validate an operator triple from polynomial coefficients; its dense
+    matrices are realized on their first read."""
     if z_mode not in ("reset", "persist"):
         raise OperatorError("z_mode must be 'reset' or 'persist'")
-    A = _poly_matrix(poly_a, mix.w)
-    C = _poly_matrix(poly_c, mix.w)
-    for name, M in (("A", A), ("C", C)):
-        if np.abs(M.sum(axis=1) - 1.0).max() > 1e-12:
+    for name, coeffs in (("A", poly_a), ("C", poly_c)):
+        row_sums, low = _row_sums_and_min(tuple(coeffs), mix)
+        if np.abs(row_sums - 1.0).max() > 1e-12:
             raise OperatorError(f"{name} is not stochastic for these coefficients")
-        if M.min() < -1e-12:
+        if low < -1e-12:
             raise OperatorError(f"{name} has negative entries; not doubly stochastic")
     k, r = factor_b2(poly_b2, mix.spectral.eigenvalues)
-    return AbcOperator(mix, tuple(poly_a), tuple(poly_b2), tuple(poly_c), A, C, z_mode,
-                       k, r)
+    return AbcOperator(mix, tuple(poly_a), tuple(poly_b2), tuple(poly_c), z_mode, k, r)
+
+
+def _row_sums_and_min(coeffs: tuple, mix: MixingMatrix) -> tuple[np.ndarray, float]:
+    """Row sums and smallest entry of sum_d c_d W^d.
+
+    A polynomial of degree at most 1, c0 I + c1 W, is read off W's nonzeros:
+    c1 w_ij off the diagonal and c0 + c1 w_ii on it.  Its entries off W's
+    pattern and diagonal are zeros, which pass any sign test, so they need
+    no storage.  A higher degree is realized densely.
+    """
+    if not 1 <= len(coeffs) <= 2:
+        M = _poly_matrix(coeffs, mix.w)
+        return M.sum(axis=1), M.min()
+    c0, c1 = (*coeffs, 0.0)[:2]
+    n, rows, vals = mix.n, mix.rows, mix.vals
+    off = rows != mix.cols
+    diag = np.full(n, float(c0))
+    diag[rows[~off]] += c1 * vals[~off]
+    entries = np.concatenate((c1 * vals[off], diag))
+    row_sums = np.bincount(np.concatenate((rows[off], np.arange(n))), entries, minlength=n)
+    return row_sums, float(entries.min())
 
 
 def gtrr_operator(mix: MixingMatrix) -> AbcOperator:

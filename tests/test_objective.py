@@ -78,6 +78,42 @@ def test_quadratic_batched_build_matches_per_component_loop(condition):
             assert np.array_equal(obj.A[i, l], q if condition == 1.0 else q * s)
 
 
+def one_shot_quadratic(n, m, p, seed, condition=1.0, hetero=1.0, spread=1.0,
+                       consistent=False):
+    """A and b of `make_quadratic` from one (n, m, p, p) draw and one QR of
+    the whole stack."""
+    rng = keyed_rng(seed, PURPOSE_MC, agent=2, epoch=0)
+    A = np.linalg.qr(rng.normal(size=(n, m, p, p)))[0]
+    A *= np.logspace(0.0, 0.5 * np.log10(condition), p)
+    x_hat = rng.normal(size=p)
+    if consistent:
+        targets = np.broadcast_to(x_hat, (n, m, p)).copy()
+    else:
+        h = hetero * rng.normal(size=(n, 1, p))
+        xi = spread * rng.normal(size=(n, m, p))
+        targets = x_hat + h + xi
+    return A, np.einsum("imkp,imp->imk", A, targets)
+
+
+# m * p * p = 2048 floats per agent puts 64 agents in a block, so n = 150 ends
+# on a partial block; an agent of m * p * p = 2 * 300 * 300 floats exceeds one
+@pytest.mark.parametrize("n,m,p,kw", [
+    (150, 8, 16, {}),
+    (150, 8, 16, {"condition": 30.0, "hetero": 2.0, "spread": 0.5}),
+    (70, 8, 16, {"consistent": True, "condition": 4.0}),
+    (3, 2, 300, {"condition": 2.0}),
+], ids=["partial-block", "condition", "consistent", "agent-above-block"])
+def test_make_quadratic_blocks_equal_one_shot_construction(n, m, p, kw):
+    obj = make_quadratic(n, m, p, seed=4, **kw)
+    A, b = one_shot_quadratic(n, m, p, 4, **kw)
+    assert obj.A.tobytes() == A.tobytes()
+    assert obj.b.tobytes() == b.tobytes()
+    assert obj.x_star.tobytes() == QuadraticObjective(A, b).x_star.tobytes()
+    # the blocked eigvalsh finds the one-shot stacked L
+    L = float(np.linalg.eigvalsh(np.swapaxes(A, 2, 3) @ A)[..., -1].max())
+    assert QuadraticObjective(obj.A, obj.b).constants.L == L
+
+
 @pytest.mark.parametrize("n,m,p,condition", [(512, 8, 16, 1.0), (16, 6, 5, 100.0)])
 def test_quadratic_blas_grams_match_einsum_forms(n, m, p, condition):
     obj = make_quadratic(n, m, p, seed=0, condition=condition)

@@ -1,10 +1,11 @@
+import dense_mixing
 import numpy as np
 import pytest
 from graph_helpers import adjacency, degree
 
-from netshuffle.topology import (MixingMatrix, TopologyError, build_graph,
-                                 lazify, metropolis_weights, psd_sqrt,
-                                 spectral_info)
+from netshuffle.topology import (MixingMatrix, NeighborGather, TopologyError,
+                                 build_graph, lazify, metropolis_weights,
+                                 psd_sqrt, spectral_info)
 
 
 def test_ring16_every_node_has_two_neighbors():
@@ -271,3 +272,120 @@ def test_non_circulant_graphs_take_eigh(ring16):
                 metropolis_weights(build_graph("complete", n=6)),
                 metropolis_weights(build_graph("ring", n=2))):
         assert mix.spectral.modes is not None
+
+
+# ---------------------------------------------------------------------------
+# W kept as its nonzeros, against the dense construction
+# ---------------------------------------------------------------------------
+
+
+ENTRY_GRAPHS = {
+    "ring1": build_graph("ring", n=1),
+    "ring2": build_graph("ring", n=2),
+    "ring3": build_graph("ring", n=3),
+    "ring16": build_graph("ring", n=16),
+    "ring300": build_graph("ring", n=300),
+    "grid3x5": build_graph("grid", rows=3, cols=5),
+    "star7": build_graph("star", n=7),
+    "complete1": build_graph("complete", n=1),
+    "complete2": build_graph("complete", n=2),
+    "complete43": build_graph("complete", n=43),
+    "custom": build_graph("custom", n=9, edges=[(0, 1), (1, 2), (2, 3), (3, 0), (3, 4),
+                                                (4, 5), (5, 6), (6, 7), (7, 8), (8, 2)]),
+}
+
+
+def assert_same_mixing(mix: MixingMatrix, w: np.ndarray):
+    """`mix` is bit for bit the dense `w`: its dense form, its neighbour
+    gather and its spectrum."""
+    assert mix.w.tobytes() == w.tobytes()
+    gather = NeighborGather(mix)
+    idx, wt = dense_mixing.gather(w)
+    assert np.array_equal(gather.idx, idx) and gather.wt.tobytes() == wt.tobytes()
+    vals, modes = dense_mixing.spectrum(w)
+    assert mix.spectral.eigenvalues.tobytes() == vals.tobytes()
+    if modes is None:
+        assert mix.spectral.modes is None
+    else:
+        assert np.array_equal(mix.spectral.modes, modes)
+
+
+@pytest.mark.parametrize("tau", [None, 0.5, 0.3])
+@pytest.mark.parametrize("name", sorted(ENTRY_GRAPHS))
+def test_entry_construction_matches_dense(name, tau):
+    g = ENTRY_GRAPHS[name]
+    mix, w = metropolis_weights(g), dense_mixing.metropolis(g)
+    if tau is not None:
+        mix, w = lazify(mix, tau), dense_mixing.lazify(w, tau)
+    assert mix.n == g.n
+    rows, cols = np.nonzero(w)
+    assert np.array_equal(mix.rows, rows) and np.array_equal(mix.cols, cols)
+    assert mix.vals.tobytes() == w[rows, cols].tobytes()
+    assert_same_mixing(mix, w)
+    # a dense input goes through the same conversion
+    assert_same_mixing(MixingMatrix(w), w)
+
+
+def test_lazify_inserts_a_missing_diagonal():
+    w = np.full((3, 3), 0.5) - 0.5 * np.eye(3)
+    mix = MixingMatrix(w)
+    assert not np.any(mix.rows == mix.cols)
+    lazy = lazify(mix, 0.4)
+    assert_same_mixing(lazy, dense_mixing.lazify(w, 0.4))
+    assert np.array_equal(np.diag(lazy.w), np.full(3, 0.4))
+
+
+def test_circulant_spectrum_leaves_w_unbuilt():
+    mix = lazify(metropolis_weights(build_graph("ring", n=512)), 0.5)
+    assert mix.spectral.modes is not None
+    assert isinstance(mix.operator, NeighborGather)
+    assert "w" not in vars(mix)
+    grid = metropolis_weights(build_graph("grid", rows=4, cols=4))
+    assert grid.spectral.modes is None and "w" in vars(grid)
+
+
+def test_dense_w_is_read_only_and_built_once(ring16):
+    assert ring16.w is ring16.w
+    with pytest.raises(ValueError):
+        ring16.w[0, 0] = 0.0
+
+
+def _asymmetric():
+    w = np.full((3, 3), 1.0 / 3.0)
+    w[0, 1] += 1e-6
+    w[0, 0] -= 1e-6
+    return w
+
+
+def _one_sided():
+    # an entry with no mirror entry at all: W[0, 2] > 0 but W[2, 0] == 0
+    w = np.array([[0.5, 0.5, 0.0], [0.5, 0.25, 0.25], [0.0, 0.25, 0.75]])
+    w[0, 2], w[0, 0] = 1e-9, 0.5 - 1e-9
+    return w
+
+
+def _negative():
+    return np.array([[1.2, -0.2], [-0.2, 1.2]])
+
+
+def _disconnected():
+    return np.kron(np.eye(2), np.full((2, 2), 0.5))
+
+
+@pytest.mark.parametrize("make", [_asymmetric, _one_sided, lambda: np.eye(3) * 0.9,
+                                  _negative, _disconnected],
+                         ids=["asymmetric", "one-sided", "rows", "negative", "disconnected"])
+def test_entry_checks_raise_the_dense_messages(make):
+    w = make()
+    with pytest.raises(TopologyError) as dense:
+        dense_mixing.check(w)
+    with pytest.raises(TopologyError) as entries:
+        MixingMatrix(w)
+    assert str(entries.value) == str(dense.value)
+
+
+def test_non_finite_weights_rejected():
+    w = np.full((2, 2), 0.5)
+    w[0, 0] = np.nan
+    with pytest.raises(TopologyError, match="finite"):
+        MixingMatrix(w)

@@ -115,6 +115,51 @@ def test_negative_b2_rejected(ring8):
         build_operator((0.0, 1.0), (-1.0, 1.0), (0.0, 1.0), ring8)
 
 
+def dense_operator_error(coeffs, mix):
+    """The message the dense check of A or C raises for these coefficients,
+    or None."""
+    M = _poly_matrix(coeffs, mix.w)
+    if np.abs(M.sum(axis=1) - 1.0).max() > 1e-12:
+        return "A is not stochastic for these coefficients"
+    if M.min() < -1e-12:
+        return "A has negative entries; not doubly stochastic"
+    return None
+
+
+@pytest.mark.parametrize("graph", [build_graph("ring", n=8), build_graph("star", n=6),
+                                   build_graph("grid", rows=2, cols=3)],
+                         ids=["ring", "star", "grid"])
+@pytest.mark.parametrize("coeffs", [(0.0, 1.0), (1.0,), (0.5, 0.5), (-0.5, 1.5), (-1.0, 2.0),
+                                    (0.0, 2.0), (2.0, -1.0), (1.5, -0.5), (0.9,),
+                                    (0.5, 0.5, 0.0), (0.5, -0.5, 1.0)])
+def test_degree_one_checks_on_entries_match_dense(graph, coeffs):
+    mix = metropolis_weights(graph)
+    expected = dense_operator_error(coeffs, mix)
+    fresh = metropolis_weights(graph)
+    op = None
+    if expected is None:
+        op = build_operator(coeffs, (1.0, -1.0), (1.0,), fresh)
+    else:
+        with pytest.raises(OperatorError) as exc:
+            build_operator(coeffs, (1.0, -1.0), (1.0,), fresh)
+        assert str(exc.value) == expected
+    # on a circulant W, only a polynomial of degree 2 or more is realized
+    if fresh.spectral.modes is not None:
+        assert ("w" in vars(fresh)) == (len(coeffs) > 2)
+    if op is not None:
+        assert op.A.tobytes() == _poly_matrix(coeffs, mix.w).tobytes()
+
+
+def test_presets_leave_dense_w_and_operators_unbuilt():
+    mix = lazify(metropolis_weights(build_graph("ring", n=512)), 0.5)
+    ops = gtrr_operator(mix), edrr_operator(mix)
+    for op in ops:
+        transform_data(op)
+        assert not {"A", "C", "B", "B2"} & set(vars(op))
+    assert "w" not in vars(mix)
+    assert np.array_equal(ops[0].A, mix.w) and np.array_equal(ops[1].C, np.eye(512))
+
+
 def lazy_ring_spectrum(n: int, tau: float = 0.5) -> np.ndarray:
     """Eigenvalues of lazify(Metropolis ring, tau) in closed form, descending:
     1 - (1 - tau) (2/3) (1 - cos(2 pi k / n)) for k = 0..n-1."""
