@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run property suites")
     p_verify.add_argument("--suite", default="all",
-                          choices=["abc", "shuffle", "spectral", "gradcheck", "all"])
+                          choices=[*harness.SUITES, "all"])
     p_verify.add_argument("--abc", help="gtrr|edrr|custom:<a>/<b2>/<c> extra check")
     _add_config_flags(p_verify)
     p_verify.set_defaults(fn=_cmd_verify)

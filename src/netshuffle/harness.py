@@ -31,15 +31,16 @@ class ConfigError(ValueError):
 
 
 def _key(default, section: str, help: str | None = None, *, key: str | None = None,
-         flag: str | None = None, choices=None, minimum: int | None = None,
-         hashed: bool = True):
+         flag: str | None = None, choices=None, minimum: float | None = None,
+         below: float | None = None, hashed: bool = True):
     """Declare a config field: its file key is `<section>.<key or field name>`,
     its CLI flag `--<flag or field name>` (underscores as dashes), and only
-    hashed fields enter the canonical text.  `choices` and `minimum` are
-    checked by `config_from_mapping`."""
+    hashed fields enter the canonical text.  `choices`, `minimum` (value >=
+    minimum) and `below` (value < below) are checked by
+    `config_from_mapping`; NaN fails both bounds."""
     return dataclasses.field(default=default, metadata={
         "section": section, "key": key, "flag": flag, "help": help,
-        "choices": choices, "minimum": minimum, "hashed": hashed})
+        "choices": choices, "minimum": minimum, "below": below, "hashed": hashed})
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,9 @@ class ExperimentConfig:
     n: int = _key(16, "objective", "agent count", minimum=1)
     m: int = _key(10, "objective", "components per agent", minimum=1)
     dim: int = _key(5, "objective", "iterate dimension", minimum=1)
-    rho: float = _key(0.2, "objective", "ridge weight (logistic)")
-    eta: float = _key(0.2, "objective", "saturating-penalty weight")
-    condition: float = _key(1.0, "objective")
+    rho: float = _key(0.2, "objective", "ridge weight (logistic)", minimum=0)
+    eta: float = _key(0.2, "objective", "saturating-penalty weight", minimum=0)
+    condition: float = _key(1.0, "objective", minimum=1)
     hetero: bool = _key(True, "objective", "label-sorted heterogeneous partition")
     hetero_scale: float = _key(1.0, "objective")
     spread: float = _key(1.0, "objective")
@@ -59,7 +60,8 @@ class ExperimentConfig:
     data_seed: int = _key(0, "objective")
     cifar10: str = _key("", "objective", "directory with CIFAR-10 binary batches")
     graph: str = _key("ring", "topology", "ring|grid:RxC|complete|star|custom:<edge-file>")
-    tau: float = _key(0.0, "topology", "lazify weight in (0,1)")
+    tau: float = _key(0.0, "topology", "lazify weight in [0,1); 0 keeps W",
+                      minimum=0, below=1)
     methods: tuple = _key(("gtrr",), "run", "comma list from "
                           + ",".join(sorted(algorithms.METHODS)), flag="method")
     sampling: str = _key("rr", "run", choices=("rr", "once", "iid"))
@@ -134,8 +136,11 @@ def config_from_mapping(entries: dict, base: ExperimentConfig | None = None) -> 
         if meta["choices"] is not None and value not in meta["choices"]:
             raise ConfigError(f"{_FIELD_TO_KEY[name]}: expected one of "
                               f"{', '.join(meta['choices'])}, got {value!r}")
-        if meta["minimum"] is not None and value < meta["minimum"]:
+        if meta["minimum"] is not None and not value >= meta["minimum"]:
             raise ConfigError(f"{_FIELD_TO_KEY[name]}: must be >= {meta['minimum']}, "
+                              f"got {value}")
+        if meta["below"] is not None and not value < meta["below"]:
+            raise ConfigError(f"{_FIELD_TO_KEY[name]}: must be < {meta['below']}, "
                               f"got {value}")
     return cfg
 
@@ -507,7 +512,7 @@ def verify_operator(op: unified.AbcOperator, label: str) -> list:
     """The two-variable (A, B^2, C) recursion against the transformed
     recursion on a quadratic over `op`'s graph, and the transform's gamma < 1;
     check names start with `label`."""
-    obj = make_quadratic(op.n, 4, 3, seed=1, condition=2.0)
+    obj = make_quadratic(op.mix.n, 4, 3, seed=1, condition=2.0)
     x0 = algorithms.initial_iterates(obj, "same", 1.0, init_seed=1)
     gap, = _trajectory_gaps(x0, 5, 0.01,
                             unified.AbcEngine(op, obj, PermutationStream(1, "rr")),

@@ -188,11 +188,11 @@ class TheoryConstants:
 def _norm_triple(transform, worst_case):
     if worst_case is None:
         return transform.norm_V2, transform.norm_Vinv2, transform.norm_La2, transform.gamma
-    lam = transform.lam
+    lam = transform.spectral.lam
     if worst_case == "gtrr":
         return 3.0, 9.0, lam ** 2, lam
     if worst_case == "edrr":
-        lmin = transform.lambda_min
+        lmin = transform.spectral.lambda_min
         if lmin <= 0:
             raise ValueError("the exact-diffusion bounds need a positive definite W")
         return 4.0, 2.0 / lmin, lam ** 2, math.sqrt(lam)
@@ -237,13 +237,12 @@ def theory_constants(transform, m: int, L: float, mu: float | None, T: int,
             1.0 / (4.0 * math.sqrt(2.0) * m * L),
             math.sqrt(g2) / (6.0 * m ** 0.75 * C1 ** 0.25 * L),
         )
-    lam = transform.lam
+    lam, lmin = transform.spectral.lam, transform.spectral.lambda_min
     beta1 = (2.0 * math.sqrt(2.0) * (1.0 - lam ** 2)
              + 3.0 * (42.0 * (1.0 - lam ** 2) ** 2 / m) ** 0.25
              + math.sqrt(42.0 / m) + math.sqrt(162.0 / m))
     beta2 = None
-    if transform.lambda_min > 0:
-        lmin = transform.lambda_min
+    if lmin > 0:
         beta2 = (2.0 * math.sqrt(2.0) * (1.0 - lam)
                  + 3.0 * (38.0 * (1.0 - lam) ** 2 / (3.0 * lmin * m)) ** 0.25
                  + math.sqrt(38.0 / (3.0 * lmin * m))

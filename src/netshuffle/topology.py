@@ -18,6 +18,7 @@ from numpy.fft import rfft
 
 SYM_TOL = 1e-12
 STOCH_TOL = 1e-12
+PSD_TOL = 1e-12
 
 # `MixingMatrix.operator` gathers over neighbours instead of multiplying by
 # the dense W once n >= GATHER_MIN_N and n >= GATHER_PER_ROW * (the most
@@ -318,7 +319,6 @@ class MixingMatrix:
             a.setflags(write=False)
         self.n = n
         self.rows, self.cols, self.vals = rows, cols, vals
-        self._spectral: SpectralInfo | None = None
 
     @functools.cached_property
     def w(self) -> np.ndarray:
@@ -328,11 +328,9 @@ class MixingMatrix:
         w.setflags(write=False)
         return w
 
-    @property
+    @functools.cached_property
     def spectral(self) -> SpectralInfo:
-        if self._spectral is None:
-            self._spectral = spectral_info(self)
-        return self._spectral
+        return spectral_info(self)
 
     @functools.cached_property
     def operator(self) -> np.ndarray | NeighborGather:
@@ -413,21 +411,16 @@ def lazify(mix: MixingMatrix, tau: float) -> MixingMatrix:
         np.concatenate((vals, np.full(len(missing), tau)))))
 
 
-def spectral_info(w: np.ndarray | MixingMatrix) -> SpectralInfo:
+def spectral_info(mix: MixingMatrix) -> SpectralInfo:
     """Eigendata of a mixing matrix with 1/sqrt(n) pinned first.
 
     A symmetric circulant W takes its eigenvalues from the rfft of its first
     row, one per Fourier mode, so both modes of a cosine/sine pair carry the
-    same bits; any other W takes a dense ``eigh``.  A `MixingMatrix` is
-    tested for the circulant form on its nonzeros, and builds its dense
-    ``w`` only for ``eigh``.
+    same bits; any other W takes a dense ``eigh``.  The circulant form is
+    tested on W's nonzeros, and the dense ``w`` is built only for ``eigh``.
     """
-    if isinstance(w, MixingMatrix):
-        n, entries, dense = w.n, (w.rows, w.cols, w.vals), None
-    else:
-        dense = np.asarray(w, dtype=float)
-        n, entries = dense.shape[0], _nonzeros(dense)
-    first_row = _circulant_row(n, *entries)
+    n = mix.n
+    first_row = _circulant_row(n, mix.rows, mix.cols, mix.vals)
     modes = vecs = None
     if first_row is not None:
         vals = rfft(first_row).real[(np.arange(n) + 1) // 2]
@@ -436,13 +429,7 @@ def spectral_info(w: np.ndarray | MixingMatrix) -> SpectralInfo:
         modes = np.concatenate(([0], 1 + np.argsort(-vals[1:], kind="stable")))
         vals = vals[modes]
     else:
-        if dense is None:
-            dense = w.w
-        else:
-            asym = float(np.max(np.abs(dense - dense.T)))
-            if asym > SYM_TOL:
-                raise TopologyError(f"matrix is asymmetric beyond {SYM_TOL:g}")
-        vals, vecs = np.linalg.eigh(dense)
+        vals, vecs = np.linalg.eigh(mix.w)
         order = np.argsort(vals)[::-1]
         vals = vals[order]
         vecs = vecs[:, order]
@@ -465,13 +452,13 @@ def spectral_info(w: np.ndarray | MixingMatrix) -> SpectralInfo:
     )
 
 
-def psd_sqrt(mat: np.ndarray, tol: float = 1e-12, null_tol: float = 0.0) -> np.ndarray:
-    """Symmetric PSD square root; rejects eigenvalues below -tol and takes
-    those at or below null_tol as exact zeros (the root of a round-off 1e-16
-    is 1e-8)."""
+def psd_sqrt(mat: np.ndarray, null_tol: float = 0.0) -> np.ndarray:
+    """Symmetric PSD square root; rejects eigenvalues below -PSD_TOL and
+    takes those at or below null_tol as exact zeros (the root of a round-off
+    1e-16 is 1e-8)."""
     mat = 0.5 * (mat + mat.T)
     vals, vecs = np.linalg.eigh(mat)
-    if vals.min() < -tol:
+    if vals.min() < -PSD_TOL:
         raise TopologyError(
             f"matrix has negative eigenvalue {vals.min():.3g}; square root undefined"
         )

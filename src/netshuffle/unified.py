@@ -151,10 +151,6 @@ class AbcOperator:
     root_order: int
     poly_r: tuple
 
-    @property
-    def n(self):
-        return self.mix.n
-
     @functools.cached_property
     def A(self) -> np.ndarray:
         return _poly_matrix(self.poly_a, self.mix.w)
@@ -247,44 +243,25 @@ def edrr_operator(mix: MixingMatrix) -> AbcOperator:
 class TransformData:
     """Similarity data for the stacked (x, s) recursion off consensus.
 
-    The block map G = V Gamma V^{-1} is kept as its n-1 2x2 blocks, block i
-    acting on rows (i, n-1+i) of the stacked 2(n-1) vector; nothing here
-    builds the dense 2(n-1)-square matrices.
+    The block map G = V Gamma V^{-1} is kept as the n-1 2x2 blocks of V and
+    V^{-1}, block i acting on rows (i, n-1+i) of the stacked 2(n-1) vector;
+    nothing here builds the dense 2(n-1)-square matrices.  W's eigendata is
+    read from ``spectral``.
     """
 
-    n: int
     spectral: SpectralInfo
-    lam_vals: np.ndarray   # eigenvalues lambda_2..lambda_n of W
-    a_vals: np.ndarray
-    b_vals: np.ndarray
-    c_vals: np.ndarray
-    G_blocks: np.ndarray   # (n-1, 2, 2)
-    V_blocks: np.ndarray
+    a_vals: np.ndarray     # a(lambda_i) at lambda_2..lambda_n
+    b_vals: np.ndarray     # b(lambda_i), the diagonal of Lambda_b
+    V_blocks: np.ndarray   # (n-1, 2, 2)
     Vinv_blocks: np.ndarray
-    Gamma_blocks: np.ndarray
     gamma: float
     norm_V2: float
     norm_Vinv2: float
     norm_La2: float        # ||Lambda_a||^2 on the non-consensus spectrum
-    any_defective: bool
-
-    @property
-    def uhat(self) -> np.ndarray:
-        return self.spectral.uhat
-
-    @property
-    def lam(self) -> float:
-        """Spectral norm of W - 11^T/n."""
-        return self.spectral.lam
-
-    @property
-    def lambda_min(self) -> float:
-        """Smallest eigenvalue of W."""
-        return self.spectral.lambda_min
 
     def e_vector(self, X: np.ndarray, S: np.ndarray) -> np.ndarray:
         """e = V^{-1} [Uhat^T x ; Lambda_b^{-1} Uhat^T s], a 2(n-1) x p array."""
-        if self.n == 1:
+        if not len(self.b_vals):
             return np.zeros((0, X.shape[1]))
         p = X.shape[1]
         proj = self.spectral.project(np.concatenate((X, S), axis=1))
@@ -312,14 +289,15 @@ def _perp(rows: np.ndarray) -> np.ndarray:
 
 
 def _block_bases(G: np.ndarray):
-    """Canonical (V, Gamma, radius, defective, cond) of every 2x2 block of G.
+    """Canonical (V, radius, defective, cond) of every 2x2 block of G.
 
-    Each block falls in one branch by the sign of its discriminant: distinct
-    real eigenvalues (unit eigenvectors, diagonal Gamma), a complex pair (a
-    scaled rotation), or a repeated eigenvalue (an orthonormal Schur basis;
-    a block that is already scalar keeps V = I).  Every V is then balanced so
-    that ||V|| == ||V^{-1}||; both squared equal cond, the ratio of V's
-    singular values.
+    Each block falls in one branch by the sign of its discriminant, and V
+    brings it to a canonical Gamma = V^{-1} G V: distinct real eigenvalues
+    (unit eigenvectors, diagonal Gamma), a complex pair (a scaled rotation),
+    or a repeated eigenvalue (an orthonormal Schur basis, upper triangular
+    Gamma; a block that is already scalar keeps V = I).  Every V is then
+    balanced so that ||V|| == ||V^{-1}||; both squared equal cond, the ratio
+    of V's singular values.
     """
     g00, g01, g10, g11 = G[:, 0, 0], G[:, 0, 1], G[:, 1, 0], G[:, 1, 1]
     tr = g00 + g11
@@ -330,7 +308,6 @@ def _block_bases(G: np.ndarray):
     cplx = disc < -thresh
     defective = ~(real | cplx)
     V = np.empty_like(G)
-    Gamma = np.zeros_like(G)
     radius = np.empty(len(G))
 
     root = np.sqrt(disc[real])
@@ -341,7 +318,6 @@ def _block_bases(G: np.ndarray):
                           np.stack([g10[real], g11[real] - z], axis=1))
         v = _perp(row)
         V[real, :, col] = v / np.sqrt(_row_sq(v))[:, None]
-        Gamma[real, col, col] = z
     radius[real] = np.maximum(np.abs(zs[0]), np.abs(zs[1]))
 
     # the complex eigenvector (from the second row) split into re/im columns
@@ -349,8 +325,6 @@ def _block_bases(G: np.ndarray):
     omega = 0.5 * np.sqrt(-disc[cplx])
     V[cplx] = np.stack([np.stack([sigma - g11[cplx], omega], axis=1),
                         np.stack([g10[cplx], np.zeros_like(sigma)], axis=1)], axis=1)
-    Gamma[cplx] = np.stack([np.stack([sigma, omega], axis=1),
-                            np.stack([-omega, sigma], axis=1)], axis=1)
     radius[cplx] = np.hypot(sigma, omega)
 
     lam_hat = 0.5 * tr[defective]
@@ -360,47 +334,40 @@ def _block_bases(G: np.ndarray):
     scalar = nrm < 1e-14
     idx = np.flatnonzero(defective)
     v = _perp(row[~scalar]) / nrm[~scalar, None]
-    Vd = np.stack([v, _perp(v)], axis=2)
-    V[idx[~scalar]] = Vd
-    Gamma[idx[~scalar]] = np.swapaxes(Vd, 1, 2) @ G[idx[~scalar]] @ Vd
+    V[idx[~scalar]] = np.stack([v, _perp(v)], axis=2)
     V[idx[scalar]] = np.eye(2)
-    Gamma[idx[scalar]] = G[idx[scalar]]
     radius[defective] = np.abs(lam_hat)
 
     svals = np.linalg.svd(V, compute_uv=False)
     V /= np.sqrt(svals[:, 0] * svals[:, -1])[:, None, None]
-    return V, Gamma, radius, defective, svals[:, 0] / svals[:, -1]
+    return V, radius, defective, svals[:, 0] / svals[:, -1]
 
 
 def transform_data(op: AbcOperator) -> TransformData:
-    """Assemble the V and Gamma blocks and the cached norms for an operator.
+    """Assemble the V blocks and the cached norms for an operator.
 
     Rejects operators whose block spectral radius reaches 1 (non-contractive
     off the consensus span).
     """
     spec = op.mix.spectral
-    n = op.n
     lam_vals = spec.eigenvalues[1:]
     a_vals = _poly_scalar(op.poly_a, lam_vals)
     b2_vals, b_vals = op.b2_and_b(lam_vals)
-    c_vals = _poly_scalar(op.poly_c, lam_vals)
-    k = n - 1
-    G = np.empty((k, 2, 2))
-    G[:, 0, 0] = a_vals * c_vals - b2_vals
+    G = np.empty((len(lam_vals), 2, 2))
+    G[:, 0, 0] = a_vals * _poly_scalar(op.poly_c, lam_vals) - b2_vals
     G[:, 0, 1] = -b_vals
     G[:, 1, 0] = b_vals
     G[:, 1, 1] = 1.0
-    V, Gamma, radius, defective, cond = _block_bases(G)
+    V, radius, defective, cond = _block_bases(G)
     gamma = float(np.max(radius, initial=0.0))
-    any_defective = bool(defective.any())
     det = V[:, 0, 0] * V[:, 1, 1] - V[:, 0, 1] * V[:, 1, 0]
     adj = np.empty_like(V)
     adj[:, 0, 0], adj[:, 0, 1] = V[:, 1, 1], -V[:, 0, 1]
     adj[:, 1, 0], adj[:, 1, 1] = -V[:, 1, 0], V[:, 0, 0]
     Vinv = adj / det[:, None, None]
-    if any_defective:
+    if defective.any():
         gamma += DEFECTIVE_GUARD
-    if k > 0 and gamma >= 1.0:
+    if len(G) and gamma >= 1.0:
         raise OperatorError(
             f"operator is not contractive off consensus (gamma = {gamma:.6g} >= 1)"
         )
@@ -408,11 +375,9 @@ def transform_data(op: AbcOperator) -> TransformData:
     # balancing made each block's ||V||^2 and ||V^{-1}||^2 its cond
     norm_V2 = float(np.max(cond, initial=1.0))
     return TransformData(
-        n=n, spectral=spec, lam_vals=lam_vals, a_vals=a_vals, b_vals=b_vals,
-        c_vals=c_vals, G_blocks=G, V_blocks=V, Vinv_blocks=Vinv, Gamma_blocks=Gamma,
+        spectral=spec, a_vals=a_vals, b_vals=b_vals, V_blocks=V, Vinv_blocks=Vinv,
         gamma=gamma, norm_V2=norm_V2, norm_Vinv2=norm_V2,
-        norm_La2=float(np.max(a_vals ** 2)) if k else 0.0,
-        any_defective=any_defective,
+        norm_La2=float(np.max(a_vals ** 2, initial=0.0)),
     )
 
 

@@ -1,4 +1,6 @@
+import argparse
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -144,6 +146,26 @@ def test_sizes_below_one_are_config_errors(tmp_path, capsys, flag, key):
     assert code == cli.EXIT_CONFIG and key in err
 
 
+@pytest.mark.parametrize("flag,value,key", [
+    ("--tau", "-0.5", "topology.tau"), ("--tau", "nan", "topology.tau"),
+    ("--tau", "1", "topology.tau"), ("--tau", "1.5", "topology.tau"),
+    ("--rho", "-1", "objective.rho"), ("--rho", "nan", "objective.rho"),
+    ("--eta", "-0.1", "objective.eta"), ("--eta", "nan", "objective.eta"),
+    ("--condition", "0.5", "objective.condition"),
+    ("--condition", "nan", "objective.condition")])
+def test_out_of_range_numbers_are_config_errors(tmp_path, capsys, flag, value, key):
+    code, err = _sweep_exit(tmp_path, capsys, "--objective", "logistic", flag, value)
+    assert code == cli.EXIT_CONFIG and key in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_range_bounds_admit_their_edges():
+    cfg = config_from_mapping({"topology.tau": "0", "objective.rho": "0",
+                               "objective.eta": "0", "objective.condition": "1"})
+    assert (cfg.tau, cfg.rho, cfg.eta, cfg.condition) == (0.0, 0.0, 0.0, 1.0)
+    assert config_from_mapping({"topology.tau": "0.999"}).tau == 0.999
+
+
 @pytest.mark.parametrize("line,key", [("run.sampling = shuffled", "run.sampling"),
                                       ("objective.family = Logistic", "objective.family"),
                                       ("run.init = zeros", "run.init"),
@@ -158,7 +180,8 @@ def _other_value(field):
     if field.type == "bool":
         return not field.default
     if field.type in ("int", "float"):
-        return field.default + 3
+        below = field.metadata["below"]  # a bounded key moves inside its range
+        return field.default + 3 if below is None else (field.default + below) / 2
     if field.name == "seeds":
         return (3, 4)
     if field.name == "methods":
@@ -272,6 +295,32 @@ def test_sweep_rerun_byte_identical(tmp_path):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b
+
+
+# sha256 of each CSV a lazy-ring sweep of the three transform-carrying
+# methods writes; a circulant W takes no eigh, so these bytes do not depend on
+# the BLAS thread count
+TRANSFORM_SWEEP_SHA256 = {
+    "edrr-pd_mean.csv": "24591a245acf7da613e9ed7d31e9be0853733a49777773b9d8afa3c535c71448",
+    "edrr-pd_seed0.csv": "96aa937fde68902ed91415984cffc7fb98f6d44dc704505cf10aee02dd083a6e",
+    "edrr-pd_seed1.csv": "0490dc21a0c7c5505cf7c04cda461648fa638aa707ee02723feeaed2d3cdcab4",
+    "edrr_mean.csv": "06a69b8cada7dd9bf3e3d736afdaf7bb3a31feb24ef4387afe2018e63772a913",
+    "edrr_seed0.csv": "b4a70f2f6ae3b8313825c352ca0a0e7b2152159cde2f24e435b8bca140cb5a70",
+    "edrr_seed1.csv": "cbbc3964406fceae3056f04ec2df99a170d6679e37f949961aac564f082881a1",
+    "gtrr_mean.csv": "a496e6013c57c6e95b22408009471075dbfc4231cb0cc8bee0565431cd33229a",
+    "gtrr_seed0.csv": "d18b1b433fb37b39ae0d3f29a9c33098682c76e6241b09549a4bea53d628750e",
+    "gtrr_seed1.csv": "41c5cbc98b941deff20f40756a0645120062790a7b0ad54d98bd3fd1ab9324cb",
+}
+
+
+def test_transform_sweep_bytes_are_pinned(tmp_path):
+    # every e_norm_sq and q_t cell goes through the spectral transform
+    run_sweep(ExperimentConfig(objective="quadratic", n=16, graph="ring", tau=0.5,
+                               methods=("gtrr", "edrr", "edrr-pd"), epochs=5,
+                               seeds=(0, 1), outdir=str(tmp_path)))
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in tmp_path.iterdir()}
+    assert got == TRANSFORM_SWEEP_SHA256
 
 
 def test_ring512_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -412,6 +461,13 @@ def test_verify_suites_pass(suite):
 def test_verify_unknown_suite():
     with pytest.raises(ConfigError):
         verify("nope")
+
+
+def test_cli_suite_choices_are_the_suites_and_all():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in subparsers.choices["verify"]._actions if a.dest == "suite")
+    assert sorted(suite.choices) == sorted([*harness.SUITES, "all"])
 
 
 # ---------------------------------------------------------------------------

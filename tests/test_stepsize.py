@@ -146,12 +146,12 @@ def test_worst_case_gtrr_bounds_across_lambda():
 def test_worst_case_edrr_uses_lambda_min(td_edrr16):
     tc = theory_constants(td_edrr16, m=10, L=1.0, mu=None, T=10, worst_case="edrr")
     assert tc.norm_V2 == 4.0
-    assert tc.norm_Vinv2 == pytest.approx(2.0 / td_edrr16.lambda_min)
-    assert tc.gamma == pytest.approx(math.sqrt(td_edrr16.lam))
+    assert tc.norm_Vinv2 == pytest.approx(2.0 / td_edrr16.spectral.lambda_min)
+    assert tc.gamma == pytest.approx(math.sqrt(td_edrr16.spectral.lam))
 
 
 def test_beta1_large_m_limit(td_ring16):
-    lam = td_ring16.lam
+    lam = td_ring16.spectral.lam
     tc = theory_constants(td_ring16, m=10 ** 20, L=1.0, mu=None, T=10)
     assert tc.beta1 == pytest.approx(2.0 * math.sqrt(2.0) * (1.0 - lam ** 2),
                                      rel=1e-3)

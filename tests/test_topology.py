@@ -86,7 +86,7 @@ def test_spectral_complete_graph_gap_one():
 
 
 def test_spectral_two_agents_half_matrix():
-    s = spectral_info(np.full((2, 2), 0.5))
+    s = spectral_info(MixingMatrix(np.full((2, 2), 0.5)))
     assert s.lam == pytest.approx(0.0, abs=1e-12)
 
 
@@ -110,7 +110,7 @@ def test_spectral_rejects_asymmetry():
     w = np.full((3, 3), 1.0 / 3.0)
     w[0, 1] += 1e-6
     with pytest.raises(TopologyError, match="asymmetric"):
-        spectral_info(w)
+        spectral_info(MixingMatrix(w))
 
 
 def test_mixing_matrix_rejects_bad_rows():
@@ -228,7 +228,7 @@ def test_circulant_spectrum_property():
     @hypothesis.given(circulants(), st.integers(0, 2 ** 32 - 1))
     def check(w, seed):
         n = len(w)
-        s = spectral_info(w)
+        s = spectral_info(MixingMatrix(w))
         assert s.modes is not None
         vals, vecs = np.linalg.eigh(w)
         vals, vecs = vals[::-1], vecs[:, ::-1]

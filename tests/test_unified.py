@@ -2,7 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from dense_blocks import block_basis, block_diag, consensus_bound
+from dense_blocks import (block_basis, block_diag, block_map, canonical_gamma,
+                          consensus_bound)
 
 from netshuffle import algorithms
 from netshuffle.algorithms import EDRRPrimalDual, initial_iterates
@@ -183,10 +184,11 @@ def test_b_polynomial_check_accepts_a_lazy_ring_at_4096():
 
 
 def test_gtrr_b_is_exactly_one_minus_lambda(lazy_ring8):
+    lam_vals = lazy_ring8.spectral.eigenvalues[1:]
     td = transform_data(gtrr_operator(lazy_ring8))
-    assert np.array_equal(td.b_vals, 1.0 - td.lam_vals)
+    assert np.array_equal(td.b_vals, 1.0 - lam_vals)
     td = transform_data(edrr_operator(lazy_ring8))
-    assert np.array_equal(td.b_vals, np.sqrt(1.0 - td.lam_vals))
+    assert np.array_equal(td.b_vals, np.sqrt(1.0 - lam_vals))
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +284,16 @@ def test_edrr_gamma_is_sqrt_lambda_on_pd(kind, n, mix):
     assert abs(td.gamma - np.sqrt(lazy.spectral.lam)) < 1e-9
 
 
+def gamma_blocks(op, td):
+    """The operator's blocks G, rebuilt from its polynomials and W's
+    spectrum, and Gamma = V^{-1} G V in its checked canonical form; also
+    checks that the transform took its V from these G."""
+    G = block_map(op)
+    V, radius, defective, cond = _block_bases(G)
+    assert np.array_equal(V, td.V_blocks)
+    return G, canonical_gamma(G, V, radius, defective, cond)
+
+
 @pytest.mark.parametrize("kind,n,mix", graph_suite(),
                          ids=lambda v: v if isinstance(v, str) else str(v))
 def test_similarity_reconstructs_block_map(kind, n, mix):
@@ -290,8 +302,9 @@ def test_similarity_reconstructs_block_map(kind, n, mix):
         if n == 1:
             continue
         V, Vinv = block_diag(td.V_blocks), block_diag(td.Vinv_blocks)
-        recon = V @ block_diag(td.Gamma_blocks) @ Vinv
-        assert np.linalg.norm(recon - block_diag(td.G_blocks)) < 1e-9
+        G, Gamma = gamma_blocks(op, td)
+        recon = V @ block_diag(Gamma) @ Vinv
+        assert np.linalg.norm(recon - block_diag(G)) < 1e-9
         assert np.linalg.norm(V @ Vinv - np.eye(2 * (n - 1))) < 1e-10
 
 
@@ -363,19 +376,20 @@ def block_suite():
 @pytest.mark.parametrize("op", block_suite())
 def test_block_transform_matches_dense(op, rng):
     td = transform_data(op)
-    k = op.n - 1
-    # nothing but uhat is stored at more than one 2x2 block per eigenvalue
+    k = op.mix.n - 1
+    # no field stores more than one 2x2 block per eigenvalue
     for field in dataclasses.fields(td):
         value = getattr(td, field.name)
-        if isinstance(value, np.ndarray) and field.name != "uhat":
+        if isinstance(value, np.ndarray):
             assert value.size <= 4 * k, field.name
     V, Vinv = block_diag(td.V_blocks), block_diag(td.Vinv_blocks)
     assert td.norm_V2 == pytest.approx(np.linalg.norm(V, 2) ** 2, rel=1e-12)
     assert td.norm_Vinv2 == pytest.approx(np.linalg.norm(Vinv, 2) ** 2, rel=1e-12)
     for _ in range(5):
-        X = rng.normal(size=(op.n, 3))
-        S = rng.normal(size=(op.n, 3))
-        dense = Vinv @ np.vstack([td.uhat.T @ X, (td.uhat.T @ S) / td.b_vals[:, None]])
+        X = rng.normal(size=(op.mix.n, 3))
+        S = rng.normal(size=(op.mix.n, 3))
+        uhat = td.spectral.uhat
+        dense = Vinv @ np.vstack([uhat.T @ X, (uhat.T @ S) / td.b_vals[:, None]])
         e = td.e_vector(X, S)
         assert e.shape == (2 * k, 3)
         assert np.max(np.abs(e - dense)) <= 1e-13 * max(1.0, np.max(np.abs(dense)))
@@ -418,15 +432,14 @@ def test_vectorized_block_bases_match_per_block_reference():
         G[:, 0, 1] = -np.sqrt(b2)
         G[:, 1, 0] = np.sqrt(b2)
         G[:, 1, 1] = 1.0
-        V, Gamma, radius, defective, _ = _block_bases(G)
+        V, radius, defective, cond = _block_bases(G)
         ref = [block_basis(g) for g in G]
         V_ref = np.array([r[0] for r in ref])
-        Gamma_ref = np.array([r[1] for r in ref])
         assert close(V, V_ref)
-        assert close(Gamma, Gamma_ref)
+        canonical_gamma(G, V, radius, defective, cond)
         assert close(_inverse_blocks(V), _inverse_blocks(V_ref))
-        assert radius.max() == max(r[2] for r in ref)
-        assert defective.any() == any(r[3] for r in ref)
+        assert radius.max() == max(r[1] for r in ref)
+        assert defective.any() == any(r[2] for r in ref)
 
     check()
 
@@ -475,12 +488,12 @@ def test_transformed_one_step_recursion_matches_blocks(quad8, ring8):
     eng.S, eng._anchor, AGc = eng._anchored_s(alpha)
     orders = eng.stream.epoch_orders(eng.n, t, eng.m)
     Gc = np.linalg.solve(op.A, AGc)
-    Gamma, Vinv = block_diag(td.Gamma_blocks), block_diag(td.Vinv_blocks)
+    Gamma, Vinv = block_diag(gamma_blocks(op, td)[1]), block_diag(td.Vinv_blocks)
     for ell in range(eng.m):
         e_before = td.e_vector(eng.X, eng.S)
         g = quad8.perm_grads(eng.X, orders[:, ell])
         drive = np.vstack([
-            (td.a_vals[:, None]) * (td.uhat.T @ (g - Gc)),
+            (td.a_vals[:, None]) * (td.spectral.uhat.T @ (g - Gc)),
             np.zeros((eng.n - 1, eng.p)),
         ])
         predicted = Gamma @ e_before - alpha * (Vinv @ drive)
@@ -506,8 +519,9 @@ def test_s_consistent_with_z_form_each_step(quad8, ring8):
         xz, sz = eng.abc_state(ALPHA)
         xs, ss = xform.abc_state(ALPHA)
         assert np.linalg.norm(xz - xs) / max(1, np.linalg.norm(xz)) < 1e-9
-        proj = td.uhat.T @ (sz - ss)
-        assert np.linalg.norm(proj) / max(1, np.linalg.norm(td.uhat.T @ sz)) < 1e-9
+        uhat = td.spectral.uhat
+        proj = uhat.T @ (sz - ss)
+        assert np.linalg.norm(proj) / max(1, np.linalg.norm(uhat.T @ sz)) < 1e-9
 
 
 def test_fixed_point_at_consensus_with_zero_gradients():
@@ -610,7 +624,7 @@ def test_e_norm_sq_matches_long_double_reference_on_lazy_ring512(method, monkeyp
     # n/2 - 1, then the alternating vector; a pair shares its eigenvalue's
     # bits and so its V block, which makes e_norm_sq blind to the basis
     # chosen inside the pair
-    lam = td.lam_vals
+    lam = td.spectral.eigenvalues[1:]
     assert np.all(lam[:-1:2] == lam[1::2]) and np.all(np.diff(lam) <= 0)
     freq = np.arange(1, n // 2 + 1).repeat(2)[:n - 1]
     sine = np.arange(n - 1) % 2 == 1
