@@ -46,14 +46,16 @@ class ProbeInfo:
     X_before: np.ndarray
     X_after: np.ndarray
     grads: np.ndarray
-    Y_before: np.ndarray | None = None
+    Y: np.ndarray | None = None  # the tracker the step used
 
 
 class _Method:
-    """Common scaffolding; subclasses implement `epoch`."""
+    """Common scaffolding and the one inner-step loop; subclasses implement
+    `_step`, and `_start_epoch` or `_orders` where their epoch start differs."""
 
     name = "abstract"
     uses_rr = True  # False => requires iid sampling
+    Y: np.ndarray | None = None  # gradient trackers only
 
     def __init__(self, objective: FiniteSumObjective, mix: MixingMatrix,
                  stream: PermutationStream):
@@ -76,6 +78,27 @@ class _Method:
         self.X = X0
 
     def epoch(self, t: int, alpha: float, probe=None):
+        """Advance one epoch: m inner steps, each at the gradient of the
+        current iterate along the epoch's orders."""
+        orders = self._orders(t)
+        self._start_epoch(alpha)
+        for ell in range(self.m):
+            Xb = self.X
+            g = self.obj.perm_grads(Xb, orders[:, ell])
+            self._step(ell, alpha, g)
+            if probe is not None:
+                probe(ProbeInfo(t, ell, alpha, Xb, self.X, g, self.Y))
+
+    def _orders(self, t: int) -> np.ndarray:
+        """(n, m) component indices of epoch t, one row per agent."""
+        return self.stream.epoch_orders(self.n, t, self.m)
+
+    def _start_epoch(self, alpha: float):
+        pass
+
+    def _step(self, ell: int, alpha: float, g: np.ndarray):
+        """Replace self.X (and any auxiliary state) by inner step `ell`'s
+        update, given the gradients g at the current iterate."""
         raise NotImplementedError
 
     def abc_state(self, alpha: float):
@@ -97,19 +120,13 @@ class CentralizedRR(_Method):
         super().reset(X0)
         if np.max(np.abs(X0 - X0[0])) > 0:
             raise ValueError("centralized RR needs a common initial point")
-        self.x = self.X[0].copy()
 
-    def epoch(self, t, alpha, probe=None):
-        perm = self.stream.permutation(0, t, self.m)
-        for ell in range(self.m):
-            Xb = np.broadcast_to(self.x, (self.n, self.p)).copy()
-            idx = np.full(self.n, perm[ell])
-            G = self.obj.perm_grads(Xb, idx)
-            self.x = self.x - alpha * G.mean(axis=0)
-            if probe is not None:
-                Xa = np.broadcast_to(self.x, (self.n, self.p)).copy()
-                probe(ProbeInfo(t, ell, alpha, Xb, Xa, G))
-        self.X = np.broadcast_to(self.x, (self.n, self.p)).copy()
+    def _orders(self, t):
+        return np.broadcast_to(self.stream.permutation(0, t, self.m), (self.n, self.m))
+
+    def _step(self, ell, alpha, g):
+        x = self.X[0] - alpha * g.mean(axis=0)
+        self.X = np.broadcast_to(x, (self.n, self.p)).copy()
 
 
 class DRR(_Method):
@@ -117,14 +134,8 @@ class DRR(_Method):
 
     name = "drr"
 
-    def epoch(self, t, alpha, probe=None):
-        orders = self.stream.epoch_orders(self.n, t, self.m)
-        for ell in range(self.m):
-            G = self.obj.perm_grads(self.X, orders[:, ell])
-            Xb = self.X
-            self.X = self.W @ (self.X - alpha * G)
-            if probe is not None:
-                probe(ProbeInfo(t, ell, alpha, Xb, self.X, G))
+    def _step(self, ell, alpha, g):
+        self.X = self.W @ (self.X - alpha * g)
 
 
 class DSGD(DRR):
@@ -138,28 +149,16 @@ class GTRR(_Method):
     """Gradient tracking with random reshuffling.
 
     The tracker is re-initialized to the first shuffled gradient at every
-    epoch start; inside the epoch x descends along the tracker then mixes,
-    and the tracker mixes then corrects with consecutive shuffled gradients.
+    epoch start; each later step first mixes the tracker and corrects it with
+    the change in shuffled gradient, then x descends along it and mixes.
     """
 
     name = "gtrr"
 
-    def reset(self, X0):
-        super().reset(X0)
-        self.Y = None
-
-    def epoch(self, t, alpha, probe=None):
-        orders = self.stream.epoch_orders(self.n, t, self.m)
-        g = self.obj.perm_grads(self.X, orders[:, 0])
-        self.Y = g.copy()
-        for ell in range(self.m):
-            Xb, Yb, g_ell = self.X, self.Y, g
-            self.X = self.W @ (self.X - alpha * self.Y)
-            if ell < self.m - 1:
-                g = self.obj.perm_grads(self.X, orders[:, ell + 1])
-                self.Y = self.W @ self.Y + g - g_ell
-            if probe is not None:
-                probe(ProbeInfo(t, ell, alpha, Xb, self.X, g_ell, Y_before=Yb))
+    def _step(self, ell, alpha, g):
+        self.Y = g if ell == 0 else self.W @ self.Y + g - self._g
+        self._g = g
+        self.X = self.W @ (self.X - alpha * self.Y)
 
     def abc_state(self, alpha):
         return self.X, self.W @ self.X - self.X + self._consensus_anchor(alpha)
@@ -177,15 +176,17 @@ class DSGT(_Method):
         self.Y = None
         self._g = None
         # the epoch to run next and its orders (None until drawn)
-        self._t_next, self._orders = 0, None
+        self._t_next, self._next_orders = 0, None
 
     def epoch(self, t, alpha, probe=None):
+        # the tracker's last update of an epoch takes the next epoch's first
+        # gradient, so this loop spans epochs and stays outside _Method.epoch
         if t != self._t_next:
             raise ValueError("dsgt epochs must be advanced consecutively from 0")
         self._t_next += 1
-        if self._orders is None:
-            self._orders = self.stream.epoch_orders(self.n, t, self.m)
-        orders = self._orders
+        if self._next_orders is None:
+            self._next_orders = self._orders(t)
+        orders = self._next_orders
         if self.Y is None:
             self._g = self.obj.perm_grads(self.X, orders[:, 0])
             self.Y = self._g.copy()
@@ -195,13 +196,13 @@ class DSGT(_Method):
             if ell + 1 < self.m:
                 nxt = orders[:, ell + 1]
             else:  # the first index of the next epoch
-                self._orders = self.stream.epoch_orders(self.n, t + 1, self.m)
-                nxt = self._orders[:, 0]
+                self._next_orders = self._orders(t + 1)
+                nxt = self._next_orders[:, 0]
             g_new = self.obj.perm_grads(self.X, nxt)
             self.Y = self.W @ self.Y + g_new - self._g
             self._g = g_new
             if probe is not None:
-                probe(ProbeInfo(t, ell, alpha, Xb, self.X, gb, Y_before=Yb))
+                probe(ProbeInfo(t, ell, alpha, Xb, self.X, gb, Yb))
 
 
 class ED(_Method):
@@ -221,16 +222,10 @@ class ED(_Method):
             return self.X - alpha * g
         return 2.0 * self.X - self._prev_x - (alpha * g - self._prev_ag)
 
-    def epoch(self, t, alpha, probe=None):
-        orders = self.stream.epoch_orders(self.n, t, self.m)
-        for ell in range(self.m):
-            g = self.obj.perm_grads(self.X, orders[:, ell])
-            half = self._half_step(alpha, g)
-            Xb = self.X
-            self._prev_x, self._prev_ag = self.X, alpha * g
-            self.X = self.W @ half
-            if probe is not None:
-                probe(ProbeInfo(t, ell, alpha, Xb, self.X, g))
+    def _step(self, ell, alpha, g):
+        half = self._half_step(alpha, g)
+        self._prev_x, self._prev_ag = self.X, alpha * g
+        self.X = self.W @ half
 
 
 class EDRR(ED):
@@ -259,20 +254,14 @@ class EDRR(ED):
         super().reset(X0)
         self.E = np.zeros_like(self.X)
 
-    def epoch(self, t, alpha, probe=None):
-        orders = self.stream.epoch_orders(self.n, t, self.m)
-        for ell in range(self.m):
-            if self.strict_alg2 and ell == 0:
-                self._prev_x = None
-                self.E = np.zeros_like(self.X)
-            g = self.obj.perm_grads(self.X, orders[:, ell])
-            half = self._half_step(alpha, g)
-            Xb = self.X
-            self._prev_x, self._prev_ag = self.X, alpha * g
-            self.X = self.W @ half
-            self.E = self.E + (self.X - self.W @ self.X)
-            if probe is not None:
-                probe(ProbeInfo(t, ell, alpha, Xb, self.X, g))
+    def _start_epoch(self, alpha):
+        if self.strict_alg2:
+            self._prev_x = None
+            self.E = np.zeros_like(self.X)
+
+    def _step(self, ell, alpha, g):
+        super()._step(ell, alpha, g)
+        self.E = self.E + (self.X - self.W @ self.X)
 
     def abc_state(self, alpha):
         return self.X, self.E - (self.X - self.W @ self.X) + self._consensus_anchor(alpha)
@@ -297,15 +286,9 @@ class EDRRPrimalDual(EDRR):
         super().reset(X0)
         self.D = np.zeros_like(self.X)
 
-    def epoch(self, t, alpha, probe=None):
-        orders = self.stream.epoch_orders(self.n, t, self.m)
-        for ell in range(self.m):
-            g = self.obj.perm_grads(self.X, orders[:, ell])
-            Xb = self.X
-            self.X = self.W @ (self.X - alpha * g) - self._b_half @ self.D
-            self.D = self.D + self._b_half @ self.X
-            if probe is not None:
-                probe(ProbeInfo(t, ell, alpha, Xb, self.X, g))
+    def _step(self, ell, alpha, g):
+        self.X = self.W @ (self.X - alpha * g) - self._b_half @ self.D
+        self.D = self.D + self._b_half @ self.X
 
     def abc_state(self, alpha):
         return self.X, (self._b_half @ self.D - (self.X - self.W @ self.X)

@@ -37,7 +37,8 @@ def _key(default, section: str, help: str | None = None, *, key: str | None = No
     its CLI flag `--<flag or field name>` (underscores as dashes), and only
     hashed fields enter the canonical text.  `choices`, `minimum` (value >=
     minimum) and `below` (value < below) are checked by
-    `config_from_mapping`; NaN fails both bounds."""
+    `config_from_mapping`, which also requires every float field to be
+    finite and every list field to hold no entry twice."""
     return dataclasses.field(default=default, metadata={
         "section": section, "key": key, "flag": flag, "help": help,
         "choices": choices, "minimum": minimum, "below": below, "hashed": hashed})
@@ -133,6 +134,11 @@ def config_from_mapping(entries: dict, base: ExperimentConfig | None = None) -> 
     cfg = dataclasses.replace(cfg, **updates)
     for name, field in _FIELDS.items():
         value, meta = getattr(cfg, name), field.metadata
+        if field.type == "float" and not np.isfinite(value):
+            raise ConfigError(f"{_FIELD_TO_KEY[name]}: must be finite, got {value}")
+        if field.type == "tuple" and len(set(value)) < len(value):
+            raise ConfigError(f"{_FIELD_TO_KEY[name]}: repeated entry in "
+                              f"{','.join(str(v) for v in value)}")
         if meta["choices"] is not None and value not in meta["choices"]:
             raise ConfigError(f"{_FIELD_TO_KEY[name]}: expected one of "
                               f"{', '.join(meta['choices'])}, got {value!r}")
@@ -253,7 +259,7 @@ def build_schedule(cfg: ExperimentConfig, method: str, objective,
     try:
         return stepsize.parse_schedule(cfg.stepsize, mu=consts.mu, m=cfg.m)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{_FIELD_TO_KEY['stepsize']}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +502,7 @@ def verify_abc(seed: int = 11, epochs: int = 5) -> list:
             got = info.X_after.mean(axis=0)
             worst[name] = max(worst[name], float(np.max(np.abs(got - want))))
             if name == "gtrr":
-                ybar = info.Y_before.mean(axis=0)
+                ybar = info.Y.mean(axis=0)
                 worst["tracker"] = max(worst["tracker"], float(np.max(np.abs(ybar - gbar))))
 
         for t in range(epochs):

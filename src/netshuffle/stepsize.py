@@ -22,6 +22,12 @@ from fractions import Fraction
 WORST_CASE_KINDS = (None, "gtrr", "edrr")
 
 
+def _check_positive(name: str, value: float, allow_zero: bool = False):
+    if not (math.isfinite(value) and (value > 0 or allow_zero and value == 0)):
+        raise ValueError(f"{name} must be finite and {'>=' if allow_zero else '>'} 0, "
+                         f"got {value}")
+
+
 class Schedule:
     """Stepsize policy; `alpha(t, history)` is pure given the metric history."""
 
@@ -29,14 +35,15 @@ class Schedule:
         raise NotImplementedError
 
 
-
 @dataclass(frozen=True)
 class ConstantSchedule(Schedule):
     value: float
 
+    def __post_init__(self):
+        _check_positive("const stepsize", self.value)
+
     def alpha(self, t, history=()):
         return self.value
-
 
 
 @dataclass(frozen=True)
@@ -48,9 +55,12 @@ class DecreasingSchedule(Schedule):
     mu: float
     m: int
 
+    def __post_init__(self):
+        _check_positive("dec theta", self.theta)
+        _check_positive("dec K", self.K)
+
     def alpha(self, t, history=()):
         return self.theta / (self.mu * self.m * (t + self.K))
-
 
 
 @dataclass(frozen=True)
@@ -60,9 +70,12 @@ class HarmonicSchedule(Schedule):
     a: float
     b: float
 
+    def __post_init__(self):
+        _check_positive("harmonic a", self.a, allow_zero=True)
+        _check_positive("harmonic b", self.b)
+
     def alpha(self, t, history=()):
         return 1.0 / (self.a * t + self.b)
-
 
 
 @dataclass(frozen=True)
@@ -88,6 +101,8 @@ class PlateauSchedule(Schedule):
                          compare=False, repr=False)
 
     def __post_init__(self):
+        for level in self.levels:
+            _check_positive("plateau level", level)
         if not self.levels or list(self.levels) != sorted(self.levels, reverse=True):
             raise ValueError("plateau levels must be a decreasing ladder")
 
@@ -110,7 +125,6 @@ class PlateauSchedule(Schedule):
         return self.levels[idx]
 
 
-
 def _parse_number(text: str) -> float:
     text = text.strip()
     if "/" in text:
@@ -125,20 +139,24 @@ def parse_schedule(spec: str, mu: float | None = None, m: int | None = None) -> 
     resolved by the harness via `recommend_alpha`, not here.
     """
     kind, _, rest = spec.partition(":")
+    forms = {"const": "a", "dec": "theta,K", "harmonic": "a,b", "plateau": "a1,a2,..."}
+    if kind not in forms:
+        raise ValueError(f"unknown schedule spec {spec!r}")
+    try:
+        values = [_parse_number(v) for v in rest.split(",")]
+    except (ValueError, ZeroDivisionError):
+        values = []
+    if not values or (kind != "plateau" and len(values) != forms[kind].count(",") + 1):
+        raise ValueError(f"expected {kind}:{forms[kind]} with numbers, got {spec!r}")
     if kind == "const":
-        return ConstantSchedule(_parse_number(rest))
+        return ConstantSchedule(*values)
     if kind == "dec":
-        theta, K = (_parse_number(v) for v in rest.split(","))
         if mu is None or m is None:
             raise ValueError("decreasing schedule needs mu and m")
-        return DecreasingSchedule(theta=theta, K=K, mu=mu, m=m)
+        return DecreasingSchedule(*values, mu=mu, m=m)
     if kind == "harmonic":
-        a, b = (_parse_number(v) for v in rest.split(","))
-        return HarmonicSchedule(a, b)
-    if kind == "plateau":
-        levels = tuple(_parse_number(v) for v in rest.split(","))
-        return PlateauSchedule(levels)
-    raise ValueError(f"unknown schedule spec {spec!r}")
+        return HarmonicSchedule(*values)
+    return PlateauSchedule(tuple(values))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import ProbeInfo, _Method
+from .algorithms import _Method
 from .objective import FiniteSumObjective
 from .shuffling import PermutationStream
 from .topology import MixingMatrix, SpectralInfo, psd_sqrt
@@ -405,17 +405,13 @@ class AbcEngine(_Method):
             return -(self.W @ self.X)
         return self.Z if self.Z is not None else np.zeros_like(self.X)
 
-    def epoch(self, t, alpha, probe=None):
-        op = self.op
+    def _start_epoch(self, alpha):
         self.Z = self._epoch_start_z()
-        orders = self.stream.epoch_orders(self.n, t, self.m)
-        for ell in range(self.m):
-            g = self.obj.perm_grads(self.X, orders[:, ell])
-            Xb = self.X
-            self.X = op.A @ (op.C @ self.X - alpha * g) - op.B @ self.Z
-            self.Z = self.Z + op.B @ self.X
-            if probe is not None:
-                probe(ProbeInfo(t, ell, alpha, Xb, self.X, g))
+
+    def _step(self, ell, alpha, g):
+        op = self.op
+        self.X = op.A @ (op.C @ self.X - alpha * g) - op.B @ self.Z
+        self.Z = self.Z + op.B @ self.X
 
     def abc_state(self, alpha):
         Z = self._epoch_start_z()
@@ -457,17 +453,13 @@ class TransformedEngine(_Method):
             S = self.S - self._anchor + anchor
         return S, anchor, AGc
 
-    def epoch(self, t, alpha, probe=None):
-        self.S, self._anchor, AGc = self._anchored_s(alpha)
-        orders = self.stream.epoch_orders(self.n, t, self.m)
-        for ell in range(self.m):
-            g = self.obj.perm_grads(self.X, orders[:, ell])
-            Xb = self.X
-            X_new = self.M @ self.X - alpha * (self.op.A @ g) + alpha * AGc - self.S
-            self.S = self.S + self.op.B2 @ self.X
-            self.X = X_new
-            if probe is not None:
-                probe(ProbeInfo(t, ell, alpha, Xb, self.X, g))
+    def _start_epoch(self, alpha):
+        self.S, self._anchor, self._AGc = self._anchored_s(alpha)
+
+    def _step(self, ell, alpha, g):
+        X_new = self.M @ self.X - alpha * (self.op.A @ g) + alpha * self._AGc - self.S
+        self.S = self.S + self.op.B2 @ self.X
+        self.X = X_new
 
     def abc_state(self, alpha):
         S, _, _ = self._anchored_s(alpha)

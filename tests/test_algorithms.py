@@ -143,17 +143,14 @@ class ShadowDualEDRR(EDRR):
         super().reset(X0)
         self.D = np.zeros_like(self.X)
 
-    def epoch(self, t, alpha, probe=None):
-        orders = self.stream.epoch_orders(self.n, t, self.m)
-        for ell in range(self.m):
-            if self.strict_alg2 and ell == 0:
-                self._prev_x = None
-                self.D = np.zeros_like(self.X)
-            g = self.obj.perm_grads(self.X, orders[:, ell])
-            half = self._half_step(alpha, g)
-            self._prev_x, self._prev_ag = self.X, alpha * g
-            self.X = self.W @ half
-            self.D = self.D + self._b_half @ self.X
+    def _step(self, ell, alpha, g):
+        if self.strict_alg2 and ell == 0:
+            self._prev_x = None
+            self.D = np.zeros_like(self.X)
+        half = self._half_step(alpha, g)
+        self._prev_x, self._prev_ag = self.X, alpha * g
+        self.X = self.W @ half
+        self.D = self.D + self._b_half @ self.X
 
 
 def lazy_ring(n):

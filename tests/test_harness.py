@@ -152,10 +152,34 @@ def test_sizes_below_one_are_config_errors(tmp_path, capsys, flag, key):
     ("--rho", "-1", "objective.rho"), ("--rho", "nan", "objective.rho"),
     ("--eta", "-0.1", "objective.eta"), ("--eta", "nan", "objective.eta"),
     ("--condition", "0.5", "objective.condition"),
-    ("--condition", "nan", "objective.condition")])
+    ("--condition", "nan", "objective.condition"),
+    # every float key must be finite, bounded or not
+    ("--condition", "inf", "objective.condition"), ("--rho", "inf", "objective.rho"),
+    ("--spread", "nan", "objective.spread"),
+    ("--hetero-scale", "nan", "objective.hetero_scale"),
+    ("--scale", "inf", "objective.scale"), ("--init-scale", "nan", "run.init_scale"),
+    ("--theta", "nan", "run.theta")])
 def test_out_of_range_numbers_are_config_errors(tmp_path, capsys, flag, value, key):
     code, err = _sweep_exit(tmp_path, capsys, "--objective", "logistic", flag, value)
     assert code == cli.EXIT_CONFIG and key in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("spec", ["harmonic:0,0", "harmonic:-1,1", "const:-0.1",
+                                  "const:0", "const:nan", "const:inf", "dec:1",
+                                  "dec:0,5", "dec:20,0", "const:", "const:1/0",
+                                  "plateau:0.1,-0.1"])
+def test_bad_stepsize_is_config_error(tmp_path, capsys, spec):
+    code, err = _sweep_exit(tmp_path, capsys, "--stepsize", spec)
+    assert code == cli.EXIT_CONFIG and "run.stepsize" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("flags,key", [(("--method", "gtrr,gtrr"), "run.methods"),
+                                       (("--seed", "0,1,0"), "run.seeds")])
+def test_repeated_method_or_seed_is_config_error(tmp_path, capsys, flags, key):
+    code, err = _sweep_exit(tmp_path, capsys, *flags)
+    assert code == cli.EXIT_CONFIG and key in err and "repeated" in err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -297,30 +321,42 @@ def test_sweep_rerun_byte_identical(tmp_path):
         assert a == b
 
 
-# sha256 of each CSV a lazy-ring sweep of the three transform-carrying
-# methods writes; a circulant W takes no eigh, so these bytes do not depend on
-# the BLAS thread count
-TRANSFORM_SWEEP_SHA256 = {
-    "edrr-pd_mean.csv": "24591a245acf7da613e9ed7d31e9be0853733a49777773b9d8afa3c535c71448",
-    "edrr-pd_seed0.csv": "96aa937fde68902ed91415984cffc7fb98f6d44dc704505cf10aee02dd083a6e",
-    "edrr-pd_seed1.csv": "0490dc21a0c7c5505cf7c04cda461648fa638aa707ee02723feeaed2d3cdcab4",
-    "edrr_mean.csv": "06a69b8cada7dd9bf3e3d736afdaf7bb3a31feb24ef4387afe2018e63772a913",
-    "edrr_seed0.csv": "b4a70f2f6ae3b8313825c352ca0a0e7b2152159cde2f24e435b8bca140cb5a70",
-    "edrr_seed1.csv": "cbbc3964406fceae3056f04ec2df99a170d6679e37f949961aac564f082881a1",
-    "gtrr_mean.csv": "a496e6013c57c6e95b22408009471075dbfc4231cb0cc8bee0565431cd33229a",
-    "gtrr_seed0.csv": "d18b1b433fb37b39ae0d3f29a9c33098682c76e6241b09549a4bea53d628750e",
-    "gtrr_seed1.csv": "41c5cbc98b941deff20f40756a0645120062790a7b0ad54d98bd3fd1ab9324cb",
+_EIGHT = ("crr", "drr", "dsgd", "dsgt", "gtrr", "ed", "edrr", "edrr-pd")
+_SMALL_RUN = dict(n=8, m=4, dim=3, epochs=6, stepsize="const:0.05")
+# sha256 over every CSV one sweep writes (sorted by name, each as its name,
+# a NUL byte and its bytes), one sweep per method family and sampling path;
+# every e_norm_sq and q_t cell of "transform methods" goes through the
+# spectral transform.  Ring graphs take no eigh, so these bytes do not depend
+# on the BLAS thread count.
+SWEEP_SHA256 = {
+    "transform methods": (
+        dict(n=16, m=10, dim=5, tau=0.5, methods=("gtrr", "edrr", "edrr-pd"), epochs=5,
+             seeds=(0, 1), stepsize="const:0.001"),
+        "f2a82c3bd93eef0fbf95818f1a633126bd288663a9ca625c18476fee09cecc66"),
+    "rr": (dict(objective="logistic", methods=("crr", "drr", "gtrr"), seeds=(0, 1)),
+           "2ff524b55ece8bd2f5f2bf446ab2f1883869ee721ac492fb8c00749a88a2883c"),
+    "lazy ring": (dict(objective="logistic", tau=0.5, methods=("edrr", "edrr-pd"),
+                       seeds=(0, 1)),
+                  "ef6c016905532b66a0ac0cde4f209e190d43eb7aeee36e336331d2f5bd3cbc2c"),
+    "iid": (dict(sampling="iid", methods=("dsgd", "dsgt", "ed"), seeds=(0, 1)),
+            "2dbbeab6cc2820a3358c3b2de4907b04473d50c549ed58d03ca45610f7dfa009"),
+    "inner metrics": (dict(m=3, tau=0.5, methods=_EIGHT, epochs=3, inner_metrics=True),
+                      "9a84453a40df37898cfe7fd40cc5fa4d5fbbd1ef3b2c2ed8836275349cad20bd"),
+    "strict_alg2": (dict(tau=0.5, methods=("edrr",), strict_alg2=True),
+                    "c8bcd9eed0d5c9b78ebf91c58004c8b1757defe6080b291d5665ed456f82d5ea"),
+    "once": (dict(tau=0.5, sampling="once", methods=("crr", "drr", "gtrr", "edrr")),
+             "c49051ea31132de8c2d20bd5fae57fb7af0ac87a0b0c5b5935ebb6a36ab1e8d5"),
 }
 
 
-def test_transform_sweep_bytes_are_pinned(tmp_path):
-    # every e_norm_sq and q_t cell goes through the spectral transform
-    run_sweep(ExperimentConfig(objective="quadratic", n=16, graph="ring", tau=0.5,
-                               methods=("gtrr", "edrr", "edrr-pd"), epochs=5,
-                               seeds=(0, 1), outdir=str(tmp_path)))
-    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-           for path in tmp_path.iterdir()}
-    assert got == TRANSFORM_SWEEP_SHA256
+@pytest.mark.parametrize("case", sorted(SWEEP_SHA256))
+def test_sweep_bytes_are_pinned(tmp_path, case):
+    overrides, digest = SWEEP_SHA256[case]
+    run_sweep(ExperimentConfig(outdir=str(tmp_path), **{**_SMALL_RUN, **overrides}))
+    h = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert h.hexdigest() == digest
 
 
 def test_ring512_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):

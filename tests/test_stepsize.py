@@ -102,6 +102,19 @@ def test_plateau_rejects_increasing_ladder():
         PlateauSchedule(levels=(0.01, 0.1))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ConstantSchedule(0.0), lambda: ConstantSchedule(-0.1),
+    lambda: ConstantSchedule(math.nan), lambda: ConstantSchedule(math.inf),
+    lambda: HarmonicSchedule(0.0, 0.0), lambda: HarmonicSchedule(-1.0, 1.0),
+    lambda: HarmonicSchedule(math.inf, 1.0),
+    lambda: DecreasingSchedule(theta=0.0, K=5.0, mu=0.5, m=10),
+    lambda: DecreasingSchedule(theta=20.0, K=math.nan, mu=0.5, m=10),
+    lambda: PlateauSchedule(levels=(0.1, 0.0)), lambda: PlateauSchedule(levels=(math.inf,))])
+def test_schedules_reject_bad_values_when_built(build):
+    with pytest.raises(ValueError, match="must be finite"):
+        build()
+
+
 def test_parse_schedule_forms():
     assert isinstance(parse_schedule("const:0.001"), ConstantSchedule)
     sched = parse_schedule("plateau:1/50,1/250,1/1000")
@@ -110,6 +123,10 @@ def test_parse_schedule_forms():
     assert (h.a, h.b) == (30.0, 300.0)
     d = parse_schedule("dec:20,324", mu=0.5, m=10)
     assert isinstance(d, DecreasingSchedule)
+    assert parse_schedule("harmonic:0,2").alpha(7) == 0.5  # a = 0 is admitted
+    for spec in ("dec:1", "harmonic:1", "const:1,2", "plateau:"):
+        with pytest.raises(ValueError, match="expected"):
+            parse_schedule(spec, mu=0.5, m=10)
     with pytest.raises(ValueError):
         parse_schedule("dec:20,324")
     with pytest.raises(ValueError):
