@@ -8,16 +8,16 @@ from a counter-keyed stream; their unshuffled twins draw i.i.d. indices from
 the same stream in 'iid' mode.
 
 Exact-diffusion boundary semantics: the primal-dual recursion with a
-persistent dual variable is the reference.  The x-only form therefore carries
-its correction across epochs (the plain-gradient branch fires only at the
-very first step); `strict_alg2=True` instead resets the correction at every
-epoch start for comparison.
+persistent dual variable is the reference (`EDRRPrimalDual`, which
+`harness.verify_abc` checks `edrr` against; no method name selects it).  The
+x-only form therefore carries its correction across epochs (the
+plain-gradient branch fires only at the very first step); `strict_alg2=True`
+instead resets the correction at every epoch start for comparison.
 """
 
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,18 +29,11 @@ from .topology import MixingMatrix, psd_sqrt
 
 DIVERGENCE_NORM = 1e12
 
-# psd_sqrt(I - W) of each live mixing matrix: W is read-only, so the root is
-# fixed by the matrix object, and every primal-dual exact-diffusion machine
-# built on it (a sweep's validation pass and each of its runs) shares one
-# read-only copy
-_DUAL_SQRT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
 
 @dataclass(frozen=True)
 class ProbeInfo:
     """Snapshot of one inner step, for identity checks and inner metrics."""
 
-    epoch: int
     ell: int
     alpha: float
     X_before: np.ndarray
@@ -87,7 +80,7 @@ class _Method:
             g = self.obj.perm_grads(Xb, orders[:, ell])
             self._step(ell, alpha, g)
             if probe is not None:
-                probe(ProbeInfo(t, ell, alpha, Xb, self.X, g, self.Y))
+                probe(ProbeInfo(ell, alpha, Xb, self.X, g, self.Y))
 
     def _orders(self, t: int) -> np.ndarray:
         """(n, m) component indices of epoch t, one row per agent."""
@@ -202,7 +195,7 @@ class DSGT(_Method):
             self.Y = self.W @ self.Y + g_new - self._g
             self._g = g_new
             if probe is not None:
-                probe(ProbeInfo(t, ell, alpha, Xb, self.X, gb, Yb))
+                probe(ProbeInfo(ell, alpha, Xb, self.X, gb, Yb))
 
 
 class ED(_Method):
@@ -268,22 +261,19 @@ class EDRR(ED):
 
 
 class EDRRPrimalDual(EDRR):
-    """Exact diffusion with reshuffling in its two-line primal-dual form;
-    the dual D starts at zero, persists across epochs and mixes through the
-    dense (I-W)^(1/2).  The PSD check is EDRR's."""
+    """Exact diffusion with reshuffling in its two-line primal-dual form: the
+    reference that `harness.verify_abc` checks x-only ED-RR against, not a
+    selectable method.  The dual D starts at zero, persists across epochs and
+    mixes through the dense (I-W)^(1/2).  The PSD check is EDRR's."""
 
     name = "edrr-pd"
 
     def __init__(self, objective, mix, stream):
         super().__init__(objective, mix, stream)
-        b_half = _DUAL_SQRT.get(mix)
-        if b_half is None:
-            b_half = _DUAL_SQRT[mix] = psd_sqrt(np.eye(self.n) - mix.w)
-            b_half.setflags(write=False)
-        self._b_half = b_half
+        self._b_half = psd_sqrt(np.eye(self.n) - mix.w)
 
     def reset(self, X0):
-        super().reset(X0)
+        _Method.reset(self, X0)
         self.D = np.zeros_like(self.X)
 
     def _step(self, ell, alpha, g):
@@ -297,7 +287,7 @@ class EDRRPrimalDual(EDRR):
 
 METHODS = {
     cls.name: cls
-    for cls in (CentralizedRR, DSGD, DRR, DSGT, GTRR, ED, EDRR, EDRRPrimalDual)
+    for cls in (CentralizedRR, DSGD, DRR, DSGT, GTRR, ED, EDRR)
 }
 
 

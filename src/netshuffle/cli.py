@@ -26,7 +26,7 @@ _FLAG_TYPES = {"int": int, "float": float}
 
 def _add_config_flags(p: argparse.ArgumentParser):
     """One flag per `ExperimentConfig` field, grouped by its file section,
-    plus the CLI-only --config, --no-hetero and --auto-stepsize."""
+    plus the CLI-only --config and --no-hetero."""
     p.add_argument("--config", help="key = value config file; flags override it")
     groups = {}
     for field in dataclasses.fields(harness.ExperimentConfig):
@@ -42,8 +42,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
                                              **kind)
     groups["objective"].add_argument("--no-hetero", dest="hetero",
                                      action="store_const", const="false")
-    groups["run"].add_argument("--auto-stepsize", action="store_true",
-                               help="shorthand for --stepsize auto")
 
 
 def _config_from_args(args) -> harness.ExperimentConfig:
@@ -53,8 +51,6 @@ def _config_from_args(args) -> harness.ExperimentConfig:
     overrides = {field.name: getattr(args, field.name)
                  for field in dataclasses.fields(harness.ExperimentConfig)
                  if getattr(args, field.name) is not None}
-    if args.auto_stepsize:
-        overrides["stepsize"] = "auto"
     return harness.config_from_mapping(overrides, cfg)
 
 

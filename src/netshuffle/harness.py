@@ -225,18 +225,17 @@ def build_objective(cfg: ExperimentConfig):
     raise ConfigError(f"unknown objective {cfg.objective!r}")
 
 
-# the (A, B^2, C) presets by name, for method transforms, `constants` and
-# `verify --abc`; only the reshuffling members of the two-matrix family carry
-# transformed state, so only they get Lyapunov/e columns and auto stepsizes
+# the (A, B^2, C) presets, keyed by the method each reproduces, for method
+# transforms, `constants` and `verify --abc`; only the reshuffling members of
+# the two-matrix family carry transformed state, so only they get Lyapunov/e
+# columns and auto stepsizes
 PRESET_OPERATORS = {"gtrr": unified.gtrr_operator, "edrr": unified.edrr_operator}
-_PRESET_FOR_METHOD = {"gtrr": "gtrr", "edrr": "edrr", "edrr-pd": "edrr"}
 
 
 def method_transform(method: str, mix: MixingMatrix) -> unified.TransformData | None:
-    preset = _PRESET_FOR_METHOD.get(method)
-    if preset is None:
+    if method not in PRESET_OPERATORS:
         return None
-    return unified.transform_data(PRESET_OPERATORS[preset](mix))
+    return unified.transform_data(PRESET_OPERATORS[method](mix))
 
 
 def build_schedule(cfg: ExperimentConfig, method: str, objective,
@@ -245,7 +244,7 @@ def build_schedule(cfg: ExperimentConfig, method: str, objective,
     if cfg.stepsize == "auto":
         if transform is None:
             raise ConfigError(f"auto stepsize is undefined for method {method!r}")
-        worst = _PRESET_FOR_METHOD[method] if cfg.worst_case_constants else None
+        worst = method if cfg.worst_case_constants else None
         sched = stepsize.recommend_alpha(
             transform, cfg.m, consts.L, consts.mu, max(cfg.epochs, 1),
             regime=cfg.regime, theta=cfg.theta, worst_case=worst)

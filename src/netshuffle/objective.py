@@ -283,14 +283,14 @@ class _LogisticBase(FiniteSumObjective):
             raise ValueError("features must be (n,m,p), labels (n,m)")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must be +-1")
-        self.feats, self.labels = feats, labels
+        self.labels = labels
         self.n, self.m, self.p = feats.shape
         self.signed = feats * labels[:, :, None]  # u_j v_j rows
         self._agents = np.arange(self.n)
         self.weight = float(weight)
-        self.convex = convex
-        # exact L and mu; f* is estimated on its first read
-        L = float(np.max(np.sum(feats ** 2, axis=2))) / 4.0 + self.weight
+        # exact L and mu (labels are +-1, so |u_j v_j| = |u_j|); f* is
+        # estimated on its first read
+        L = float(np.max(np.sum(self.signed ** 2, axis=2))) / 4.0 + self.weight
         self.constants = ObjectiveConstants(
             L=L, mu=self.weight if convex else None,
             f_star=lambda: estimate_minimum(self.value, self.grad, self.p, L)[0],

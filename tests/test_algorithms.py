@@ -19,6 +19,14 @@ def single_agent_pair(seed=3):
     return obj, mix
 
 
+def machine_for(name, objective, mix, seed):
+    """A selectable method by name, or "edrr-pd": the primal-dual ED-RR
+    reference, which no name selects."""
+    if name == "edrr-pd":
+        return EDRRPrimalDual(objective, mix, PermutationStream(seed, "rr"))
+    return make_method(name, objective, mix, seed=seed)
+
+
 def epoch_trajectory(machine, T, alpha=ALPHA, probe=None):
     traj = []
     for t in range(T):
@@ -71,7 +79,7 @@ def test_rr_methods_single_agent_match_centralized(name):
     x0 = np.full((1, obj.p), 2.0)
     crr = CentralizedRR(obj, mix, PermutationStream(5, "rr"))
     crr.reset(x0)
-    other = make_method(name, obj, mix, seed=5)
+    other = machine_for(name, obj, mix, seed=5)
     other.reset(x0)
     t_ref = epoch_trajectory(crr, 4)
     t_other = epoch_trajectory(other, 4)
@@ -82,7 +90,7 @@ def test_rr_methods_single_agent_match_centralized(name):
 @pytest.mark.parametrize("name", ["crr", "drr", "gtrr", "edrr", "edrr-pd"])
 def test_mean_iterate_identity(name, quad8, ring8, lazy_ring8):
     mix = lazy_ring8 if name.startswith("edrr") else ring8
-    machine = make_method(name, quad8, mix, seed=4)
+    machine = machine_for(name, quad8, mix, seed=4)
     machine.reset(initial_iterates(quad8, "same", 1.0, init_seed=4))
     worst = 0.0
 
@@ -292,8 +300,7 @@ def test_dsgt_epochs_must_run_consecutively(quad8, ring8):
 
 
 def test_methods_registry_complete():
-    assert set(METHODS) == {"crr", "dsgd", "drr", "dsgt", "gtrr", "ed",
-                            "edrr", "edrr-pd"}
+    assert set(METHODS) == {"crr", "dsgd", "drr", "dsgt", "gtrr", "ed", "edrr"}
 
 
 def test_initial_iterates_modes():

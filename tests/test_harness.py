@@ -183,6 +183,19 @@ def test_repeated_method_or_seed_is_config_error(tmp_path, capsys, flags, key):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_primal_dual_reference_is_not_a_selectable_method(tmp_path, capsys):
+    # harness.verify_abc builds it directly; a sweep cannot name it
+    code, err = _sweep_exit(tmp_path, capsys, "--tau", "0.5", "--method", "edrr,edrr-pd")
+    assert code == cli.EXIT_CONFIG and "method 'edrr-pd'" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_preset_operators_are_the_methods_with_a_transformed_state():
+    from netshuffle.algorithms import METHODS
+    assert set(harness.PRESET_OPERATORS) == {
+        name for name, cls in METHODS.items() if "abc_state" in vars(cls)}
+
+
 def test_range_bounds_admit_their_edges():
     cfg = config_from_mapping({"topology.tau": "0", "objective.rho": "0",
                                "objective.eta": "0", "objective.condition": "1"})
@@ -227,7 +240,7 @@ def test_every_config_field_has_one_key_and_one_flag(tmp_path):
     assert len(set(keys)) == len(fields) == len(harness._KEYMAP)
     parser = cli.build_parser()
     sweep = parser._subparsers._group_actions[0].choices["sweep"]
-    cli_only = {"--config", "--no-hetero", "--auto-stepsize"}
+    cli_only = {"--config", "--no-hetero"}
     flags = {}
     for action in sweep._actions:
         for opt in set(action.option_strings) - cli_only - {"-h", "--help"}:
@@ -321,7 +334,7 @@ def test_sweep_rerun_byte_identical(tmp_path):
         assert a == b
 
 
-_EIGHT = ("crr", "drr", "dsgd", "dsgt", "gtrr", "ed", "edrr", "edrr-pd")
+_SEVEN = ("crr", "drr", "dsgd", "dsgt", "gtrr", "ed", "edrr")
 _SMALL_RUN = dict(n=8, m=4, dim=3, epochs=6, stepsize="const:0.05")
 # sha256 over every CSV one sweep writes (sorted by name, each as its name,
 # a NUL byte and its bytes), one sweep per method family and sampling path;
@@ -330,18 +343,17 @@ _SMALL_RUN = dict(n=8, m=4, dim=3, epochs=6, stepsize="const:0.05")
 # on the BLAS thread count.
 SWEEP_SHA256 = {
     "transform methods": (
-        dict(n=16, m=10, dim=5, tau=0.5, methods=("gtrr", "edrr", "edrr-pd"), epochs=5,
+        dict(n=16, m=10, dim=5, tau=0.5, methods=("gtrr", "edrr"), epochs=5,
              seeds=(0, 1), stepsize="const:0.001"),
-        "f2a82c3bd93eef0fbf95818f1a633126bd288663a9ca625c18476fee09cecc66"),
+        "a24ac2f7dd912766f6eeb4ac93e598044ff6dfc6e84f8d5c341bd7b38c552e0e"),
     "rr": (dict(objective="logistic", methods=("crr", "drr", "gtrr"), seeds=(0, 1)),
            "2ff524b55ece8bd2f5f2bf446ab2f1883869ee721ac492fb8c00749a88a2883c"),
-    "lazy ring": (dict(objective="logistic", tau=0.5, methods=("edrr", "edrr-pd"),
-                       seeds=(0, 1)),
-                  "ef6c016905532b66a0ac0cde4f209e190d43eb7aeee36e336331d2f5bd3cbc2c"),
+    "lazy ring": (dict(objective="logistic", tau=0.5, methods=("edrr",), seeds=(0, 1)),
+                  "e7dabfa8e293af1287ee390500657355516e0d9938885a2849c836f9023c88c8"),
     "iid": (dict(sampling="iid", methods=("dsgd", "dsgt", "ed"), seeds=(0, 1)),
             "2dbbeab6cc2820a3358c3b2de4907b04473d50c549ed58d03ca45610f7dfa009"),
-    "inner metrics": (dict(m=3, tau=0.5, methods=_EIGHT, epochs=3, inner_metrics=True),
-                      "9a84453a40df37898cfe7fd40cc5fa4d5fbbd1ef3b2c2ed8836275349cad20bd"),
+    "inner metrics": (dict(m=3, tau=0.5, methods=_SEVEN, epochs=3, inner_metrics=True),
+                      "89c7a8894da1939771e607df8481d732db69ce49966e621904a2f428ba0682b2"),
     "strict_alg2": (dict(tau=0.5, methods=("edrr",), strict_alg2=True),
                     "c8bcd9eed0d5c9b78ebf91c58004c8b1757defe6080b291d5665ed456f82d5ea"),
     "once": (dict(tau=0.5, sampling="once", methods=("crr", "drr", "gtrr", "edrr")),
@@ -459,7 +471,11 @@ def count_square_roots(monkeypatch) -> list:
 
 
 def test_sweep_takes_one_square_root_and_reads_no_dense_b(tmp_path, monkeypatch):
-    from netshuffle import unified
+    """A gtrr/edrr sweep reads no dense B or B^2 and takes no square root;
+    the one (I - W)^(1/2) left on its ED-RR path is the primal-dual
+    reference's, which `verify_abc` builds directly."""
+    from netshuffle import algorithms, unified
+    from netshuffle.shuffling import PermutationStream
     roots = count_square_roots(monkeypatch)
 
     def unread(self):
@@ -467,10 +483,12 @@ def test_sweep_takes_one_square_root_and_reads_no_dense_b(tmp_path, monkeypatch)
 
     for name in ("B", "B2"):
         monkeypatch.setattr(unified.AbcOperator, name, property(unread))
-    cfg = dataclasses.replace(SMALL, tau=0.5, methods=("gtrr", "edrr", "edrr-pd"),
+    cfg = dataclasses.replace(SMALL, tau=0.5, methods=("gtrr", "edrr"),
                               outdir=str(tmp_path))
     run_sweep(cfg)
-    # psd_sqrt(I - W), once for the mixing matrix that edrr and edrr-pd share
+    assert roots == []
+    algorithms.EDRRPrimalDual(harness.build_objective(cfg), harness.build_mix(cfg),
+                              PermutationStream(0, "rr"))
     assert len(roots) == 1
 
 

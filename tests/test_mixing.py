@@ -80,7 +80,11 @@ def test_gather_runs_match_dense_runs(name, big_ring, big_quad):
     x0 = algorithms.initial_iterates(big_quad, "random", run_seed=3)
     states = []
     for dense in (False, True):
-        machine = algorithms.make_method(name, big_quad, big_ring, seed=3)
+        if name == "edrr-pd":  # the primal-dual reference, which no name selects
+            machine = algorithms.EDRRPrimalDual(big_quad, big_ring,
+                                                PermutationStream(3, "rr"))
+        else:
+            machine = algorithms.make_method(name, big_quad, big_ring, seed=3)
         assert machine.W is big_ring.operator
         assert isinstance(machine.W, NeighborGather)
         if dense:

@@ -204,7 +204,7 @@ def test_logistic_defaults_and_constants():
     obj = make_logistic(4, 5, 6, seed=1)
     assert obj.rho == 0.2
     assert obj.constants.mu == pytest.approx(0.2)
-    norms = np.sum(obj.feats ** 2, axis=2)
+    norms = np.sum(obj.signed ** 2, axis=2)
     assert obj.constants.L == pytest.approx(norms.max() / 4.0 + 0.2)
     assert obj.constants.tag("f_star") == ESTIMATED
     assert obj.constants.tag("f_star_components") == UNAVAILABLE
