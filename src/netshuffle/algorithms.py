@@ -205,6 +205,16 @@ class ED(_Method):
     name = "ed"
     uses_rr = False
 
+    def __init__(self, objective, mix, stream):
+        super().__init__(objective, mix, stream)
+        # the analysis needs W >= 0; an eigenvalue lam < -1/3 of W even puts
+        # a root of z^2 - 2 lam z + lam outside the unit circle, and the
+        # recursion diverges
+        if mix.spectral.lambda_min < -1e-12:
+            raise ValueError(
+                "exact diffusion needs a positive semidefinite W; apply lazify first"
+            )
+
     def reset(self, X0):
         super().reset(X0)
         self._prev_x = None
@@ -237,10 +247,6 @@ class EDRR(ED):
 
     def __init__(self, objective, mix, stream, strict_alg2: bool = False):
         super().__init__(objective, mix, stream)
-        if mix.spectral.lambda_min < -1e-12:
-            raise ValueError(
-                "exact diffusion needs a positive semidefinite W; apply lazify first"
-            )
         self.strict_alg2 = strict_alg2
 
     def reset(self, X0):
@@ -264,7 +270,7 @@ class EDRRPrimalDual(EDRR):
     """Exact diffusion with reshuffling in its two-line primal-dual form: the
     reference that `harness.verify_abc` checks x-only ED-RR against, not a
     selectable method.  The dual D starts at zero, persists across epochs and
-    mixes through the dense (I-W)^(1/2).  The PSD check is EDRR's."""
+    mixes through the dense (I-W)^(1/2).  The PSD check is ED's."""
 
     name = "edrr-pd"
 

@@ -57,7 +57,8 @@ def _config_from_args(args) -> harness.ExperimentConfig:
 def _cmd_run(args) -> int:
     cfg = _config_from_args(args)
     if len(cfg.methods) != 1 or len(cfg.seeds) != 1:
-        raise harness.ConfigError("run takes exactly one method and one seed; use sweep")
+        raise harness.ConfigError("run takes exactly one run.methods entry and one "
+                                  "run.seeds entry; use sweep")
     method, seed = cfg.methods[0], cfg.seeds[0]
     objective, mix, plans = harness.plan_runs(cfg)
     traj = harness.run_one(cfg, method, seed, objective, mix, plans[method])

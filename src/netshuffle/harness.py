@@ -19,9 +19,9 @@ from . import algorithms, metrics, stepsize, unified
 from .data import load_cifar10
 from .objective import (central_difference_grad, logistic_from_samples,
                         make_logistic, make_nonconvex_logistic, make_quadratic)
-from .shuffling import PermutationStream, rr_variance
+from .shuffling import MODES, PermutationStream, rr_variance
 from .topology import (MixingMatrix, TopologyError, build_graph, lazify,
-                       metropolis_weights, read_edge_file)
+                       metropolis_weights)
 
 GENERATOR_TAG = "netshuffle 0.1.0"
 
@@ -38,7 +38,7 @@ def _key(default, section: str, help: str | None = None, *, key: str | None = No
     hashed fields enter the canonical text.  `choices`, `minimum` (value >=
     minimum) and `below` (value < below) are checked by
     `config_from_mapping`, which also requires every float field to be
-    finite and every list field to hold no entry twice."""
+    finite and every list field to hold at least one entry and none twice."""
     return dataclasses.field(default=default, metadata={
         "section": section, "key": key, "flag": flag, "help": help,
         "choices": choices, "minimum": minimum, "below": below, "hashed": hashed})
@@ -65,7 +65,7 @@ class ExperimentConfig:
                       minimum=0, below=1)
     methods: tuple = _key(("gtrr",), "run", "comma list from "
                           + ",".join(sorted(algorithms.METHODS)), flag="method")
-    sampling: str = _key("rr", "run", choices=("rr", "once", "iid"))
+    sampling: str = _key("rr", "run", choices=MODES)
     epochs: int = _key(100, "run", minimum=0)
     seeds: tuple = _key((0,), "run", "comma list of seeds", flag="seed")
     init: str = _key("same", "run", choices=("same", "random"))
@@ -136,6 +136,8 @@ def config_from_mapping(entries: dict, base: ExperimentConfig | None = None) -> 
         value, meta = getattr(cfg, name), field.metadata
         if field.type == "float" and not np.isfinite(value):
             raise ConfigError(f"{_FIELD_TO_KEY[name]}: must be finite, got {value}")
+        if field.type == "tuple" and not value:
+            raise ConfigError(f"{_FIELD_TO_KEY[name]}: needs at least one entry")
         if field.type == "tuple" and len(set(value)) < len(value):
             raise ConfigError(f"{_FIELD_TO_KEY[name]}: repeated entry in "
                               f"{','.join(str(v) for v in value)}")
@@ -184,24 +186,13 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def build_mix(cfg: ExperimentConfig) -> MixingMatrix:
-    spec = cfg.graph
+    kind, colon, arg = cfg.graph.partition(":")
     try:
-        if spec.startswith("grid:"):
-            rows, cols = (int(v) for v in spec.split(":", 1)[1].lower().split("x"))
-            graph = build_graph("grid", rows=rows, cols=cols)
-        elif spec.startswith("custom:"):
-            path = spec.split(":", 1)[1]
-            graph = build_graph("custom", n=cfg.n, edges=read_edge_file(path))
-        elif spec in ("ring", "complete", "star"):
-            graph = build_graph(spec, n=cfg.n)
-        else:
-            raise ConfigError(f"unknown graph spec {spec!r}")
-        mix = metropolis_weights(graph)
-        if cfg.tau > 0.0:
-            mix = lazify(mix, cfg.tau)
-        return mix
+        graph = build_graph(kind, n=cfg.n, arg=arg if colon else None)
     except TopologyError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{_FIELD_TO_KEY['graph']}: {exc}") from exc
+    mix = metropolis_weights(graph)
+    return lazify(mix, cfg.tau) if cfg.tau > 0.0 else mix
 
 
 def build_objective(cfg: ExperimentConfig):
@@ -209,20 +200,21 @@ def build_objective(cfg: ExperimentConfig):
         return make_quadratic(cfg.n, cfg.m, cfg.dim, cfg.data_seed,
                               condition=cfg.condition, hetero=cfg.hetero_scale,
                               spread=cfg.spread)
-    if cfg.objective in ("logistic", "ncvx-logistic"):
-        if cfg.cifar10:
+    if cfg.cifar10:
+        eta = cfg.eta if cfg.objective == "ncvx-logistic" else None
+        try:
             feats, labels = load_cifar10(cfg.cifar10)
-            eta = cfg.eta if cfg.objective == "ncvx-logistic" else None
             return logistic_from_samples(feats, labels, cfg.n, cfg.m, rho=cfg.rho,
                                          heterogeneous=cfg.hetero,
                                          seed=cfg.data_seed, nonconvex_eta=eta)
-        if cfg.objective == "logistic":
-            return make_logistic(cfg.n, cfg.m, cfg.dim, cfg.data_seed, rho=cfg.rho,
-                                 heterogeneous=cfg.hetero, scale=cfg.scale)
-        return make_nonconvex_logistic(cfg.n, cfg.m, cfg.dim, cfg.data_seed,
-                                       eta=cfg.eta, heterogeneous=cfg.hetero,
-                                       scale=cfg.scale)
-    raise ConfigError(f"unknown objective {cfg.objective!r}")
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{_FIELD_TO_KEY['cifar10']}: {exc}") from exc
+    if cfg.objective == "logistic":
+        return make_logistic(cfg.n, cfg.m, cfg.dim, cfg.data_seed, rho=cfg.rho,
+                             heterogeneous=cfg.hetero, scale=cfg.scale)
+    return make_nonconvex_logistic(cfg.n, cfg.m, cfg.dim, cfg.data_seed,
+                                   eta=cfg.eta, heterogeneous=cfg.hetero,
+                                   scale=cfg.scale)
 
 
 # the (A, B^2, C) presets, keyed by the method each reproduces, for method
@@ -240,10 +232,14 @@ def method_transform(method: str, mix: MixingMatrix) -> unified.TransformData | 
 
 def build_schedule(cfg: ExperimentConfig, method: str, objective,
                    transform) -> stepsize.Schedule:
+    """`cfg.stepsize` as a schedule for `method`; every fault is a
+    ConfigError naming `run.stepsize`."""
     consts = objective.constants
-    if cfg.stepsize == "auto":
+    try:
+        if cfg.stepsize != "auto":
+            return stepsize.parse_schedule(cfg.stepsize, mu=consts.mu, m=cfg.m)
         if transform is None:
-            raise ConfigError(f"auto stepsize is undefined for method {method!r}")
+            raise ValueError(f"auto is undefined for method {method!r}")
         worst = method if cfg.worst_case_constants else None
         sched = stepsize.recommend_alpha(
             transform, cfg.m, consts.L, consts.mu, max(cfg.epochs, 1),
@@ -252,11 +248,9 @@ def build_schedule(cfg: ExperimentConfig, method: str, objective,
             tc = stepsize.theory_constants(transform, cfg.m, consts.L, consts.mu,
                                            max(cfg.epochs, 1), worst_case=worst)
             if sched.value > tc.alpha_max_ncvx * (1 + 1e-12):
-                raise ConfigError(f"auto stepsize {sched.value:.6g} exceeds the "
-                                  f"admissible bound {tc.alpha_max_ncvx:.6g}")
+                raise ValueError(f"auto stepsize {sched.value:.6g} exceeds the "
+                                 f"admissible bound {tc.alpha_max_ncvx:.6g}")
         return sched
-    try:
-        return stepsize.parse_schedule(cfg.stepsize, mu=consts.mu, m=cfg.m)
     except ValueError as exc:
         raise ConfigError(f"{_FIELD_TO_KEY['stepsize']}: {exc}") from exc
 
@@ -271,9 +265,9 @@ def plan_runs(cfg: ExperimentConfig) -> tuple:
     them, before any run starts.
 
     Returns (objective, mix, plans): `plans[method]` is the (transform,
-    schedule) that all of the method's seeds share.  An invalid pairing (say
-    exact diffusion on an indefinite W) raises a ConfigError naming the
-    method.
+    schedule) that all of the method's seeds share.  An invalid pairing of a
+    method with its inputs (say exact diffusion on an indefinite W) raises a
+    ConfigError naming the method; every other fault names its config key.
     """
     objective = build_objective(cfg)
     mix = build_mix(cfg)
@@ -283,9 +277,9 @@ def plan_runs(cfg: ExperimentConfig) -> tuple:
             algorithms.make_method(method, objective, mix, seed=0,
                                    sampling=cfg.sampling, strict_alg2=cfg.strict_alg2)
             transform = method_transform(method, mix)
-            plans[method] = transform, build_schedule(cfg, method, objective, transform)
-        except (ValueError, unified.OperatorError) as exc:
+        except ValueError as exc:  # includes unified.OperatorError
             raise ConfigError(f"method {method!r}: {exc}") from exc
+        plans[method] = transform, build_schedule(cfg, method, objective, transform)
     # every run's first snapshot reads f*; an estimated f* is computed here,
     # with the rest of the set-up
     objective.constants.f_star
@@ -331,7 +325,8 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output dir {outdir}: {exc}") from exc
+        raise ConfigError(f"{_FIELD_TO_KEY['outdir']}: cannot create output dir "
+                          f"{outdir}: {exc}") from exc
     objective, mix, plans = plan_runs(cfg)
     results = {(method, seed): run_one(cfg, method, seed, objective, mix, plans[method])
                for method in cfg.methods for seed in cfg.seeds}

@@ -16,15 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-CSV_COLUMNS = (
-    "t", "alpha", "grad_norm_sq", "min_grad_norm_sq", "consensus_sq",
-    "fgap_mean", "fgap_bar", "q_t", "e_norm_sq", "wall_ns", "diverged",
-)
-# the columns that may be absent: no minimum value, no transform, no timings
-OPTIONAL_COLUMNS = ("fgap_mean", "fgap_bar", "q_t", "e_norm_sq", "wall_ns")
-_DTYPES = {**dict.fromkeys(CSV_COLUMNS, np.float64),
-           "wall_ns": np.int64, "diverged": np.bool_}
-
 
 class TrajectoryRecord(NamedTuple):
     """One trajectory row as Python values; an absent value is None."""
@@ -40,6 +31,15 @@ class TrajectoryRecord(NamedTuple):
     e_norm_sq: float | None = None
     wall_ns: int | None = None
     diverged: bool = False
+
+
+# the CSV columns are the record's fields, in order; the optional ones, which
+# may be absent (no minimum value, no transform, no timings), default to None
+CSV_COLUMNS = TrajectoryRecord._fields
+OPTIONAL_COLUMNS = tuple(name for name, default
+                         in TrajectoryRecord._field_defaults.items() if default is None)
+_DTYPES = {**dict.fromkeys(CSV_COLUMNS, np.float64),
+           "wall_ns": np.int64, "diverged": np.bool_}
 
 
 class Trajectory:

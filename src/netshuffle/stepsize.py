@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-WORST_CASE_KINDS = (None, "gtrr", "edrr")
-
 
 def _check_positive(name: str, value: float, allow_zero: bool = False):
     if not (math.isfinite(value) and (value > 0 or allow_zero and value == 0)):
@@ -214,7 +212,7 @@ def _norm_triple(transform, worst_case):
         if lmin <= 0:
             raise ValueError("the exact-diffusion bounds need a positive definite W")
         return 4.0, 2.0 / lmin, lam ** 2, math.sqrt(lam)
-    raise ValueError(f"worst_case must be one of {WORST_CASE_KINDS}")
+    raise ValueError(f"worst_case must be None, 'gtrr' or 'edrr', got {worst_case!r}")
 
 
 def theory_constants(transform, m: int, L: float, mu: float | None, T: int,

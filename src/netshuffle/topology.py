@@ -79,82 +79,67 @@ def _connected(n: int, edges) -> bool:
     return len(seen) == n
 
 
-def ring_graph(n: int) -> Graph:
-    if n < 1:
-        raise TopologyError("ring needs n >= 1")
-    if n == 1:
-        edges = []
-    elif n == 2:
-        edges = [(0, 1)]
-    else:
-        edges = [(i, (i + 1) % n) for i in range(n)]
-    return Graph(n, _normalize_edges(edges), kind="ring")
-
-
-def grid_graph(rows: int, cols: int) -> Graph:
-    """2-D lattice without wraparound."""
-    if rows < 1 or cols < 1:
-        raise TopologyError("grid needs rows, cols >= 1")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            u = r * cols + c
-            if c + 1 < cols:
-                edges.append((u, u + 1))
-            if r + 1 < rows:
-                edges.append((u, u + cols))
-    return Graph(rows * cols, _normalize_edges(edges), kind="grid")
-
-
-def complete_graph(n: int) -> Graph:
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return Graph(n, _normalize_edges(edges), kind="complete")
-
-
-def star_graph(n: int) -> Graph:
-    """Hub is node 0."""
-    edges = [(0, i) for i in range(1, n)]
-    return Graph(n, _normalize_edges(edges), kind="star")
-
-
-def custom_graph(n: int, edges: Iterable) -> Graph:
-    return Graph(n, _normalize_edges(edges), kind="custom")
-
-
 def build_graph(kind: str, n: int | None = None, rows: int | None = None,
-                cols: int | None = None, edges=None) -> Graph:
-    """Construct a graph by kind tag; grid requires rows*cols == n when n given."""
-    if kind == "ring":
-        return ring_graph(int(n))
-    if kind == "complete":
-        return complete_graph(int(n))
-    if kind == "star":
-        return star_graph(int(n))
+                cols: int | None = None, edges=None, arg: str | None = None) -> Graph:
+    """The graph of a kind: ring, complete, star (hub at node 0), grid (rows x
+    cols without wraparound; n, when given, must equal rows * cols) or custom
+    (n and `edges`).
+
+    `arg` is the text after the colon of a spec `kind:arg`: 'RxC' for a grid
+    and an edge-file path (see `read_edge_file`) for a custom graph; the
+    other kinds take none.  Every fault is a TopologyError.
+    """
     if kind == "grid":
-        if rows is None or cols is None:
-            raise TopologyError("grid needs rows and cols")
+        if arg is not None:
+            try:
+                rows, cols = (int(v) for v in arg.lower().split("x"))
+            except ValueError:
+                raise TopologyError(f"grid needs RxC, got {arg!r}") from None
+        if rows is None or cols is None or rows < 1 or cols < 1:
+            raise TopologyError("grid needs rows, cols >= 1")
         if n is not None and rows * cols != n:
-            raise TopologyError(f"grid {rows}x{cols} != n={n}")
-        return grid_graph(int(rows), int(cols))
-    if kind == "custom":
-        if n is None or edges is None:
-            raise TopologyError("custom graph needs n and an edge list")
-        return custom_graph(int(n), edges)
-    raise TopologyError(f"unknown graph kind {kind!r}")
+            raise TopologyError(f"grid {rows}x{cols} disagrees with n={n}")
+        n = rows * cols
+        edges = [(u, u + 1) for u in range(n) if (u + 1) % cols]
+        edges += [(u, u + cols) for u in range(n - cols)]
+    elif n is None:
+        raise TopologyError(f"{kind} graph needs n")
+    elif kind == "custom":
+        if arg is not None:
+            edges = read_edge_file(arg)
+        if edges is None:
+            raise TopologyError("custom graph needs an edge list")
+    elif kind == "ring":
+        edges = [(i, (i + 1) % n) for i in range(n)]
+    elif kind == "complete":
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    elif kind == "star":
+        edges = [(0, i) for i in range(1, n)]
+    else:
+        raise TopologyError(f"unknown graph kind {kind!r}; choose from ring, "
+                            "grid:RxC, complete, star, custom:<edge-file>")
+    if arg is not None and kind not in ("grid", "custom"):
+        raise TopologyError(f"{kind} takes no argument, got {kind}:{arg}")
+    return Graph(n, _normalize_edges(edges), kind=kind)
 
 
 def read_edge_file(path) -> list:
     """Edge file: one 'i j' pair per line, 0-indexed; '#' starts a comment."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise TopologyError(f"cannot read edge file {path!r}: {exc.strerror}") from None
     edges = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise TopologyError(f"bad edge line {line!r}")
-            edges.append((int(parts[0]), int(parts[1])))
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            i, j = (int(v) for v in line.split())
+        except ValueError:
+            raise TopologyError(f"bad edge line {line!r} in {path}") from None
+        edges.append((i, j))
     return edges
 
 

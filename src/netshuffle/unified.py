@@ -53,25 +53,12 @@ class OperatorError(ValueError):
 
 
 def _poly_matrix(coeffs, W: np.ndarray) -> np.ndarray:
-    """Evaluate sum_d c_d W^d by Horner's rule in the matrix argument.
-
-    The first step is c_d W + c_{d-1} I without a product, so a degree-1
-    polynomial costs O(n^2); adding 0.0 turns the -0.0 entries of c_d W into
-    the +0.0 a product with c_d I gives, so the result is bit-for-bit the
-    plain Horner loop's.
-    """
+    """Evaluate sum_d c_d W^d by Horner's rule in the matrix argument."""
     n = W.shape[0]
-    diag = np.diag_indices(n)
-    *rest, top = coeffs
-    if rest:
-        out = top * W + 0.0
-        top = rest.pop()
-    else:
-        out = np.zeros((n, n))
-    out[diag] += top
-    for c in reversed(rest):
+    out = np.zeros((n, n))
+    for c in reversed(coeffs):
         out = out @ W
-        out[diag] += c
+        out[np.diag_indices(n)] += c
     return out
 
 

@@ -202,9 +202,9 @@ def test_edrr_transformed_state_matches_closed_form(n):
 
 
 def test_exact_diffusion_rejects_indefinite_w(quad8, ring8):
-    for cls in (EDRR, EDRRPrimalDual):
+    for cls, mode in ((ED, "iid"), (EDRR, "rr"), (EDRRPrimalDual, "rr")):
         with pytest.raises(ValueError, match="lazify"):
-            cls(quad8, ring8, PermutationStream(0, "rr"))
+            cls(quad8, ring8, PermutationStream(0, mode))
 
 
 def test_sampling_compatibility_enforced(quad8, ring8):

@@ -168,10 +168,11 @@ def test_out_of_range_numbers_are_config_errors(tmp_path, capsys, flag, value, k
 @pytest.mark.parametrize("spec", ["harmonic:0,0", "harmonic:-1,1", "const:-0.1",
                                   "const:0", "const:nan", "const:inf", "dec:1",
                                   "dec:0,5", "dec:20,0", "const:", "const:1/0",
-                                  "plateau:0.1,-0.1"])
+                                  "plateau:0.1,-0.1", "plateau:"])
 def test_bad_stepsize_is_config_error(tmp_path, capsys, spec):
     code, err = _sweep_exit(tmp_path, capsys, "--stepsize", spec)
-    assert code == cli.EXIT_CONFIG and "run.stepsize" in err
+    # a schedule fault is the key's, not the method's
+    assert code == cli.EXIT_CONFIG and "run.stepsize" in err and "method '" not in err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -180,6 +181,34 @@ def test_bad_stepsize_is_config_error(tmp_path, capsys, spec):
 def test_repeated_method_or_seed_is_config_error(tmp_path, capsys, flags, key):
     code, err = _sweep_exit(tmp_path, capsys, *flags)
     assert code == cli.EXIT_CONFIG and key in err and "repeated" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv,key", [
+    (("--graph", "grid:4x"), "topology.graph"),
+    (("--graph", "grid:3x3", "--n", "16"), "topology.graph"),
+    (("--graph", "ring:5"), "topology.graph"),
+    (("--graph", "custom:{tmp}/missing.txt"), "topology.graph"),
+    (("--graph", "custom:{tmp}/letters.txt"), "topology.graph"),
+    (("--seed=",), "run.seeds"),
+    (("--method=",), "run.methods"),
+    (("--objective", "logistic", "--cifar10", "{tmp}/missing"), "objective.cifar10"),
+    (("--out", "{tmp}/letters.txt/out"), "run.outdir"),
+], ids=["grid-no-cols", "grid-size", "ring-arg", "edge-file-missing",
+        "edge-file-letters", "no-seed", "no-method", "cifar10-missing", "outdir-under-file"])
+def test_bad_input_is_config_error_naming_its_key(tmp_path, capsys, argv, key):
+    (tmp_path / "letters.txt").write_text("a b\n")
+    code, err = _sweep_exit(tmp_path, capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == cli.EXIT_CONFIG and key in err and "method '" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("method", ["ed", "edrr"])
+def test_exact_diffusion_on_an_indefinite_grid_is_config_error(tmp_path, capsys, method):
+    # the 4x4 grid's Metropolis W has lambda_min -0.43 < -1/3, where ed diverges
+    code, err = _sweep_exit(tmp_path, capsys, "--method", method, "--graph", "grid:4x4",
+                            "--n", "16")
+    assert code == cli.EXIT_CONFIG and f"method '{method}'" in err and "lazify" in err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -350,8 +379,8 @@ SWEEP_SHA256 = {
            "2ff524b55ece8bd2f5f2bf446ab2f1883869ee721ac492fb8c00749a88a2883c"),
     "lazy ring": (dict(objective="logistic", tau=0.5, methods=("edrr",), seeds=(0, 1)),
                   "e7dabfa8e293af1287ee390500657355516e0d9938885a2849c836f9023c88c8"),
-    "iid": (dict(sampling="iid", methods=("dsgd", "dsgt", "ed"), seeds=(0, 1)),
-            "2dbbeab6cc2820a3358c3b2de4907b04473d50c549ed58d03ca45610f7dfa009"),
+    "iid": (dict(sampling="iid", tau=0.5, methods=("dsgd", "dsgt", "ed"), seeds=(0, 1)),
+            "883eae21833d4afd6bc70b21bcbfbea2368f91bfd9111f15756cc70ce1b62649"),
     "inner metrics": (dict(m=3, tau=0.5, methods=_SEVEN, epochs=3, inner_metrics=True),
                       "89c7a8894da1939771e607df8481d732db69ce49966e621904a2f428ba0682b2"),
     "strict_alg2": (dict(tau=0.5, methods=("edrr",), strict_alg2=True),
@@ -571,6 +600,14 @@ def test_cli_run_and_sweep_reject_edrr_on_an_indefinite_ring(tmp_path, capsys):
         assert cli.main([*command, *flags]) == cli.EXIT_CONFIG
         errors.append(capsys.readouterr().err)
     assert "method 'edrr'" in errors[0] and errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("flags,key", [(("--method", "gtrr,drr"), "run.methods"),
+                                       (("--seed", "0,1"), "run.seeds")])
+def test_cli_run_takes_one_method_and_one_seed(capsys, flags, key):
+    assert cli.main(["run", "--epochs", "1", *flags]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert key in captured.err and "use sweep" in captured.err and not captured.out
 
 
 def test_cli_config_error_exit_code(capsys):

@@ -66,25 +66,6 @@ def test_independent_streams_change_with_master_seed():
     assert not np.array_equal(a, b)
 
 
-def test_uniformity_chi_square_m3():
-    # 120000 epochs at m=3: each of the 6 orderings within 20000 +- 500
-    stream = PermutationStream(12345, "rr")
-    counts = {}
-    for t in range(120_000):
-        key = tuple(stream.permutation(0, t, 3))
-        counts[key] = counts.get(key, 0) + 1
-    assert len(counts) == 6
-    assert max(abs(c - 20_000) for c in counts.values()) <= 500
-
-
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
-def test_partial_mean_variance_matches_closed_form(m, rng):
-    X = rng.normal(size=(m, 3))
-    for ell in range(1, m + 1):
-        empirical, predicted = rr_variance(X, ell)
-        assert abs(empirical - predicted) <= 1e-12
-
-
 def test_variance_full_pass_is_zero(rng):
     X = rng.normal(size=(5, 2))
     empirical, predicted = rr_variance(X, 5)

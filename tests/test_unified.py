@@ -62,30 +62,6 @@ def test_edrr_preset_square_root(lazy_ring8):
     assert np.allclose(op.C, np.eye(n))
 
 
-def _horner_loop(coeffs, W):
-    """Horner's rule started from the zero matrix: the reference for
-    `_poly_matrix`, which skips the first product."""
-    n = W.shape[0]
-    out = np.zeros((n, n))
-    for c in reversed(list(coeffs)):
-        out = out @ W
-        out[np.diag_indices(n)] += c
-    return out
-
-
-@pytest.mark.parametrize("kind", ["ring", "star", "complete"])
-@pytest.mark.parametrize("degree", [0, 1, 2, 3])
-def test_poly_matrix_is_bit_equal_to_horner_loop(kind, degree, rng):
-    coeff_sets = [(0.0,) * degree + (1.0,), (1.0, -2.0, 1.0, -0.5)[:degree + 1],
-                  (1.0, -1.0, 0.0, 0.0)[:degree + 1], tuple(rng.normal(size=degree + 1))]
-    for n in (1, 2, 9, 40):
-        mix = metropolis_weights(build_graph(kind, n=n))
-        for W in (mix.w, lazify(mix, 0.5).w):
-            for coeffs in coeff_sets:
-                got = _poly_matrix(coeffs, W)
-                assert got.tobytes() == _horner_loop(coeffs, W).tobytes(), coeffs
-
-
 def test_lazy_b_is_the_root_of_b2(ring8, lazy_ring8):
     for op in (gtrr_operator(ring8), edrr_operator(lazy_ring8)):
         assert "B" not in vars(op) and "B2" not in vars(op)
