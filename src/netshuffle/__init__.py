@@ -5,7 +5,8 @@ stepsize theory calculators, and an experiment harness."""
 from .algorithms import METHODS, initial_iterates, make_method, run
 from .metrics import RateFit, Trajectory, TrajectoryRecord, rate_fit, read_csv
 from .objective import (LogisticObjective, NonconvexLogisticObjective,
-                        ObjectiveConstants, QuadraticObjective, make_logistic,
+                        ObjectiveConstants, QuadraticObjective,
+                        SeparableQuadratic, make_logistic,
                         make_nonconvex_logistic, make_quadratic)
 from .shuffling import PermutationStream, rr_variance
 from .stepsize import (ConstantSchedule, DecreasingSchedule, HarmonicSchedule,

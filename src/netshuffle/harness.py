@@ -150,6 +150,9 @@ def config_from_mapping(entries: dict, base: ExperimentConfig | None = None) -> 
         if meta["below"] is not None and not value < meta["below"]:
             raise ConfigError(f"{_FIELD_TO_KEY[name]}: must be < {meta['below']}, "
                               f"got {value}")
+    if cfg.cifar10 and cfg.objective == "quadratic":
+        raise ConfigError(f"{_FIELD_TO_KEY['cifar10']}: the quadratic family takes no "
+                          f"dataset; set {_FIELD_TO_KEY['objective']} to a logistic one")
     return cfg
 
 

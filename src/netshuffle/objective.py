@@ -2,8 +2,11 @@
 
 Three families: quadratic (exact constants, closed-form minimum), logistic
 with ridge (strongly convex, estimated minimum), and logistic with a smooth
-saturating penalty (nonconvex).  Gradient evaluation is pure, and every
-average uses numpy's pairwise summation so runs are bit-reproducible.
+saturating penalty (nonconvex).  `make_quadratic` draws quadratics whose
+component Grams are one diagonal, evaluated in closed form by
+`SeparableQuadratic`; `QuadraticObjective` takes any component matrices.
+Gradient evaluation is pure, and every average uses numpy's pairwise
+summation so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -102,8 +105,8 @@ class FiniteSumObjective:
 # ---------------------------------------------------------------------------
 
 
-# floats per block of agents (1 MB) when a quadratic's component stack is
-# drawn, factored or eigen-solved, so no step holds a second copy of the stack
+# floats per block (1 MB) when a quadratic's component stack is eigen-solved
+# or its rotation normals are drawn, so no step holds a second copy
 _BLOCK_FLOATS = 2 ** 17
 
 
@@ -114,7 +117,7 @@ def _agent_blocks(A: np.ndarray):
 
 
 class QuadraticObjective(FiniteSumObjective):
-    """f_il(x) = 0.5 ||A_il x - b_il||^2 with exact constants.
+    """f_il(x) = 0.5 ||A_il x - b_il||^2 with exact constants, for any A.
 
     A has shape (n, m, k, p) and b (n, m, k).  L, the largest eigenvalue of
     any component Gram A_il^T A_il, is found by eigvalsh unless the caller
@@ -210,13 +213,98 @@ class QuadraticObjective(FiniteSumObjective):
         return 0.5 * np.einsum("ip,pq,iq->i", D, self.H, D) + self._f_star
 
 
+class SeparableQuadratic(FiniteSumObjective):
+    """f_il(x) = 0.5 sum_q d_q (x_q - t_ilq)^2, in closed form.
+
+    This is the family `make_quadratic` draws: every component shares the
+    curvatures d (p,) and has its own target t_il, a row of `targets`
+    (n, m, p).  Each oracle is an elementwise expression in d, the targets,
+    each agent's mean target and x* (the mean of all targets), so nothing of
+    size p x p is stored or multiplied.  L = max d and mu = min d; f* and the
+    agents' minimum come from the residuals at their minimizers, as
+    `QuadraticObjective` takes them, and every component reaches 0 at its
+    target.
+    """
+
+    family = "quadratic"
+
+    def __init__(self, d: np.ndarray, targets: np.ndarray):
+        d = np.asarray(d, dtype=float)
+        targets = np.asarray(targets, dtype=float)
+        if d.ndim != 1 or targets.ndim != 3 or targets.shape[2] != d.size:
+            raise ValueError("d must be (p,) and targets (n,m,p)")
+        if not np.all(d > 0):
+            raise ValueError("average Hessian is singular; every curvature must be > 0")
+        self.d, self.targets = d, targets
+        self.n, self.m, self.p = targets.shape
+        self.t_agent = targets.mean(axis=1)
+        self.x_star = self.t_agent.mean(axis=0)
+        # perm_grads takes row i * m + idx[i] of the (n m, p) targets
+        self._rows = targets.reshape(-1, self.p)
+        self._first = np.arange(self.n) * self.m
+        self._f_star = float(self._half_gap(targets - self.x_star).mean())
+        self.constants = ObjectiveConstants(
+            L=float(d.max()), mu=float(d.min()), f_star=self._f_star,
+            f_star_components=0.0,
+            f_star_agents=float(self._half_gap(targets - self.t_agent[:, None]).mean()),
+            provenance={k: EXACT for k in ("L", "mu") + _MINIMA},
+        )
+
+    def _half_gap(self, D):
+        """0.5 sum_q d_q D_q^2 over the last axis of D."""
+        return 0.5 * np.einsum("...p,...p,p->...", D, D, self.d)
+
+    def component_value(self, i, l, x):
+        self._check_indices(i, l)
+        return float(self._half_gap(x - self.targets[i, l]))
+
+    def component_grad(self, i, l, x):
+        self._check_indices(i, l)
+        return self.d * (x - self.targets[i, l])
+
+    def agent_grad(self, i, x):
+        return self.d * (x - self.t_agent[i])
+
+    def value(self, x):
+        return float(self._half_gap(x - self.x_star)) + self._f_star
+
+    def grad(self, x):
+        return self.d * (x - self.x_star)
+
+    def perm_grads(self, X, idx):
+        G = self._rows.take(self._first + idx, axis=0)
+        np.subtract(X, G, out=G)
+        G *= self.d
+        return G
+
+    def stacked_agent_grads(self, X):
+        return self.d * (X - self.t_agent)
+
+    def values_at(self, X):
+        return self._half_gap(X - self.x_star) + self._f_star
+
+
+def _drop_normals(rng: np.random.Generator, count: int) -> None:
+    """Advance `rng` past `count` standard normals, about 1 MB at a time.
+
+    The (n, m, p, p) normals that the rotations Q were factored from come
+    first in `make_quadratic`'s stream, so drawing and dropping them keeps
+    every seed's targets.
+    """
+    buf = np.empty(max(1, min(count, _BLOCK_FLOATS)))
+    for lo in range(0, count, len(buf)):
+        rng.standard_normal(out=buf[:count - lo])
+
+
 def make_quadratic(n: int, m: int, p: int, seed: int, condition: float = 1.0,
                    hetero: float = 1.0, spread: float = 1.0,
-                   consistent: bool = False) -> QuadraticObjective:
+                   consistent: bool = False) -> SeparableQuadratic:
     """Random quadratic finite sum with controlled conditioning.
 
     Each component is 0.5||A(x - t)||^2 with A = Q diag(s)^(1/2), Q a random
-    rotation and s log-spaced in [1, condition].  Component targets t are
+    rotation and s log-spaced in [1, condition].  Since A^T A = diag(s), Q
+    cancels and the component is 0.5 sum_q s_q (x_q - t_q)^2, which
+    `SeparableQuadratic` evaluates with d = s.  Component targets t are
     x_hat + hetero*h_i + spread*xi_il, giving across-agent heterogeneity and
     within-agent dispersion separately.  ``consistent`` collapses all targets
     to x_hat so the global minimum value is zero.
@@ -224,15 +312,10 @@ def make_quadratic(n: int, m: int, p: int, seed: int, condition: float = 1.0,
     if condition < 1.0:
         raise ValueError("condition must be >= 1")
     rng = keyed_rng(seed, PURPOSE_MC, agent=2, epoch=0)
-    # scale columns: A^T A = diag(scale^2), so L = max scale^2; scale is all
-    # ones at condition 1
+    # A = Q diag(scale) has A^T A = diag(scale^2); scale is all ones at
+    # condition 1
     scale = np.logspace(0.0, 0.5 * np.log10(condition), p)
-    # one draw and one QR per block of agents: the generator's draws follow
-    # in order and QR factors each matrix alone, so the blocks fill the same
-    # A as one (n, m, p, p) draw would, without a copy of the whole stack
-    A = np.empty((n, m, p, p))
-    for blk in _agent_blocks(A):
-        np.multiply(np.linalg.qr(rng.normal(size=blk.shape))[0], scale, out=blk)
+    _drop_normals(rng, n * m * p * p)
     x_hat = rng.normal(size=p)
     if consistent:
         targets = np.broadcast_to(x_hat, (n, m, p)).copy()
@@ -242,8 +325,7 @@ def make_quadratic(n: int, m: int, p: int, seed: int, condition: float = 1.0,
         targets = rng.normal(size=(n, m, p))
         targets *= spread
         targets += x_hat + h
-    b = np.einsum("imkp,imp->imk", A, targets)
-    return QuadraticObjective(A, b, L=float(scale.max() ** 2))
+    return SeparableQuadratic(scale ** 2, targets)
 
 
 # ---------------------------------------------------------------------------

@@ -277,7 +277,9 @@ class MixingMatrix:
         mix._set_entries(n, rows, cols, vals)
         return mix
 
-    def _set_entries(self, n, rows, cols, vals):
+    def _set_entries(self, n, rows, cols, vals, connected: bool = False):
+        """Check and keep W's entries; `connected` says that the positivity
+        pattern is already known to be connected, which skips the search."""
         if n < 1:
             raise TopologyError(f"need at least one agent, got n={n}")
         if not np.all(np.isfinite(vals)):
@@ -298,7 +300,7 @@ class MixingMatrix:
         if low < -1e-12:
             raise TopologyError(f"negative weight {low:.3g}")
         up = (vals > 0) & (rows < cols)
-        if not _connected(n, zip(rows[up].tolist(), cols[up].tolist())):
+        if not (connected or _connected(n, zip(rows[up].tolist(), cols[up].tolist()))):
             raise TopologyError("positivity pattern of W is not connected")
         for a in (rows, cols, vals):
             a.setflags(write=False)
@@ -355,6 +357,15 @@ class NeighborGather:
         return np.einsum("ik,ik...->i...", self.wt, X[self.idx])
 
 
+def _entries_known_connected(n: int, rows, cols, vals,
+                             connected: bool = True) -> MixingMatrix:
+    """`MixingMatrix.from_entries`, without the connectivity search when the
+    positivity pattern is known to be `connected`; every other check runs."""
+    mix = MixingMatrix.__new__(MixingMatrix)
+    mix._set_entries(n, rows, cols, vals, connected)
+    return mix
+
+
 def metropolis_weights(g: Graph) -> MixingMatrix:
     """Metropolis-Hastings weights: w_ij = 1/(1+max(deg_i,deg_j)) on edges."""
     n = g.n
@@ -370,7 +381,8 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
     # get the same diagonal: a ring or complete graph is exactly circulant
     diag = [1.0 - math.fsum(incident[hi - d:hi]) for hi, d in zip(ends_at, deg.tolist())]
     agents = np.arange(n)
-    return MixingMatrix.from_entries(n, *_sorted_entries(
+    # every edge of the connected graph gets a positive weight
+    return _entries_known_connected(n, *_sorted_entries(
         n, np.concatenate((rows, agents)), np.concatenate((cols, agents)),
         np.concatenate((off, diag))))
 
@@ -380,20 +392,23 @@ def lazify(mix: MixingMatrix, tau: float) -> MixingMatrix:
 
     Built on W's nonzeros with the dense formula's bits: fl((1-tau) w_ij)
     off the diagonal and fl((1-tau) w_ii) + tau on it, where a diagonal W
-    lacks gets tau.
+    lacks gets tau.  W was checked connected, and scaling by 1 - tau > 0
+    keeps every positive entry positive unless it underflows, so only an
+    underflow calls for a new search.
     """
     if not 0.0 < tau < 1.0:
         raise TopologyError(f"tau must lie in (0,1), got {tau}")
     n, rows, cols = mix.n, mix.rows, mix.cols
     vals = (1.0 - tau) * mix.vals
+    kept = bool(np.all(vals[mix.vals > 0] > 0))
     on_diag = rows == cols
     vals[on_diag] += tau
     missing = np.ones(n, dtype=bool)
     missing[rows[on_diag]] = False
     missing = np.flatnonzero(missing)
-    return MixingMatrix.from_entries(n, *_sorted_entries(
+    return _entries_known_connected(n, *_sorted_entries(
         n, np.concatenate((rows, missing)), np.concatenate((cols, missing)),
-        np.concatenate((vals, np.full(len(missing), tau)))))
+        np.concatenate((vals, np.full(len(missing), tau)))), connected=kept)
 
 
 def spectral_info(mix: MixingMatrix) -> SpectralInfo:

@@ -193,14 +193,27 @@ def test_repeated_method_or_seed_is_config_error(tmp_path, capsys, flags, key):
     (("--seed=",), "run.seeds"),
     (("--method=",), "run.methods"),
     (("--objective", "logistic", "--cifar10", "{tmp}/missing"), "objective.cifar10"),
+    (("--cifar10", "{tmp}"), "objective.cifar10"),
     (("--out", "{tmp}/letters.txt/out"), "run.outdir"),
 ], ids=["grid-no-cols", "grid-size", "ring-arg", "edge-file-missing",
-        "edge-file-letters", "no-seed", "no-method", "cifar10-missing", "outdir-under-file"])
+        "edge-file-letters", "no-seed", "no-method", "cifar10-missing",
+        "cifar10-with-quadratic", "outdir-under-file"])
 def test_bad_input_is_config_error_naming_its_key(tmp_path, capsys, argv, key):
     (tmp_path / "letters.txt").write_text("a b\n")
     code, err = _sweep_exit(tmp_path, capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == cli.EXIT_CONFIG and key in err and "method '" not in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_dataset_is_refused_only_for_the_quadratic_family():
+    with pytest.raises(ConfigError, match="objective.cifar10: the quadratic family"):
+        config_from_mapping({"objective.cifar10": "data"})
+    with pytest.raises(ConfigError, match="objective.cifar10"):
+        config_from_mapping({"objective.family": "quadratic"},
+                            ExperimentConfig(objective="logistic", cifar10="data"))
+    for family in ("logistic", "ncvx-logistic"):
+        cfg = config_from_mapping({"objective.family": family, "objective.cifar10": "data"})
+        assert cfg.cifar10 == "data"
 
 
 @pytest.mark.parametrize("method", ["ed", "edrr"])
@@ -278,15 +291,18 @@ def test_every_config_field_has_one_key_and_one_flag(tmp_path):
     for field, key in zip(fields, keys):
         assert len(flags[field.name]) == 1, field.name
         value = _other_value(field)
+        # a dataset needs a logistic family
+        family = field.name == "cifar10"
         path = tmp_path / f"{field.name}.cfg"
-        path.write_text(f"{key} = {_as_text(value)}\n")
+        path.write_text("objective.family = logistic\n" * family
+                        + f"{key} = {_as_text(value)}\n")
         assert getattr(config_from_file(path), field.name) == value, key
         if field.type == "bool":  # a bare flag sets true: start from a file saying false
             path.write_text(f"{key} = false\n")
             argv, expected = ["--config", str(path), flags[field.name][0]], True
         else:
             argv, expected = [flags[field.name][0], _as_text(value)], value
-        args = parser.parse_args(["sweep", *argv])
+        args = parser.parse_args(["sweep", *argv, *["--objective", "logistic"] * family])
         assert getattr(cli._config_from_args(args), field.name) == expected, argv
     # the hashed key set is part of every CSV's provenance
     assert config_hash(ExperimentConfig()) == "90e9268fb5af6e07"
@@ -374,19 +390,19 @@ SWEEP_SHA256 = {
     "transform methods": (
         dict(n=16, m=10, dim=5, tau=0.5, methods=("gtrr", "edrr"), epochs=5,
              seeds=(0, 1), stepsize="const:0.001"),
-        "a24ac2f7dd912766f6eeb4ac93e598044ff6dfc6e84f8d5c341bd7b38c552e0e"),
+        "7e55e09877531120e05edcc64f65420aa7fabd23fe114aa013a9351bb0f3e97f"),
     "rr": (dict(objective="logistic", methods=("crr", "drr", "gtrr"), seeds=(0, 1)),
            "2ff524b55ece8bd2f5f2bf446ab2f1883869ee721ac492fb8c00749a88a2883c"),
     "lazy ring": (dict(objective="logistic", tau=0.5, methods=("edrr",), seeds=(0, 1)),
                   "e7dabfa8e293af1287ee390500657355516e0d9938885a2849c836f9023c88c8"),
     "iid": (dict(sampling="iid", tau=0.5, methods=("dsgd", "dsgt", "ed"), seeds=(0, 1)),
-            "883eae21833d4afd6bc70b21bcbfbea2368f91bfd9111f15756cc70ce1b62649"),
+            "04da246ab2182feb38455766336af94ab9d49534c54d85538872e73b51a7c018"),
     "inner metrics": (dict(m=3, tau=0.5, methods=_SEVEN, epochs=3, inner_metrics=True),
-                      "89c7a8894da1939771e607df8481d732db69ce49966e621904a2f428ba0682b2"),
+                      "d51ec716cba19fc69109d83765c1cb305f7e13862dcd934c670ad51738e38999"),
     "strict_alg2": (dict(tau=0.5, methods=("edrr",), strict_alg2=True),
-                    "c8bcd9eed0d5c9b78ebf91c58004c8b1757defe6080b291d5665ed456f82d5ea"),
+                    "454ec90f4e1e261f3b291e232c272c51311a91465a9780226ce2f3820425b10f"),
     "once": (dict(tau=0.5, sampling="once", methods=("crr", "drr", "gtrr", "edrr")),
-             "c49051ea31132de8c2d20bd5fae57fb7af0ac87a0b0c5b5935ebb6a36ab1e8d5"),
+             "45cdc052c16be9ebcc629cb88f2a7b4ab8815da00e11802bfbb38e42733dd727"),
 }
 
 
@@ -421,8 +437,8 @@ def test_ring512_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 def test_ring1024_sweep_memory_tracks_the_objective(tmp_path, monkeypatch):
     """Set-up and a 1-epoch gtrr/edrr sweep of a lazy 1024-ring hold little
-    beyond the objective's own arrays: no dense W, no dense operator and no
-    second copy of the component stack."""
+    beyond the objective's own arrays: no dense W (8 MB), no dense operator
+    and no (n, m, p, p) component stack (17 MB)."""
     import tracemalloc
 
     from netshuffle import unified
@@ -441,9 +457,10 @@ def test_ring1024_sweep_memory_tracks_the_objective(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    own = objective.A.nbytes + objective.b.nbytes + objective.H_agent.nbytes
-    # measured 1.27x; the dense W and operators and a one-shot QR gave 3.42x
-    assert peak < 1.5 * own
+    own = objective.targets.nbytes + objective.t_agent.nbytes   # 1.18 MB
+    # measured 3.67 MB, 3.1x; the matrix form with its blocked QR peaked at
+    # 24.1 MB
+    assert peak < 4 * own
     assert "w" not in vars(mix)
     assert realized == []
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from dense_quadratic import general, matrix_form
 from netshuffle.objective import (ESTIMATED, EXACT, UNAVAILABLE,
-                                  QuadraticObjective, make_logistic,
-                                  make_nonconvex_logistic, make_quadratic)
+                                  QuadraticObjective, SeparableQuadratic,
+                                  make_logistic, make_nonconvex_logistic,
+                                  make_quadratic)
 from netshuffle.shuffling import PURPOSE_MC, keyed_rng
 
 FAMILIES = {
@@ -56,19 +58,19 @@ def test_quadratic_consistent_system_min_zero():
 def test_quadratic_batched_build_matches_per_component_loop(condition):
     # one stacked draw and QR must give the bits of one QR per component
     n, m, p = 3, 4, 5
-    obj = make_quadratic(n, m, p, seed=7, condition=condition)
+    A = matrix_form(n, m, p, 7, condition=condition)[0]
     rng = keyed_rng(7, PURPOSE_MC, agent=2, epoch=0)
     s = np.logspace(0.0, 0.5 * np.log10(condition), p)
     for i in range(n):
         for l in range(m):
             q, _ = np.linalg.qr(rng.normal(size=(p, p)))
-            assert np.array_equal(obj.A[i, l], q if condition == 1.0 else q * s)
+            assert np.array_equal(A[i, l], q if condition == 1.0 else q * s)
 
 
 def one_shot_quadratic(n, m, p, seed, condition=1.0, hetero=1.0, spread=1.0,
                        consistent=False):
-    """A and b of `make_quadratic` from one (n, m, p, p) draw and one QR of
-    the whole stack."""
+    """A, b and the targets of `make_quadratic`'s matrix form from one
+    (n, m, p, p) draw and one QR of the whole stack."""
     rng = keyed_rng(seed, PURPOSE_MC, agent=2, epoch=0)
     A = np.linalg.qr(rng.normal(size=(n, m, p, p)))[0]
     A *= np.logspace(0.0, 0.5 * np.log10(condition), p)
@@ -79,7 +81,7 @@ def one_shot_quadratic(n, m, p, seed, condition=1.0, hetero=1.0, spread=1.0,
         h = hetero * rng.normal(size=(n, 1, p))
         xi = spread * rng.normal(size=(n, m, p))
         targets = x_hat + h + xi
-    return A, np.einsum("imkp,imp->imk", A, targets)
+    return A, np.einsum("imkp,imp->imk", A, targets), targets
 
 
 # m * p * p = 2048 floats per agent puts 64 agents in a block, so n = 150 ends
@@ -91,19 +93,23 @@ def one_shot_quadratic(n, m, p, seed, condition=1.0, hetero=1.0, spread=1.0,
     (3, 2, 300, {"condition": 2.0}),
 ], ids=["partial-block", "condition", "consistent", "agent-above-block"])
 def test_make_quadratic_blocks_equal_one_shot_construction(n, m, p, kw):
-    obj = make_quadratic(n, m, p, seed=4, **kw)
-    A, b = one_shot_quadratic(n, m, p, 4, **kw)
-    assert obj.A.tobytes() == A.tobytes()
-    assert obj.b.tobytes() == b.tobytes()
-    assert obj.x_star.tobytes() == QuadraticObjective(A, b).x_star.tobytes()
+    ref_A, ref_b, _, ref_L = matrix_form(n, m, p, 4, **kw)
+    A, b, targets = one_shot_quadratic(n, m, p, 4, **kw)
+    assert ref_A.tobytes() == A.tobytes()
+    assert ref_b.tobytes() == b.tobytes()
+    assert (QuadraticObjective(ref_A, ref_b, L=ref_L).x_star.tobytes()
+            == QuadraticObjective(A, b).x_star.tobytes())
+    # the closed form draws and drops the rotation normals, so its targets
+    # are the matrix form's to the bit
+    assert make_quadratic(n, m, p, seed=4, **kw).targets.tobytes() == targets.tobytes()
     # the blocked eigvalsh finds the one-shot stacked L
     L = float(np.linalg.eigvalsh(np.swapaxes(A, 2, 3) @ A)[..., -1].max())
-    assert QuadraticObjective(obj.A, obj.b).constants.L == L
+    assert QuadraticObjective(ref_A, ref_b).constants.L == L
 
 
 @pytest.mark.parametrize("n,m,p,condition", [(512, 8, 16, 1.0), (16, 6, 5, 100.0)])
 def test_quadratic_blas_grams_match_einsum_forms(n, m, p, condition):
-    obj = make_quadratic(n, m, p, seed=0, condition=condition)
+    obj = general(n, m, p, 0, condition=condition)
     H_agent = np.einsum("imkp,imkq->ipq", obj.A, obj.A) / m
     hess = np.einsum("imkp,imkq->impq", obj.A, obj.A)
     L = float(np.linalg.eigvalsh(hess)[..., -1].max())
@@ -302,9 +308,10 @@ def test_quadratic_minima_wait_for_first_read(monkeypatch):
             return real(*args, **kwargs)
         return call
 
+    A, b, _, L = matrix_form(6, 3, 4, 2, condition=3.0)
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    obj = make_quadratic(6, 3, 4, seed=2, condition=3.0)
+    obj = QuadraticObjective(A, b, L=L)
     c = obj.constants
     assert c.L > 0 and c.mu > 0 and c.f_star is not None
     assert calls == {"svd": 0, "solve": 1}  # x_star only
@@ -425,6 +432,69 @@ def test_make_quadratic_l_matches_component_eigvalsh():
     for seed in range(4):
         for condition in (1.0, 2.0, 10.0, 1e3):
             obj = make_quadratic(5, 4, 6, seed=seed, condition=condition)
-            dense = QuadraticObjective(obj.A, obj.b).constants.L
+            A, b = matrix_form(5, 4, 6, seed, condition=condition)[:2]
+            dense = QuadraticObjective(A, b).constants.L
             assert obj.constants.L == pytest.approx(dense, rel=1e-13, abs=0)
             assert obj.constants.L == pytest.approx(condition, rel=1e-15, abs=0)
+
+
+def test_separable_quadratic_rejects_bad_shapes_and_curvatures():
+    with pytest.raises(ValueError, match="targets"):
+        SeparableQuadratic(np.ones(3), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="singular"):
+        SeparableQuadratic(np.array([1.0, 0.0]), np.zeros((1, 1, 2)))
+
+
+def test_closed_form_quadratic_equals_the_general_class_on_its_matrix_form():
+    """Every oracle and constant of `make_quadratic`'s closed form against
+    `QuadraticObjective` on the same seed's matrices.  Values are compared to
+    1e-12 of their natural size L * big^2, gradients to 1e-12 of L * big and
+    x* to 1e-12 of big * condition, with big the largest |target| or |x|;
+    mu within 1e-12 of L, and L within one rounding: the matrix form took
+    `scale.max() ** 2`, a scalar power that can land one ulp off the
+    correctly rounded square the closed form keeps."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        n=st.integers(1, 6), m=st.integers(1, 5), p=st.integers(1, 7),
+        seed=st.integers(0, 2 ** 16),
+        condition=st.sampled_from([1.0, 2.0, 10.0, 1e3]) | st.floats(1.0, 1e3),
+        hetero=st.floats(0.0, 3.0), spread=st.floats(0.0, 3.0),
+        consistent=st.booleans())
+    def check(n, m, p, seed, condition, hetero, spread, consistent):
+        kw = dict(condition=condition, hetero=hetero, spread=spread,
+                  consistent=consistent)
+        closed, ref = make_quadratic(n, m, p, seed, **kw), general(n, m, p, seed, **kw)
+        rng = np.random.default_rng(seed)
+        X = closed.x_star + 3.0 * rng.normal(size=(n, p))
+        idx = rng.integers(m, size=n)
+        big = max(1.0, float(np.abs(closed.targets).max()), float(np.abs(X).max()))
+        L = ref.constants.L
+        tol_f, tol_g = 1e-12 * L * big ** 2, 1e-12 * L * big
+
+        def close(got, want, tol):
+            assert np.max(np.abs(np.asarray(got) - np.asarray(want)), initial=0.0) <= tol
+
+        assert closed.constants.L == pytest.approx(L, rel=2.3e-16, abs=0)
+        close(closed.constants.mu, ref.constants.mu, 1e-12 * L)
+        close(closed.x_star, ref.x_star, 1e-12 * big * condition)
+        for name in ("f_star", "f_star_agents", "f_star_components"):
+            close(getattr(closed.constants, name), getattr(ref.constants, name), tol_f)
+        assert closed.constants.f_star_components == 0.0
+        close(closed.perm_grads(X, idx), ref.perm_grads(X, idx), tol_g)
+        close(closed.stacked_agent_grads(X), ref.stacked_agent_grads(X), tol_g)
+        close(closed.grads_at_consensus(X[0]), ref.grads_at_consensus(X[0]), tol_g)
+        close(closed.values_at(X), ref.values_at(X), tol_f)
+        for i, x in enumerate(X):
+            close(closed.value(x), ref.value(x), tol_f)
+            close(closed.grad(x), ref.grad(x), tol_g)
+            close(closed.agent_grad(i, x), ref.agent_grad(i, x), tol_g)
+            value, grad = closed.value_and_grad(x)
+            assert value == closed.value(x) and np.array_equal(grad, closed.grad(x))
+            for l in range(m):
+                close(closed.component_value(i, l, x), ref.component_value(i, l, x), tol_f)
+                close(closed.component_grad(i, l, x), ref.component_grad(i, l, x), tol_g)
+
+    check()

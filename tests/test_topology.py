@@ -365,6 +365,31 @@ def test_entry_checks_raise_the_dense_messages(make):
     assert str(entries.value) == str(dense.value)
 
 
+def test_a_disconnected_w_fails_with_its_message_from_entries_and_lazify():
+    w = _disconnected()
+    rows, cols = np.nonzero(w)
+    with pytest.raises(TopologyError, match="^positivity pattern of W is not connected$"):
+        MixingMatrix.from_entries(4, rows, cols, w[rows, cols])
+    # the one off-diagonal weight underflows to 0 when lazified, which cuts W
+    tiny = np.array([[1.0, 5e-324], [5e-324, 1.0]])
+    with pytest.raises(TopologyError, match="^positivity pattern of W is not connected$"):
+        lazify(MixingMatrix(tiny), 0.75)
+
+
+@pytest.mark.parametrize("graph,tau", [("ring", 0.0), ("ring", 0.5), ("grid:3x4", 0.5),
+                                       ("star", 0.25)])
+def test_build_mix_searches_for_connectivity_once(monkeypatch, graph, tau):
+    # Metropolis weights and lazify keep the graph's connected pattern
+    from netshuffle import harness, topology
+    calls = []
+    search = topology._connected
+    monkeypatch.setattr(topology, "_connected",
+                        lambda *args: calls.append(1) or search(*args))
+    mix = harness.build_mix(harness.ExperimentConfig(n=12, graph=graph, tau=tau))
+    assert len(calls) == 1
+    dense_mixing.check(mix.w)
+
+
 def test_non_finite_weights_rejected():
     w = np.full((2, 2), 0.5)
     w[0, 0] = np.nan
