@@ -24,10 +24,12 @@ import numpy as np
 
 from . import metrics as _metrics
 from .objective import FiniteSumObjective
-from .shuffling import PURPOSE_INIT, PermutationStream, keyed_rng
+from .shuffling import PURPOSE_INIT, RESHUFFLE_MODES, PermutationStream, keyed_rng
 from .topology import MixingMatrix, psd_sqrt
 
 DIVERGENCE_NORM = 1e12
+# `initial_iterates`' starts: one common point, or one point per agent
+INIT_MODES = ("same", "random")
 
 
 @dataclass(frozen=True)
@@ -54,10 +56,9 @@ class _Method:
                  stream: PermutationStream):
         if objective.n != mix.n:
             raise ValueError("objective and mixing matrix disagree on n")
-        if self.uses_rr and stream.mode == "iid":
-            raise ValueError(f"{self.name} requires rr or once sampling")
-        if not self.uses_rr and stream.mode != "iid":
-            raise ValueError(f"{self.name} requires iid sampling")
+        if (stream.mode in RESHUFFLE_MODES) != self.uses_rr:
+            modes = " or ".join(RESHUFFLE_MODES) if self.uses_rr else "iid"
+            raise ValueError(f"{self.name} requires {modes} sampling")
         self.obj = objective
         self.W = mix.operator
         self.stream = stream
@@ -321,7 +322,7 @@ def initial_iterates(objective, init: str = "same", init_scale: float = 1.0,
     if init == "random":
         rng = keyed_rng(run_seed, PURPOSE_INIT, agent=1, epoch=0)
         return init_scale * rng.normal(size=(n, p))
-    raise ValueError("init must be 'same' or 'random'")
+    raise ValueError(f"init must be one of {', '.join(INIT_MODES)}, got {init!r}")
 
 
 def run(method_name: str, objective, mix: MixingMatrix, schedule, T: int,

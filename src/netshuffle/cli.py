@@ -86,7 +86,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     extra = []
     if args.abc:  # before the suites, so a bad --abc fails at once
-        extra = harness.verify_operator(_abc_operator(args), f"abc {args.abc}")
+        op = _abc_operator(args.abc, _config_from_args(args))
+        extra = harness.verify_operator(op, f"abc {args.abc}")
     checks = harness.verify(args.suite) + extra
     failed = [c for c in checks if not c.passed]
     for check in checks:
@@ -95,11 +96,10 @@ def _cmd_verify(args) -> int:
     return EXIT_VERIFY if failed else EXIT_OK
 
 
-def _abc_operator(args) -> unified.AbcOperator:
+def _abc_operator(spec: str, cfg: harness.ExperimentConfig) -> unified.AbcOperator:
     """The operator `--abc` names (a preset or custom polynomial
-    coefficients) on the configured graph."""
-    spec = args.abc
-    mix = harness.build_mix(_config_from_args(args))
+    coefficients) on `cfg`'s graph."""
+    mix = harness.build_mix(cfg)
     try:
         if spec in harness.PRESET_OPERATORS:
             return harness.PRESET_OPERATORS[spec](mix)
@@ -115,16 +115,14 @@ def _abc_operator(args) -> unified.AbcOperator:
 
 def _cmd_constants(args) -> int:
     cfg = _config_from_args(args)
-    mix = harness.build_mix(cfg)
-    tdata = unified.transform_data(harness.PRESET_OPERATORS[args.abc](mix))
+    tdata = unified.transform_data(_abc_operator(args.abc, cfg))
     obj = harness.build_objective(cfg)
     worst = args.abc if cfg.worst_case_constants else None
     tc = stepsize.theory_constants(tdata, cfg.m, obj.constants.L, obj.constants.mu,
                                    max(cfg.epochs, 1), worst_case=worst)
-    for name in ("gamma", "C1", "C2", "C3", "C4", "alpha_max_ncvx", "beta",
-                 "alpha_ncvx", "alpha_max_pl", "beta1", "beta2",
-                 "norm_V2", "norm_Vinv2", "norm_La2"):
-        print(f"{name} = {getattr(tc, name)}")
+    for field in dataclasses.fields(tc):
+        if field.name not in ("m", "L", "mu", "T"):  # the inputs
+            print(f"{field.name} = {getattr(tc, field.name)}")
     if tc.mu is not None:
         print(f"k_floor(theta={cfg.theta}) = {tc.k_floor(cfg.theta)}")
     return EXIT_OK

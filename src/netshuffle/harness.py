@@ -19,8 +19,9 @@ from . import algorithms, metrics, stepsize, unified
 from .data import load_cifar10
 from .objective import (central_difference_grad, logistic_from_samples,
                         make_logistic, make_nonconvex_logistic, make_quadratic)
-from .shuffling import MODES, PermutationStream, rr_variance
-from .topology import (MixingMatrix, TopologyError, build_graph, lazify,
+from .shuffling import RESHUFFLE_MODES, PermutationStream, rr_variance
+from .stepsize import REGIMES, SCHEDULE_FORMS
+from .topology import (GRAPH_SPECS, MixingMatrix, TopologyError, build_graph, lazify,
                        metropolis_weights)
 
 GENERATOR_TAG = "netshuffle 0.1.0"
@@ -35,10 +36,9 @@ def _key(default, section: str, help: str | None = None, *, key: str | None = No
          below: float | None = None, hashed: bool = True):
     """Declare a config field: its file key is `<section>.<key or field name>`,
     its CLI flag `--<flag or field name>` (underscores as dashes), and only
-    hashed fields enter the canonical text.  `choices`, `minimum` (value >=
-    minimum) and `below` (value < below) are checked by
-    `config_from_mapping`, which also requires every float field to be
-    finite and every list field to hold at least one entry and none twice."""
+    hashed fields enter the canonical text.  A value must lie in `choices`,
+    be >= `minimum` and be < `below`, where given; every float field must be
+    finite, and every list field must hold at least one entry and none twice."""
     return dataclasses.field(default=default, metadata={
         "section": section, "key": key, "flag": flag, "help": help,
         "choices": choices, "minimum": minimum, "below": below, "hashed": hashed})
@@ -46,6 +46,8 @@ def _key(default, section: str, help: str | None = None, *, key: str | None = No
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment, checked however it is made (see `_key`)."""
+
     objective: str = _key("quadratic", "objective", key="family",
                           choices=("quadratic", "logistic", "ncvx-logistic"))
     n: int = _key(16, "objective", "agent count", minimum=1)
@@ -60,19 +62,19 @@ class ExperimentConfig:
     scale: float = _key(1.0, "objective")
     data_seed: int = _key(0, "objective")
     cifar10: str = _key("", "objective", "directory with CIFAR-10 binary batches")
-    graph: str = _key("ring", "topology", "ring|grid:RxC|complete|star|custom:<edge-file>")
+    graph: str = _key("ring", "topology", "|".join(GRAPH_SPECS))
     tau: float = _key(0.0, "topology", "lazify weight in [0,1); 0 keeps W",
                       minimum=0, below=1)
     methods: tuple = _key(("gtrr",), "run", "comma list from "
                           + ",".join(sorted(algorithms.METHODS)), flag="method")
-    sampling: str = _key("rr", "run", choices=MODES)
+    sampling: str = _key("rr", "run", choices=RESHUFFLE_MODES)
     epochs: int = _key(100, "run", minimum=0)
     seeds: tuple = _key((0,), "run", "comma list of seeds", flag="seed")
-    init: str = _key("same", "run", choices=("same", "random"))
+    init: str = _key("same", "run", choices=algorithms.INIT_MODES)
     init_scale: float = _key(1.0, "run")
-    stepsize: str = _key("const:0.001", "run",
-                         "const:a | dec:theta,K | harmonic:a,b | plateau:a1,a2,... | auto")
-    regime: str = _key("ncvx", "run", choices=("ncvx", "pl-const", "pl-decreasing"))
+    stepsize: str = _key("const:0.001", "run", " | ".join(
+        [*(f"{kind}:{args}" for kind, args in SCHEDULE_FORMS.items()), "auto"]))
+    regime: str = _key("ncvx", "run", choices=REGIMES)
     theta: float = _key(20.0, "run")
     strict_alg2: bool = _key(False, "run")
     inner_metrics: bool = _key(False, "run")
@@ -82,6 +84,30 @@ class ExperimentConfig:
     # serialize) identically
     outdir: str = _key("results", "run", "output directory", flag="out", hashed=False)
     timings: bool = _key(False, "run", hashed=False)
+
+    def __post_init__(self):
+        for name, field in _FIELDS.items():
+            value, meta, key = getattr(self, name), field.metadata, _FIELD_TO_KEY[name]
+            if field.type == "float" and not np.isfinite(value):
+                raise ConfigError(f"{key}: must be finite, got {value}")
+            if field.type == "tuple" and not value:
+                raise ConfigError(f"{key}: needs at least one entry")
+            if field.type == "tuple" and len(set(value)) < len(value):
+                raise ConfigError(f"{key}: repeated entry in {','.join(map(str, value))}")
+            if meta["choices"] is not None and value not in meta["choices"]:
+                raise ConfigError(f"{key}: expected one of "
+                                  f"{', '.join(meta['choices'])}, got {value!r}")
+            if meta["minimum"] is not None and not value >= meta["minimum"]:
+                raise ConfigError(f"{key}: must be >= {meta['minimum']}, got {value}")
+            if meta["below"] is not None and not value < meta["below"]:
+                raise ConfigError(f"{key}: must be < {meta['below']}, got {value}")
+        for method in self.methods:
+            if method not in algorithms.METHODS:
+                raise ConfigError(f"{_FIELD_TO_KEY['methods']}: unknown method {method!r}; "
+                                  f"choose from {', '.join(sorted(algorithms.METHODS))}")
+        if self.cifar10 and self.objective == "quadratic":
+            raise ConfigError(f"{_FIELD_TO_KEY['cifar10']}: the quadratic family takes no "
+                              f"dataset; set {_FIELD_TO_KEY['objective']} to a logistic one")
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
@@ -114,14 +140,12 @@ def _coerce(field_name: str, raw):
         return raw
     if field_name == "seeds":
         return tuple(int(s) for s in raw)
-    if field_name == "methods":
-        return tuple(raw)
-    return raw
+    return tuple(raw) if kind == "tuple" else raw
 
 
 def config_from_mapping(entries: dict, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Override `base` with entries keyed by dotted file key or field name."""
-    cfg = base or ExperimentConfig()
+    """Override `base` with entries keyed by dotted file key or field name;
+    the result checks itself."""
     updates = {}
     for key, raw in entries.items():
         field_name = _KEYMAP.get(key, key if key in _FIELDS else None)
@@ -131,29 +155,7 @@ def config_from_mapping(entries: dict, base: ExperimentConfig | None = None) -> 
             updates[field_name] = _coerce(field_name, raw)
         except ValueError as exc:
             raise ConfigError(f"{_FIELD_TO_KEY[field_name]}: {exc}") from exc
-    cfg = dataclasses.replace(cfg, **updates)
-    for name, field in _FIELDS.items():
-        value, meta = getattr(cfg, name), field.metadata
-        if field.type == "float" and not np.isfinite(value):
-            raise ConfigError(f"{_FIELD_TO_KEY[name]}: must be finite, got {value}")
-        if field.type == "tuple" and not value:
-            raise ConfigError(f"{_FIELD_TO_KEY[name]}: needs at least one entry")
-        if field.type == "tuple" and len(set(value)) < len(value):
-            raise ConfigError(f"{_FIELD_TO_KEY[name]}: repeated entry in "
-                              f"{','.join(str(v) for v in value)}")
-        if meta["choices"] is not None and value not in meta["choices"]:
-            raise ConfigError(f"{_FIELD_TO_KEY[name]}: expected one of "
-                              f"{', '.join(meta['choices'])}, got {value!r}")
-        if meta["minimum"] is not None and not value >= meta["minimum"]:
-            raise ConfigError(f"{_FIELD_TO_KEY[name]}: must be >= {meta['minimum']}, "
-                              f"got {value}")
-        if meta["below"] is not None and not value < meta["below"]:
-            raise ConfigError(f"{_FIELD_TO_KEY[name]}: must be < {meta['below']}, "
-                              f"got {value}")
-    if cfg.cifar10 and cfg.objective == "quadratic":
-        raise ConfigError(f"{_FIELD_TO_KEY['cifar10']}: the quadratic family takes no "
-                          f"dataset; set {_FIELD_TO_KEY['objective']} to a logistic one")
-    return cfg
+    return dataclasses.replace(base or ExperimentConfig(), **updates)
 
 
 def config_from_file(path, base: ExperimentConfig | None = None) -> ExperimentConfig:

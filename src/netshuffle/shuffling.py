@@ -18,7 +18,10 @@ from itertools import permutations as _all_perms
 import numpy as np
 from numpy.random import Generator, Philox
 
-MODES = ("rr", "once", "iid")
+# a reshuffling method's orders: a fresh permutation every epoch, or one
+# kept for the whole run; the unshuffled methods draw 'iid'
+RESHUFFLE_MODES = ("rr", "once")
+MODES = (*RESHUFFLE_MODES, "iid")
 
 # purpose discriminators for the Philox key; keeps permutation, init and
 # Monte Carlo streams disjoint for one master seed
@@ -30,27 +33,23 @@ _AGENT_BITS = 24
 _EPOCH_BITS = 24
 
 
-def _philox_key(master_seed: int, purpose: int, agent: int, epoch: int) -> np.ndarray:
-    if not (0 <= agent < 2 ** _AGENT_BITS and 0 <= epoch < 2 ** _EPOCH_BITS):
+def _philox_keys(master_seed: int, purpose: int, epoch: int, agent: int = 0,
+                 count: int = 1) -> np.ndarray:
+    """(count, 2) Philox keys of agents agent..agent+count-1 at `epoch`: the
+    master seed, then the purpose, agent and epoch packed into one word."""
+    if not (0 <= agent <= agent + count <= 2 ** _AGENT_BITS
+            and 0 <= epoch < 2 ** _EPOCH_BITS):
         raise ValueError("agent/epoch out of key range")
-    sub = (purpose << (_AGENT_BITS + _EPOCH_BITS)) | (agent << _EPOCH_BITS) | epoch
-    return np.array([master_seed % 2 ** 64, sub], dtype=np.uint64)
-
-
-def _philox_keys(master_seed: int, purpose: int, n: int, epoch: int) -> np.ndarray:
-    """(n, 2) array; row i is `_philox_key(master_seed, purpose, i, epoch)`."""
-    if not (0 <= n <= 2 ** _AGENT_BITS and 0 <= epoch < 2 ** _EPOCH_BITS):
-        raise ValueError("agent/epoch out of key range")
-    first = (purpose << (_AGENT_BITS + _EPOCH_BITS)) | epoch
-    keys = np.empty((n, 2), dtype=np.uint64)
+    first = (purpose << (_AGENT_BITS + _EPOCH_BITS)) | (agent << _EPOCH_BITS) | epoch
+    keys = np.empty((count, 2), dtype=np.uint64)
     keys[:, 0] = master_seed % 2 ** 64
-    keys[:, 1] = np.arange(first, first + (n << _EPOCH_BITS), 1 << _EPOCH_BITS,
+    keys[:, 1] = np.arange(first, first + (count << _EPOCH_BITS), 1 << _EPOCH_BITS,
                            dtype=np.uint64)
     return keys
 
 
 def keyed_rng(master_seed: int, purpose: int, agent: int = 0, epoch: int = 0) -> Generator:
-    return Generator(Philox(key=_philox_key(master_seed, purpose, agent, epoch)))
+    return Generator(Philox(key=_philox_keys(master_seed, purpose, epoch, agent)[0]))
 
 
 @dataclass(frozen=True)
@@ -93,31 +92,30 @@ class PermutationStream:
         self._rng.bit_generator.state = self._state
         return self._rng
 
-    def _fill(self, keys: np.ndarray, m: int) -> np.ndarray:
-        """(len(keys), m) array; row i is the draw `keyed_rng` makes for
-        keys[i].  A permutation is 0..m-1 shuffled in place, as in
-        `Generator.permutation(m)`."""
+    def _fill(self, epoch: int, m: int, agent: int = 0, count: int = 1) -> np.ndarray:
+        """(count, m) array; row i is the draw `keyed_rng` makes for agent
+        `agent + i` at `epoch`, or at epoch 0 in mode 'once'.  A permutation
+        is 0..m-1 shuffled in place, as in `Generator.permutation(m)`."""
         if m < 1:
             raise ValueError("m must be >= 1")
-        out = np.empty((len(keys), m), dtype=np.int64)
+        keys = _philox_keys(self.master_seed, PURPOSE_PERM,
+                            0 if self.mode == "once" else epoch, agent, count).tolist()
+        out = np.empty((count, m), dtype=np.int64)
         if self.mode == "iid":
-            for key, row in zip(keys.tolist(), out):
+            for key, row in zip(keys, out):
                 row[:] = self._keyed(key).integers(0, m, size=m)
             return out
         out[:] = np.arange(m)
-        for key, row in zip(keys.tolist(), out):
+        for key, row in zip(keys, out):
             self._keyed(key).shuffle(row)
         return out
 
     def permutation(self, agent: int, epoch: int, m: int) -> np.ndarray:
-        eff_epoch = 0 if self.mode == "once" else epoch
-        key = _philox_key(self.master_seed, PURPOSE_PERM, agent, eff_epoch)
-        return self._fill(key[None], m)[0]
+        return self._fill(epoch, m, agent)[0]
 
     def epoch_orders(self, n: int, epoch: int, m: int) -> np.ndarray:
         """(n, m) array; row i is agent i's visiting order for this epoch."""
-        eff_epoch = 0 if self.mode == "once" else epoch
-        return self._fill(_philox_keys(self.master_seed, PURPOSE_PERM, n, eff_epoch), m)
+        return self._fill(epoch, m, count=n)
 
 
 def rr_variance(X: np.ndarray, ell: int) -> tuple[float, float]:

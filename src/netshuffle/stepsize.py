@@ -19,6 +19,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+# the schedule kinds `parse_schedule` reads, each with its argument list
+SCHEDULE_FORMS = {"const": "a", "dec": "theta,K", "harmonic": "a,b",
+                  "plateau": "a1,a2,..."}
+# the regimes `recommend_alpha` prescribes a schedule for
+REGIMES = ("ncvx", "pl-const", "pl-decreasing")
+
 
 def _check_positive(name: str, value: float, allow_zero: bool = False):
     if not (math.isfinite(value) and (value > 0 or allow_zero and value == 0)):
@@ -137,15 +143,15 @@ def parse_schedule(spec: str, mu: float | None = None, m: int | None = None) -> 
     resolved by the harness via `recommend_alpha`, not here.
     """
     kind, _, rest = spec.partition(":")
-    forms = {"const": "a", "dec": "theta,K", "harmonic": "a,b", "plateau": "a1,a2,..."}
-    if kind not in forms:
+    if kind not in SCHEDULE_FORMS:
         raise ValueError(f"unknown schedule spec {spec!r}")
     try:
         values = [_parse_number(v) for v in rest.split(",")]
     except (ValueError, ZeroDivisionError):
         values = []
-    if not values or (kind != "plateau" and len(values) != forms[kind].count(",") + 1):
-        raise ValueError(f"expected {kind}:{forms[kind]} with numbers, got {spec!r}")
+    form = SCHEDULE_FORMS[kind]
+    if not values or (kind != "plateau" and len(values) != form.count(",") + 1):
+        raise ValueError(f"expected {kind}:{form} with numbers, got {spec!r}")
     if kind == "const":
         return ConstantSchedule(*values)
     if kind == "dec":
@@ -203,7 +209,8 @@ class TheoryConstants:
 
 def _norm_triple(transform, worst_case):
     if worst_case is None:
-        return transform.norm_V2, transform.norm_Vinv2, transform.norm_La2, transform.gamma
+        # the transform balances V, so ||V^{-1}||^2 is its ||V||^2
+        return transform.norm_V2, transform.norm_V2, transform.norm_La2, transform.gamma
     lam = transform.spectral.lam
     if worst_case == "gtrr":
         return 3.0, 9.0, lam ** 2, lam
@@ -281,14 +288,14 @@ def recommend_alpha(transform, m: int, L: float, mu: float | None, T: int,
     'pl-const'      largest constant stepsize the PL analysis admits
     'pl-decreasing' theta/(mu m (t+K)) with K at the analysis offset floor
     """
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}; choose from {', '.join(REGIMES)}")
     tc = theory_constants(transform, m, L, mu, T, worst_case)
     if regime == "ncvx":
         return ConstantSchedule(tc.alpha_ncvx)
-    if regime in ("pl-const", "pl-decreasing") and (mu is None or mu <= 0):
+    if mu is None or mu <= 0:
         raise ValueError(f"regime {regime!r} needs a positive mu")
     if regime == "pl-const":
         return ConstantSchedule(tc.alpha_max_pl)
-    if regime == "pl-decreasing":
-        return DecreasingSchedule(theta=theta, K=float(math.ceil(tc.k_floor(theta))),
-                                  mu=mu, m=m)
-    raise ValueError(f"unknown regime {regime!r}")
+    return DecreasingSchedule(theta=theta, K=float(math.ceil(tc.k_floor(theta))),
+                              mu=mu, m=m)

