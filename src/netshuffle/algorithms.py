@@ -267,20 +267,21 @@ class EDRR(ED):
         return self.X, self.E - (self.X - self.W @ self.X) + self._consensus_anchor(alpha)
 
 
-class EDRRPrimalDual(EDRR):
+class EDRRPrimalDual(ED):
     """Exact diffusion with reshuffling in its two-line primal-dual form: the
     reference that `harness.verify_abc` checks x-only ED-RR against, not a
     selectable method.  The dual D starts at zero, persists across epochs and
     mixes through the dense (I-W)^(1/2).  The PSD check is ED's."""
 
     name = "edrr-pd"
+    uses_rr = True
 
     def __init__(self, objective, mix, stream):
         super().__init__(objective, mix, stream)
         self._b_half = psd_sqrt(np.eye(self.n) - mix.w)
 
     def reset(self, X0):
-        _Method.reset(self, X0)
+        super().reset(X0)
         self.D = np.zeros_like(self.X)
 
     def _step(self, ell, alpha, g):

@@ -21,12 +21,9 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
-_FLAG_TYPES = {"int": int, "float": float}
-
-
 def _add_config_flags(p: argparse.ArgumentParser):
     """One flag per `ExperimentConfig` field, grouped by its file section,
-    plus the CLI-only --config and --no-hetero."""
+    plus the CLI-only --config and --no-hetero; each passes its value on as text."""
     p.add_argument("--config", help="key = value config file; flags override it")
     groups = {}
     for field in dataclasses.fields(harness.ExperimentConfig):
@@ -34,10 +31,10 @@ def _add_config_flags(p: argparse.ArgumentParser):
         if meta["section"] not in groups:
             groups[meta["section"]] = p.add_argument_group(meta["section"])
         flag = "--" + (meta["flag"] or field.name).replace("_", "-")
-        if field.type == "bool":  # passed on as text, parsed like a file value
+        if field.type == "bool":
             kind = {"action": "store_const", "const": "true"}
-        else:
-            kind = {"type": _FLAG_TYPES.get(field.type), "choices": meta["choices"]}
+        else:  # choices are listed here and checked by ExperimentConfig
+            kind = {"metavar": meta["choices"] and "{" + ",".join(meta["choices"]) + "}"}
         groups[meta["section"]].add_argument(flag, dest=field.name, help=meta["help"],
                                              **kind)
     groups["objective"].add_argument("--no-hetero", dest="hetero",

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import algorithms, metrics, stepsize, unified
-from .data import load_cifar10
+from .data import load_cifar10, synthetic_classification
 from .objective import (central_difference_grad, logistic_from_samples,
                         make_logistic, make_nonconvex_logistic, make_quadratic)
 from .shuffling import RESHUFFLE_MODES, PermutationStream, rr_variance
@@ -46,7 +47,7 @@ def _key(default, section: str, help: str | None = None, *, key: str | None = No
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment, checked however it is made (see `_key`)."""
+    """One experiment, checked however it is made (see `_key` and `_typed`)."""
 
     objective: str = _key("quadratic", "objective", key="family",
                           choices=("quadratic", "logistic", "ncvx-logistic"))
@@ -87,7 +88,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, field in _FIELDS.items():
-            value, meta, key = getattr(self, name), field.metadata, _FIELD_TO_KEY[name]
+            meta, key = field.metadata, _FIELD_TO_KEY[name]
+            value = _typed(key, field, getattr(self, name))
+            object.__setattr__(self, name, value)
             if field.type == "float" and not np.isfinite(value):
                 raise ConfigError(f"{key}: must be finite, got {value}")
             if field.type == "tuple" and not value:
@@ -118,41 +121,60 @@ _HASHED_KEYS = sorted(_FIELD_TO_KEY[name] for name, f in _FIELDS.items()
                       if f.metadata["hashed"])
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
+# per field type: the values it takes, what stores or parses one, their name
+_TYPES = {"int": (numbers.Integral, int, "an integer"),
+          "float": (numbers.Real, float, "a real number"),
+          "bool": (bool, bool, "true or false"),
+          "str": (str, str, "text")}
 
 
-def _coerce(field_name: str, raw):
-    kind = _FIELDS[field_name].type
-    if isinstance(raw, str):
-        raw = raw.strip()
-        if kind == "tuple":
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-            if field_name == "seeds":
-                return tuple(int(p) for p in parts)
-            return tuple(parts)
-        if kind == "bool":
-            if raw.lower() not in _BOOLS:
-                raise ValueError(f"expected one of {', '.join(_BOOLS)}, got {raw!r}")
-            return _BOOLS[raw.lower()]
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
-    if field_name == "seeds":
-        return tuple(int(s) for s in raw)
-    return tuple(raw) if kind == "tuple" else raw
+def _entry_type(field) -> str:
+    return type(field.default[0]).__name__  # a list field's entries are its default's
+
+
+def _typed(key: str, field, value):
+    """`value` stored as `field`'s type: an int field takes an integer, a
+    float field any real number, stored as a float, neither a bool, and a
+    list field a list or tuple of its entry type, stored as a tuple."""
+    if field.type != "tuple":
+        return _scalar(key, field.type, value)
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key}: expected a list of {_entry_type(field)}, got {value!r}")
+    return tuple(_scalar(key, _entry_type(field), entry) for entry in value)
+
+
+def _scalar(key: str, kind: str, value):
+    accepts, store, name = _TYPES[kind]
+    if not isinstance(value, accepts) or (kind != "bool" and isinstance(value, bool)):
+        raise ConfigError(f"{key}: expected {name}, got {value!r}")
+    return store(value)
+
+
+def _coerce(field, text: str):
+    """A config value parsed from its text: a comma list for a list field,
+    one of `_BOOLS` for a bool field; `_typed` checks what comes out."""
+    if field.type == "tuple":
+        parse = _TYPES[_entry_type(field)][1]
+        return tuple(parse(part.strip()) for part in text.split(",") if part.strip())
+    text = text.strip()
+    if field.type != "bool":
+        return _TYPES[field.type][1](text)
+    if text.lower() not in _BOOLS:
+        raise ValueError(f"expected one of {', '.join(_BOOLS)}, got {text!r}")
+    return _BOOLS[text.lower()]
 
 
 def config_from_mapping(entries: dict, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Override `base` with entries keyed by dotted file key or field name;
-    the result checks itself."""
+    a text value is parsed as a file value is, and the result checks itself."""
     updates = {}
     for key, raw in entries.items():
         field_name = _KEYMAP.get(key, key if key in _FIELDS else None)
         if field_name is None:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            updates[field_name] = _coerce(field_name, raw)
+            updates[field_name] = (_coerce(_FIELDS[field_name], raw)
+                                   if isinstance(raw, str) else raw)
         except ValueError as exc:
             raise ConfigError(f"{_FIELD_TO_KEY[field_name]}: {exc}") from exc
     return dataclasses.replace(base or ExperimentConfig(), **updates)
@@ -191,9 +213,8 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def build_mix(cfg: ExperimentConfig) -> MixingMatrix:
-    kind, colon, arg = cfg.graph.partition(":")
     try:
-        graph = build_graph(kind, n=cfg.n, arg=arg if colon else None)
+        graph = build_graph(cfg.graph, n=cfg.n)
     except TopologyError as exc:
         raise ConfigError(f"{_FIELD_TO_KEY['graph']}: {exc}") from exc
     mix = metropolis_weights(graph)
@@ -205,21 +226,18 @@ def build_objective(cfg: ExperimentConfig):
         return make_quadratic(cfg.n, cfg.m, cfg.dim, cfg.data_seed,
                               condition=cfg.condition, hetero=cfg.hetero_scale,
                               spread=cfg.spread)
-    if cfg.cifar10:
-        eta = cfg.eta if cfg.objective == "ncvx-logistic" else None
-        try:
-            feats, labels = load_cifar10(cfg.cifar10)
-            return logistic_from_samples(feats, labels, cfg.n, cfg.m, rho=cfg.rho,
-                                         heterogeneous=cfg.hetero,
-                                         seed=cfg.data_seed, nonconvex_eta=eta)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"{_FIELD_TO_KEY['cifar10']}: {exc}") from exc
-    if cfg.objective == "logistic":
-        return make_logistic(cfg.n, cfg.m, cfg.dim, cfg.data_seed, rho=cfg.rho,
-                             heterogeneous=cfg.hetero, scale=cfg.scale)
-    return make_nonconvex_logistic(cfg.n, cfg.m, cfg.dim, cfg.data_seed,
-                                   eta=cfg.eta, heterogeneous=cfg.hetero,
-                                   scale=cfg.scale)
+    try:
+        feats, labels = (load_cifar10(cfg.cifar10) if cfg.cifar10 else
+                         synthetic_classification(cfg.n * cfg.m, cfg.dim, cfg.data_seed,
+                                                  scale=cfg.scale))
+        return logistic_from_samples(
+            feats, labels, cfg.n, cfg.m, rho=cfg.rho, heterogeneous=cfg.hetero,
+            seed=cfg.data_seed,
+            nonconvex_eta=cfg.eta if cfg.objective == "ncvx-logistic" else None)
+    except (OSError, ValueError) as exc:
+        if not cfg.cifar10:  # a synthetic pool holds the n m samples it needs
+            raise
+        raise ConfigError(f"{_FIELD_TO_KEY['cifar10']}: {exc}") from exc
 
 
 # the (A, B^2, C) presets, keyed by the method each reproduces, for method
@@ -266,8 +284,8 @@ def build_schedule(cfg: ExperimentConfig, method: str, objective,
 
 
 def plan_runs(cfg: ExperimentConfig) -> tuple:
-    """Build `cfg`'s objective and mixing matrix and validate every method on
-    them, before any run starts.
+    """Build `cfg`'s objective and mixing matrix, and validate every method on
+    them from the first seed's initial iterates, before any run starts.
 
     Returns (objective, mix, plans): `plans[method]` is the (transform,
     schedule) that all of the method's seeds share.  An invalid pairing of a
@@ -276,11 +294,13 @@ def plan_runs(cfg: ExperimentConfig) -> tuple:
     """
     objective = build_objective(cfg)
     mix = build_mix(cfg)
+    x0 = algorithms.initial_iterates(objective, cfg.init, cfg.init_scale,
+                                     cfg.data_seed, cfg.seeds[0])
     plans = {}
     for method in cfg.methods:
         try:
-            algorithms.make_method(method, objective, mix, seed=0,
-                                   sampling=cfg.sampling, strict_alg2=cfg.strict_alg2)
+            algorithms.make_method(method, objective, mix, seed=0, sampling=cfg.sampling,
+                                   strict_alg2=cfg.strict_alg2).reset(x0)
             transform = method_transform(method, mix)
         except ValueError as exc:  # includes unified.OperatorError
             raise ConfigError(f"method {method!r}: {exc}") from exc
@@ -324,15 +344,15 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     """Run methods x seeds, write one CSV per run plus per-method means.
 
     Returns {path: trajectory}; raises ConfigError on invalid configs, before
-    any run starts.
+    any run starts or the output directory is made.
     """
+    objective, mix, plans = plan_runs(cfg)
     outdir = Path(cfg.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"{_FIELD_TO_KEY['outdir']}: cannot create output dir "
                           f"{outdir}: {exc}") from exc
-    objective, mix, plans = plan_runs(cfg)
     results = {(method, seed): run_one(cfg, method, seed, objective, mix, plans[method])
                for method in cfg.methods for seed in cfg.seeds}
 
@@ -385,7 +405,7 @@ def verify_spectral() -> list:
     complete = metropolis_weights(build_graph("complete", n=16))
     out.append(_check("complete n=16 lambda == 0", abs(complete.spectral.lam), 1e-12))
     ring = metropolis_weights(build_graph("ring", n=16))
-    grid = metropolis_weights(build_graph("grid", rows=4, cols=4))
+    grid = metropolis_weights(build_graph("grid:4x4"))
     k = np.arange(16)
     circulant = np.sort((1.0 + 2.0 * np.cos(2.0 * np.pi * k / 16)) / 3.0)[::-1]
     dev = np.max(np.abs(np.sort(ring.spectral.eigenvalues)[::-1] - circulant))

@@ -40,6 +40,9 @@ OPTIONAL_COLUMNS = tuple(name for name, default
                          in TrajectoryRecord._field_defaults.items() if default is None)
 _DTYPES = {**dict.fromkeys(CSV_COLUMNS, np.float64),
            "wall_ns": np.int64, "diverged": np.bool_}
+# the value of a non-empty CSV cell, by column; an empty cell is absent
+_CELL_PARSERS = {**dict.fromkeys(CSV_COLUMNS, float),
+                 "wall_ns": int, "diverged": lambda cell: cell == "1"}
 
 
 class Trajectory:
@@ -60,7 +63,7 @@ class Trajectory:
 
     @classmethod
     def from_rows(cls, rows) -> "Trajectory":
-        """A trajectory holding `rows`, each a `TrajectoryRecord` or a tuple
+        """A trajectory holding `rows`, each a `TrajectoryRecord` or a sequence
         in `CSV_COLUMNS` order; None marks an absent optional value."""
         rows = [TrajectoryRecord(*row) for row in rows]
         traj = _filled(len(rows))
@@ -264,18 +267,9 @@ def read_csv(source) -> Trajectory:
     rows = [line.split(",") for line in lines[1:]]
     if any(len(row) != len(CSV_COLUMNS) for row in rows):
         raise ValueError(f"every CSV row needs {len(CSV_COLUMNS)} fields")
-    traj = _filled(len(rows))
-    for name, cells in zip(CSV_COLUMNS, zip(*rows)):
-        if name == "diverged":
-            traj._fill(name, [cell == "1" for cell in cells])
-            continue
-        parse = int if name == "wall_ns" else float
-        mask = [cell != "" for cell in cells]
-        if name not in OPTIONAL_COLUMNS and not all(mask):
-            raise ValueError(f"column {name!r} cannot be absent")
-        traj._fill(name, [parse(cell) if cell else 0 for cell in cells],
-                   mask if name in OPTIONAL_COLUMNS else None)
-    return traj
+    parsers = [_CELL_PARSERS[name] for name in CSV_COLUMNS]
+    return Trajectory.from_rows([parse(cell) if cell else None
+                                 for parse, cell in zip(parsers, row)] for row in rows)
 
 
 def aggregate(trajectories) -> Trajectory:

@@ -11,7 +11,6 @@ summation so runs are bit-reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -105,15 +104,9 @@ class FiniteSumObjective:
 # ---------------------------------------------------------------------------
 
 
-# floats per block (1 MB) when a quadratic's component stack is eigen-solved
-# or its rotation normals are drawn, so no step holds a second copy
+# floats per block (1 MB) when `make_quadratic` draws and drops its rotation
+# normals, so no step holds them all
 _BLOCK_FLOATS = 2 ** 17
-
-
-def _agent_blocks(A: np.ndarray):
-    """Consecutive views of A along its agent axis, about _BLOCK_FLOATS each."""
-    step = max(1, _BLOCK_FLOATS // max(1, math.prod(A.shape[1:])))
-    return (A[lo:lo + step] for lo in range(0, len(A), step))
 
 
 class QuadraticObjective(FiniteSumObjective):
@@ -144,8 +137,7 @@ class QuadraticObjective(FiniteSumObjective):
         self.H = self.H_agent.mean(axis=0)
         self.c = self.c_agent.mean(axis=0)
         if L is None:
-            L = max(float(np.linalg.eigvalsh(np.swapaxes(blk, 2, 3) @ blk)[..., -1].max())
-                    for blk in _agent_blocks(A))
+            L = float(np.linalg.eigvalsh(np.swapaxes(A, 2, 3) @ A)[..., -1].max())
         h_vals = np.linalg.eigvalsh(self.H)
         if h_vals[0] <= 1e-12 * max(h_vals[-1], 1.0):
             raise ValueError("average Hessian is singular; adjust conditioning")
@@ -474,29 +466,27 @@ class NonconvexLogisticObjective(_LogisticBase):
         return self.eta * x / (1.0 + x * x) ** 2
 
 
-def _partitioned_features(n, m, p, seed, heterogeneous, scale):
-    feats, labels = synthetic_classification(n * m, p, seed, scale=scale)
-    idx = partition_data(feats, labels, n, m, heterogeneous, seed=seed)
-    return feats[idx], labels[idx]
-
-
 def make_logistic(n: int, m: int, p: int, seed: int, rho: float = 0.2,
                   heterogeneous: bool = True, scale: float = 1.0) -> LogisticObjective:
-    feats, labels = _partitioned_features(n, m, p, seed, heterogeneous, scale)
-    return LogisticObjective(feats, labels, rho=rho)
+    feats, labels = synthetic_classification(n * m, p, seed, scale=scale)
+    return logistic_from_samples(feats, labels, n, m, rho=rho,
+                                 heterogeneous=heterogeneous, seed=seed)
 
 
 def make_nonconvex_logistic(n: int, m: int, p: int, seed: int, eta: float = 0.2,
                             heterogeneous: bool = True,
                             scale: float = 1.0) -> NonconvexLogisticObjective:
-    feats, labels = _partitioned_features(n, m, p, seed, heterogeneous, scale)
-    return NonconvexLogisticObjective(feats, labels, eta=eta)
+    feats, labels = synthetic_classification(n * m, p, seed, scale=scale)
+    return logistic_from_samples(feats, labels, n, m, heterogeneous=heterogeneous,
+                                 seed=seed, nonconvex_eta=eta)
 
 
 def logistic_from_samples(feats: np.ndarray, labels: np.ndarray, n: int, m: int,
                           rho: float = 0.2, heterogeneous: bool = True,
                           seed: int = 0, nonconvex_eta: float | None = None):
-    """Build a logistic family from an external sample pool (e.g. CIFAR-10)."""
+    """A logistic family on a sample pool (synthetic or e.g. CIFAR-10),
+    partitioned over n agents of m samples each: the ridge family, or the
+    nonconvex one when `nonconvex_eta` is given."""
     idx = partition_data(feats, labels, n, m, heterogeneous, seed=seed)
     if nonconvex_eta is None:
         return LogisticObjective(feats[idx], labels[idx], rho=rho)

@@ -82,23 +82,20 @@ def _connected(n: int, edges) -> bool:
     return len(seen) == n
 
 
-def build_graph(kind: str, n: int | None = None, rows: int | None = None,
-                cols: int | None = None, edges=None, arg: str | None = None) -> Graph:
-    """The graph of a kind: ring, complete, star (hub at node 0), grid (rows x
-    cols without wraparound; n, when given, must equal rows * cols) or custom
-    (n and `edges`).
-
-    `arg` is the text after the colon of a spec `kind:arg`: 'RxC' for a grid
-    and an edge-file path (see `read_edge_file`) for a custom graph; the
-    other kinds take none.  Every fault is a TopologyError.
+def build_graph(spec: str, n: int | None = None, edges=None) -> Graph:
+    """The graph a spec `kind[:arg]` names: ring, complete, star (hub at node
+    0), grid:RxC (R rows by C columns without wraparound; n, when given, must
+    equal R * C) or custom (n and `edges`, or custom:<edge-file>, see
+    `read_edge_file`).  The other kinds take no argument.  Every fault is a
+    TopologyError.
     """
+    kind, colon, arg = spec.partition(":")
     if kind == "grid":
-        if arg is not None:
-            try:
-                rows, cols = (int(v) for v in arg.lower().split("x"))
-            except ValueError:
-                raise TopologyError(f"grid needs RxC, got {arg!r}") from None
-        if rows is None or cols is None or rows < 1 or cols < 1:
+        try:
+            rows, cols = (int(v) for v in arg.lower().split("x"))
+        except ValueError:
+            raise TopologyError(f"grid needs RxC, got {arg!r}") from None
+        if rows < 1 or cols < 1:
             raise TopologyError("grid needs rows, cols >= 1")
         if n is not None and rows * cols != n:
             raise TopologyError(f"grid {rows}x{cols} disagrees with n={n}")
@@ -108,7 +105,7 @@ def build_graph(kind: str, n: int | None = None, rows: int | None = None,
     elif n is None:
         raise TopologyError(f"{kind} graph needs n")
     elif kind == "custom":
-        if arg is not None:
+        if colon:
             edges = read_edge_file(arg)
         if edges is None:
             raise TopologyError("custom graph needs an edge list")
@@ -121,8 +118,8 @@ def build_graph(kind: str, n: int | None = None, rows: int | None = None,
     else:
         raise TopologyError(f"unknown graph kind {kind!r}; choose from "
                             f"{', '.join(GRAPH_SPECS)}")
-    if arg is not None and kind not in ("grid", "custom"):
-        raise TopologyError(f"{kind} takes no argument, got {kind}:{arg}")
+    if colon and kind not in ("grid", "custom"):
+        raise TopologyError(f"{kind} takes no argument, got {spec}")
     return Graph(n, _normalize_edges(edges), kind=kind)
 
 

@@ -17,7 +17,7 @@ def ring16():
 
 @pytest.fixture(scope="session")
 def grid16():
-    return metropolis_weights(build_graph("grid", rows=4, cols=4))
+    return metropolis_weights(build_graph("grid:4x4"))
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,12 @@
 """The matrix form of `make_quadratic`'s family, kept as a reference for the
 closed form in `netshuffle.objective`: every component as
 0.5 ||A_il x - b_il||^2 with A_il = Q_il diag(s) and b_il = A_il t_il, built
-from the same keyed draws, one normal draw and one QR per block of agents.
-`general` evaluates it through the general `QuadraticObjective`."""
+from the same keyed draws, one (n, m, p, p) normal draw and one QR of the
+whole stack.  `general` evaluates it through the general `QuadraticObjective`."""
 
 import numpy as np
 
-from netshuffle.objective import QuadraticObjective, _agent_blocks
+from netshuffle.objective import QuadraticObjective
 from netshuffle.shuffling import PURPOSE_MC, keyed_rng
 
 
@@ -15,9 +15,8 @@ def matrix_form(n, m, p, seed, condition=1.0, hetero=1.0, spread=1.0,
     """(A, b, targets, L) of `make_quadratic(n, m, p, seed, ...)`."""
     rng = keyed_rng(seed, PURPOSE_MC, agent=2, epoch=0)
     scale = np.logspace(0.0, 0.5 * np.log10(condition), p)
-    A = np.empty((n, m, p, p))
-    for blk in _agent_blocks(A):
-        np.multiply(np.linalg.qr(rng.normal(size=blk.shape))[0], scale, out=blk)
+    A = np.linalg.qr(rng.normal(size=(n, m, p, p)))[0]
+    A *= scale
     x_hat = rng.normal(size=p)
     if consistent:
         targets = np.broadcast_to(x_hat, (n, m, p)).copy()

@@ -70,10 +70,9 @@ def test_criterion_05_spectral_transform_constants():
     worst_gt, worst_ed = 0.0, 0.0
     v2_max, vinv2_max = 0.0, 0.0
     for n in (4, 8, 16):
-        grids = {4: (2, 2), 8: (2, 4), 16: (4, 4)}
+        grid = {4: "grid:2x2", 8: "grid:2x4", 16: "grid:4x4"}[n]
         mats = [metropolis_weights(build_graph("ring", n=n)),
-                metropolis_weights(build_graph("grid", rows=grids[n][0],
-                                               cols=grids[n][1])),
+                metropolis_weights(build_graph(grid)),
                 metropolis_weights(build_graph("complete", n=n))]
         for mix in mats:
             td = transform_data(gtrr_operator(mix))
@@ -168,7 +167,7 @@ def test_criterion_08_reshuffled_beats_unshuffled():
 def test_criterion_09_topology_sensitivity():
     obj = make_quadratic(16, 10, 5, seed=2, condition=1.0, hetero=1.0, spread=1.0)
     ring = metropolis_weights(build_graph("ring", n=16))
-    grid = metropolis_weights(build_graph("grid", rows=4, cols=4))
+    grid = metropolis_weights(build_graph("grid:4x4"))
     sched = ConstantSchedule(0.01)
     cons = {}
     for name, mix in (("ring", ring), ("grid", grid)):

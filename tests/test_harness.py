@@ -197,15 +197,26 @@ def test_repeated_method_or_seed_is_config_error(tmp_path, capsys, flags, key):
     (("--method=",), "run.methods"),
     (("--objective", "logistic", "--cifar10", "{tmp}/missing"), "objective.cifar10"),
     (("--cifar10", "{tmp}"), "objective.cifar10"),
+    (("--objective", "logistic", "--cifar10", "{tmp}"), "objective.cifar10"),
     (("--out", "{tmp}/letters.txt/out"), "run.outdir"),
+    # flags are text, parsed and checked as file values are
+    (("--n", "4.0"), "objective.n"), (("--tau", "half"), "topology.tau"),
+    (("--seed", "0,x"), "run.seeds"), (("--init", "zeros"), "run.init"),
 ], ids=["grid-no-cols", "grid-size", "ring-arg", "edge-file-missing",
         "edge-file-letters", "no-seed", "no-method", "cifar10-missing",
-        "cifar10-with-quadratic", "outdir-under-file"])
+        "cifar10-with-quadratic", "cifar10-short-batch", "outdir-under-file",
+        "int-flag", "float-flag", "seed-flag", "choice-flag"])
 def test_bad_input_is_config_error_naming_its_key(tmp_path, capsys, argv, key):
     (tmp_path / "letters.txt").write_text("a b\n")
+    (tmp_path / "short.bin").write_bytes(bytes(100))  # not whole CIFAR-10 records
     code, err = _sweep_exit(tmp_path, capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == cli.EXIT_CONFIG and key in err and "method '" not in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_config_line_without_equals_is_config_error(tmp_path, capsys):
+    code, err = _sweep_exit(tmp_path, capsys, config="run.epochs 3\n")
+    assert code == cli.EXIT_CONFIG and "bad config line 'run.epochs 3'" in err
 
 
 def test_dataset_is_refused_only_for_the_quadratic_family():
@@ -267,6 +278,33 @@ def test_every_way_to_make_a_config_is_checked(tmp_path, make, fields, key):
             cfg = dataclasses.replace(ExperimentConfig(outdir=str(outdir)), **fields)
         run_sweep(cfg)
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("make,key", [
+    (lambda: ExperimentConfig(methods="gtrr"), "run.methods"),
+    (lambda: ExperimentConfig(n="5"), "objective.n"),
+    (lambda: ExperimentConfig(n=True), "objective.n"),
+    (lambda: ExperimentConfig(epochs=2.5), "run.epochs"),
+    (lambda: ExperimentConfig(seeds=(1.5,)), "run.seeds"),
+    (lambda: ExperimentConfig(hetero="no"), "objective.hetero"),
+    (lambda: ExperimentConfig(hetero=1), "objective.hetero"),
+    (lambda: config_from_mapping({"run.seeds": [1.5]}), "run.seeds"),
+], ids=["methods-text", "n-text", "n-bool", "epochs-float", "seed-float", "hetero-text",
+        "hetero-int", "mapping-seed-float"])
+def test_a_mistyped_value_is_config_error_naming_its_key(make, key):
+    with pytest.raises(ConfigError, match=f"^{key}: expected "):
+        make()
+
+
+def test_a_value_has_one_hash_however_it_is_spelled():
+    parser = cli.build_parser()
+    spellings = [ExperimentConfig(condition=2), ExperimentConfig(condition=2.0),
+                 cli._config_from_args(parser.parse_args(["sweep", "--condition", "2"])),
+                 config_from_mapping({"objective.condition": 2})]
+    assert all(type(cfg.condition) is float for cfg in spellings)
+    assert len({config_hash(cfg) for cfg in spellings}) == 1
+    # a list field takes a list or a tuple and stores a tuple
+    assert ExperimentConfig(seeds=[np.int64(3), 1], methods=["drr"]).seeds == (3, 1)
 
 
 def test_choice_lists_and_help_come_from_the_modules_that_dispatch_on_them():
@@ -536,6 +574,24 @@ def test_sweep_invalid_combination_surfaces_before_running(tmp_path):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_centralized_rr_from_random_starts_names_its_method_before_any_output(
+        tmp_path, capsys, monkeypatch):
+    made, make_method = [], algorithms.make_method
+
+    def counted(name, *args, **kw):
+        made.append(name)
+        return make_method(name, *args, **kw)
+
+    monkeypatch.setattr(algorithms, "make_method", counted)
+    outdir = tmp_path / "out"
+    code = cli.main(["sweep", "--method", "crr,gtrr", "--init", "random", "--epochs", "2",
+                     "--out", str(outdir)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert "method 'crr': centralized RR needs a common initial point" in err
+    assert made == ["crr"] and not outdir.exists()
+
+
 def test_sweep_auto_stepsize_asserts_admissible(tmp_path):
     import dataclasses
     cfg = dataclasses.replace(SMALL, methods=("gtrr",), stepsize="auto",
@@ -597,13 +653,6 @@ def test_sweep_takes_one_square_root_and_reads_no_dense_b(tmp_path, monkeypatch)
     algorithms.EDRRPrimalDual(harness.build_objective(cfg), harness.build_mix(cfg),
                               PermutationStream(0, "rr"))
     assert len(roots) == 1
-
-
-def test_x_only_edrr_sweep_takes_no_square_root(tmp_path, monkeypatch):
-    roots = count_square_roots(monkeypatch)
-    cfg = dataclasses.replace(SMALL, tau=0.5, methods=("edrr",), outdir=str(tmp_path))
-    run_sweep(cfg)
-    assert roots == []
 
 
 # ---------------------------------------------------------------------------
@@ -768,6 +817,22 @@ def test_cli_verify_abc_runs_the_operator_check(spec, graph, capsys):
     out = capsys.readouterr().out
     for check in ("two-variable == transformed", "gamma < 1"):
         assert f"[PASS] abc {spec}: {check}" in out
+
+
+def test_cli_verify_non_contractive_custom_operator_is_config_error(capsys):
+    # A = C = I and B^2 = I - W: every 2x2 block has determinant 1, so gamma >= 1
+    assert cli.main(["verify", "--suite", "spectral", "--n", "8",
+                     "--abc", "custom:1/1,-1/1"]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "not contractive off consensus" in captured.err and not captured.out
+
+
+def test_cli_worst_case_edrr_constants_need_a_positive_definite_w(capsys):
+    # the complete graph's Metropolis W is J/n: PSD, with eigenvalue 0
+    assert cli.main(["constants", "--abc", "edrr", "--worst-case-constants",
+                     "--graph", "complete", "--n", "4"]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "need a positive definite W" in captured.err and not captured.out
 
 
 @pytest.mark.parametrize("spec", ["bogus", "custom:0,1/1,-1", "custom:0,1/x/0,1", "edrr"])

@@ -308,6 +308,19 @@ def test_read_csv_from_a_written_file(tmp_path, ring8):
     assert to_csv(back, {"method": "gtrr"}) == path.read_text()
 
 
+_HEADER = ",".join(CSV_COLUMNS) + "\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("t,alpha\n0,1\n", "CSV header is not"),
+    (_HEADER + "0,0.1,1,1,0,,,,,,0\n0,1\n", "every CSV row needs 11 fields"),
+    (_HEADER + ",0.1,1,1,0,,,,,,0\n", "column 't' cannot be absent"),
+], ids=["header", "short-row", "absent-t"])
+def test_read_csv_rejects_a_bad_header_short_row_or_absent_value(text, message):
+    with pytest.raises(ValueError, match=message):
+        read_csv(io.StringIO(text))
+
+
 def test_trajectory_rows_and_columns():
     traj = Trajectory.from_rows([
         TrajectoryRecord(0, 0.1, 4.0, 4.0, 1.0, None, 2.0, None, None, 7),

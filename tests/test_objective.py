@@ -67,25 +67,9 @@ def test_quadratic_batched_build_matches_per_component_loop(condition):
             assert np.array_equal(A[i, l], q if condition == 1.0 else q * s)
 
 
-def one_shot_quadratic(n, m, p, seed, condition=1.0, hetero=1.0, spread=1.0,
-                       consistent=False):
-    """A, b and the targets of `make_quadratic`'s matrix form from one
-    (n, m, p, p) draw and one QR of the whole stack."""
-    rng = keyed_rng(seed, PURPOSE_MC, agent=2, epoch=0)
-    A = np.linalg.qr(rng.normal(size=(n, m, p, p)))[0]
-    A *= np.logspace(0.0, 0.5 * np.log10(condition), p)
-    x_hat = rng.normal(size=p)
-    if consistent:
-        targets = np.broadcast_to(x_hat, (n, m, p)).copy()
-    else:
-        h = hetero * rng.normal(size=(n, 1, p))
-        xi = spread * rng.normal(size=(n, m, p))
-        targets = x_hat + h + xi
-    return A, np.einsum("imkp,imp->imk", A, targets), targets
-
-
-# m * p * p = 2048 floats per agent puts 64 agents in a block, so n = 150 ends
-# on a partial block; an agent of m * p * p = 2 * 300 * 300 floats exceeds one
+# m * p * p = 2048 floats per agent puts 64 agents in a block of dropped
+# normals, so n = 150 ends on a partial block; an agent of m * p * p =
+# 2 * 300 * 300 floats exceeds one
 @pytest.mark.parametrize("n,m,p,kw", [
     (150, 8, 16, {}),
     (150, 8, 16, {"condition": 30.0, "hetero": 2.0, "spread": 0.5}),
@@ -93,18 +77,13 @@ def one_shot_quadratic(n, m, p, seed, condition=1.0, hetero=1.0, spread=1.0,
     (3, 2, 300, {"condition": 2.0}),
 ], ids=["partial-block", "condition", "consistent", "agent-above-block"])
 def test_make_quadratic_blocks_equal_one_shot_construction(n, m, p, kw):
-    ref_A, ref_b, _, ref_L = matrix_form(n, m, p, 4, **kw)
-    A, b, targets = one_shot_quadratic(n, m, p, 4, **kw)
-    assert ref_A.tobytes() == A.tobytes()
-    assert ref_b.tobytes() == b.tobytes()
-    assert (QuadraticObjective(ref_A, ref_b, L=ref_L).x_star.tobytes()
-            == QuadraticObjective(A, b).x_star.tobytes())
-    # the closed form draws and drops the rotation normals, so its targets
-    # are the matrix form's to the bit
+    A, b, targets, _ = matrix_form(n, m, p, 4, **kw)
+    # the closed form draws and drops the rotation normals a block at a time,
+    # so its targets are the one-shot matrix form's to the bit
     assert make_quadratic(n, m, p, seed=4, **kw).targets.tobytes() == targets.tobytes()
-    # the blocked eigvalsh finds the one-shot stacked L
+    # L is one eigvalsh of the stacked component Grams
     L = float(np.linalg.eigvalsh(np.swapaxes(A, 2, 3) @ A)[..., -1].max())
-    assert QuadraticObjective(ref_A, ref_b).constants.L == L
+    assert QuadraticObjective(A, b).constants.L == L
 
 
 @pytest.mark.parametrize("n,m,p,condition", [(512, 8, 16, 1.0), (16, 6, 5, 100.0)])

@@ -20,7 +20,7 @@ def test_complete_one_node_has_no_edges():
 
 
 def test_grid_4x4_corner_and_interior_degrees():
-    g = build_graph("grid", rows=4, cols=4)
+    g = build_graph("grid:4x4")
     degs = sorted(degree(g, i) for i in range(16))
     corners = [0, 3, 12, 15]
     interior = [5, 6, 9, 10]
@@ -36,14 +36,24 @@ def test_disconnected_custom_graph_rejected():
 
 def test_grid_dimension_mismatch_rejected():
     with pytest.raises(TopologyError):
-        build_graph("grid", n=10, rows=4, cols=4)
+        build_graph("grid:4x4", n=10)
+
+
+@pytest.mark.parametrize("spec,n,message", [
+    ("grid", None, "grid needs RxC"), ("grid:0x4", None, "rows, cols >= 1"),
+    ("star:3", 3, "star takes no argument"), ("ring", None, "needs n"),
+    ("custom", 3, "needs an edge list"), ("moebius", 4, "unknown graph kind"),
+])
+def test_bad_graph_spec_rejected(spec, n, message):
+    with pytest.raises(TopologyError, match=message):
+        build_graph(spec, n=n)
 
 
 @pytest.mark.parametrize("kind,n", [("ring", 16), ("grid", 16), ("star", 7),
                                     ("complete", 5)])
 def test_metropolis_invariants(kind, n):
     if kind == "grid":
-        g = build_graph(kind, rows=4, cols=4)
+        g = build_graph("grid:4x4")
     else:
         g = build_graph(kind, n=n)
     w = metropolis_weights(g).w
@@ -92,6 +102,11 @@ def test_spectral_rejects_asymmetry():
     w[0, 1] += 1e-6
     with pytest.raises(TopologyError, match="asymmetric"):
         spectral_info(MixingMatrix(w))
+
+
+def test_mixing_matrix_rejects_a_non_square_input():
+    with pytest.raises(TopologyError, match="must be square"):
+        MixingMatrix(np.full((2, 3), 0.5))
 
 
 def test_mixing_matrix_rejects_bad_rows():
@@ -242,7 +257,7 @@ def test_non_circulant_graphs_take_eigh(ring16):
     w[0, 1] = w[1, 0] = w[0, 1] + 1e-3
     w[0, 0] -= 1e-3
     w[1, 1] -= 1e-3
-    mixes = (metropolis_weights(build_graph("grid", rows=4, cols=4)),
+    mixes = (metropolis_weights(build_graph("grid:4x4")),
              metropolis_weights(build_graph("star", n=7)), MixingMatrix(w))
     for mix in mixes:
         s = mix.spectral
@@ -266,7 +281,7 @@ ENTRY_GRAPHS = {
     "ring3": build_graph("ring", n=3),
     "ring16": build_graph("ring", n=16),
     "ring300": build_graph("ring", n=300),
-    "grid3x5": build_graph("grid", rows=3, cols=5),
+    "grid3x5": build_graph("grid:3x5"),
     "star7": build_graph("star", n=7),
     "complete1": build_graph("complete", n=1),
     "complete2": build_graph("complete", n=2),
@@ -321,7 +336,7 @@ def test_circulant_spectrum_leaves_w_unbuilt():
     assert mix.spectral.modes is not None
     assert isinstance(mix.operator, NeighborGather)
     assert "w" not in vars(mix)
-    grid = metropolis_weights(build_graph("grid", rows=4, cols=4))
+    grid = metropolis_weights(build_graph("grid:4x4"))
     assert grid.spectral.modes is None and "w" in vars(grid)
 
 
@@ -365,7 +380,7 @@ def test_entry_checks_raise_the_dense_messages(make):
     assert str(entries.value) == str(dense.value)
 
 
-@pytest.mark.parametrize("graph", [build_graph("ring", n=8), build_graph("grid", rows=3, cols=4)],
+@pytest.mark.parametrize("graph", [build_graph("ring", n=8), build_graph("grid:3x4")],
                          ids=["ring", "grid"])
 def test_from_entries_equals_the_dense_constructor(graph):
     w = dense_mixing.metropolis(graph)

@@ -104,7 +104,7 @@ def dense_operator_error(coeffs, mix):
 
 
 @pytest.mark.parametrize("graph", [build_graph("ring", n=8), build_graph("star", n=6),
-                                   build_graph("grid", rows=2, cols=3)],
+                                   build_graph("grid:2x3")],
                          ids=["ring", "star", "grid"])
 @pytest.mark.parametrize("coeffs", [(0.0, 1.0), (1.0,), (0.5, 0.5), (-0.5, 1.5), (-1.0, 2.0),
                                     (0.0, 2.0), (2.0, -1.0), (1.5, -0.5), (0.9,),
@@ -235,9 +235,8 @@ def graph_suite():
     mats = []
     for n in (4, 8, 16):
         mats.append(("ring", n, metropolis_weights(build_graph("ring", n=n))))
-        rows = {4: (2, 2), 8: (2, 4), 16: (4, 4)}[n]
-        mats.append(("grid", n, metropolis_weights(
-            build_graph("grid", rows=rows[0], cols=rows[1]))))
+        grid = {4: "grid:2x2", 8: "grid:2x4", 16: "grid:4x4"}[n]
+        mats.append(("grid", n, metropolis_weights(build_graph(grid))))
         mats.append(("complete", n, metropolis_weights(build_graph("complete", n=n))))
     return mats
 
@@ -292,7 +291,7 @@ def test_tracking_norm_bounds_across_twenty_graphs():
         mats.append(metropolis_weights(build_graph("ring", n=n)))
     for rows, cols in ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4), (2, 8),
                        (4, 5)):
-        mats.append(metropolis_weights(build_graph("grid", rows=rows, cols=cols)))
+        mats.append(metropolis_weights(build_graph(f"grid:{rows}x{cols}")))
     mats.extend(lazify(m, tau) for m, tau in zip(mats[:4], (0.2, 0.4, 0.6, 0.8)))
     assert len(mats) >= 20
     for mix in mats:
@@ -337,7 +336,7 @@ def block_suite():
     lazified, under both presets; ED-RR only where W is PSD."""
     graphs = (("ring", build_graph("ring", n=9)), ("star", build_graph("star", n=7)),
               ("complete", build_graph("complete", n=6)),
-              ("grid", build_graph("grid", rows=3, cols=4)))
+              ("grid", build_graph("grid:3x4")))
     cases = []
     for kind, graph in graphs:
         for tau in (0.0, 0.5):
