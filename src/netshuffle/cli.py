@@ -83,7 +83,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     extra = []
     if args.abc:  # before the suites, so a bad --abc fails at once
-        op = _abc_operator(args.abc, _config_from_args(args))
+        op, _ = _abc_operator(args.abc, _config_from_args(args))
         extra = harness.verify_operator(op, f"abc {args.abc}")
     checks = harness.verify(args.suite) + extra
     failed = [c for c in checks if not c.passed]
@@ -93,30 +93,39 @@ def _cmd_verify(args) -> int:
     return EXIT_VERIFY if failed else EXIT_OK
 
 
-def _abc_operator(spec: str, cfg: harness.ExperimentConfig) -> unified.AbcOperator:
+def _abc_operator(spec: str, cfg: harness.ExperimentConfig
+                  ) -> tuple[unified.AbcOperator, unified.TransformData]:
     """The operator `--abc` names (a preset or custom polynomial
-    coefficients) on `cfg`'s graph."""
+    coefficients) on `cfg`'s graph, and its transform; an operator the
+    transform rejects (one not contractive off consensus) is a fault of
+    `--abc` too."""
+    if spec not in harness.PRESET_OPERATORS and not spec.startswith("custom:"):
+        raise harness.ConfigError(f"--abc: expected gtrr, edrr or custom:<a>/<b2>/<c>, "
+                                  f"got {spec!r}")
     mix = harness.build_mix(cfg)
     try:
         if spec in harness.PRESET_OPERATORS:
-            return harness.PRESET_OPERATORS[spec](mix)
-        if spec.startswith("custom:"):
+            op = harness.PRESET_OPERATORS[spec](mix)
+        else:
             pa, pb2, pc = ([float(v) for v in part.split(",")]
                            for part in spec.split(":", 1)[1].split("/"))
-            return unified.build_operator(pa, pb2, pc, mix)
+            op = unified.build_operator(pa, pb2, pc, mix)
+        return op, unified.transform_data(op)
     except ValueError as exc:  # includes unified.OperatorError
         raise harness.ConfigError(f"--abc {spec!r}: {exc}") from exc
-    raise harness.ConfigError(f"--abc: expected gtrr, edrr or custom:<a>/<b2>/<c>, "
-                              f"got {spec!r}")
 
 
 def _cmd_constants(args) -> int:
     cfg = _config_from_args(args)
-    tdata = unified.transform_data(_abc_operator(args.abc, cfg))
+    _, tdata = _abc_operator(args.abc, cfg)
     obj = harness.build_objective(cfg)
     worst = args.abc if cfg.worst_case_constants else None
-    tc = stepsize.theory_constants(tdata, cfg.m, obj.constants.L, obj.constants.mu,
-                                   max(cfg.epochs, 1), worst_case=worst)
+    try:
+        tc = stepsize.theory_constants(tdata, cfg.m, obj.constants.L, obj.constants.mu,
+                                       max(cfg.epochs, 1), worst_case=worst)
+    except ValueError as exc:  # only the worst-case bounds refuse a valid transform
+        raise harness.ConfigError(f"--abc {args.abc!r} with "
+                                  f"run.worst_case_constants: {exc}") from exc
     for field in dataclasses.fields(tc):
         if field.name not in ("m", "L", "mu", "T"):  # the inputs
             print(f"{field.name} = {getattr(tc, field.name)}")

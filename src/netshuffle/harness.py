@@ -32,6 +32,16 @@ class ConfigError(ValueError):
     """Bad experiment configuration."""
 
 
+# the objective families and the family-specific fields each reads; a field
+# that another family reads is ignored by this one, so setting it away from
+# its default is a config error
+FAMILY_FIELDS = {
+    "quadratic": ("condition", "hetero_scale", "spread"),
+    "logistic": ("rho", "hetero", "scale", "cifar10"),
+    "ncvx-logistic": ("eta", "hetero", "scale", "cifar10"),
+}
+
+
 def _key(default, section: str, help: str | None = None, *, key: str | None = None,
          flag: str | None = None, choices=None, minimum: float | None = None,
          below: float | None = None, hashed: bool = True):
@@ -50,7 +60,7 @@ class ExperimentConfig:
     """One experiment, checked however it is made (see `_key` and `_typed`)."""
 
     objective: str = _key("quadratic", "objective", key="family",
-                          choices=("quadratic", "logistic", "ncvx-logistic"))
+                          choices=tuple(FAMILY_FIELDS))
     n: int = _key(16, "objective", "agent count", minimum=1)
     m: int = _key(10, "objective", "components per agent", minimum=1)
     dim: int = _key(5, "objective", "iterate dimension", minimum=1)
@@ -108,12 +118,19 @@ class ExperimentConfig:
             if method not in algorithms.METHODS:
                 raise ConfigError(f"{_FIELD_TO_KEY['methods']}: unknown method {method!r}; "
                                   f"choose from {', '.join(sorted(algorithms.METHODS))}")
-        if self.cifar10 and self.objective == "quadratic":
-            raise ConfigError(f"{_FIELD_TO_KEY['cifar10']}: the quadratic family takes no "
-                              f"dataset; set {_FIELD_TO_KEY['objective']} to a logistic one")
+        reads = FAMILY_FIELDS[self.objective]
+        for name in _FAMILY_SPECIFIC:
+            if name not in reads and getattr(self, name) != _FIELDS[name].default:
+                readers = [family for family, names in FAMILY_FIELDS.items() if name in names]
+                raise ConfigError(
+                    f"{_FIELD_TO_KEY[name]}: the {self.objective} family ignores it; "
+                    f"leave it at {_FIELDS[name].default!r} or set "
+                    f"{_FIELD_TO_KEY['objective']} to {' or '.join(readers)}")
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+_FAMILY_SPECIFIC = [name for name in _FIELDS
+                    if any(name in names for names in FAMILY_FIELDS.values())]
 _FIELD_TO_KEY = {name: f"{f.metadata['section']}.{f.metadata['key'] or name}"
                  for name, f in _FIELDS.items()}
 _KEYMAP = {key: name for name, key in _FIELD_TO_KEY.items()}
@@ -353,8 +370,10 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     except OSError as exc:
         raise ConfigError(f"{_FIELD_TO_KEY['outdir']}: cannot create output dir "
                           f"{outdir}: {exc}") from exc
+    # seed-major, so the methods of a seed follow each other and share the
+    # orders `shuffling` keeps from the first of them
     results = {(method, seed): run_one(cfg, method, seed, objective, mix, plans[method])
-               for method in cfg.methods for seed in cfg.seeds}
+               for seed in cfg.seeds for method in cfg.methods}
 
     written = {}
     for method in cfg.methods:

@@ -354,7 +354,7 @@ class NeighborGather:
         self.wt.setflags(write=False)
 
     def __matmul__(self, X: np.ndarray) -> np.ndarray:
-        return np.einsum("ik,ik...->i...", self.wt, X[self.idx])
+        return np.einsum("ik,ik...->i...", self.wt, X.take(self.idx, axis=0))
 
 
 def metropolis_weights(g: Graph) -> MixingMatrix:

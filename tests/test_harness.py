@@ -253,10 +253,54 @@ def test_preset_operators_are_the_methods_with_a_transformed_state():
 
 
 def test_range_bounds_admit_their_edges():
-    cfg = config_from_mapping({"topology.tau": "0", "objective.rho": "0",
-                               "objective.eta": "0", "objective.condition": "1"})
-    assert (cfg.tau, cfg.rho, cfg.eta, cfg.condition) == (0.0, 0.0, 0.0, 1.0)
+    cfg = config_from_mapping({"topology.tau": "0", "objective.condition": "1"})
+    assert (cfg.tau, cfg.condition) == (0.0, 1.0)
+    assert config_from_mapping({"objective.family": "logistic", "objective.rho": "0"}).rho == 0.0
+    assert config_from_mapping({"objective.family": "ncvx-logistic",
+                                "objective.eta": "0"}).eta == 0.0
     assert config_from_mapping({"topology.tau": "0.999"}).tau == 0.999
+
+
+# a value away from its default for every family-specific key but cifar10,
+# whose families `test_cifar10_config_feeds_both_logistic_families` covers
+_FAMILY_KEY_VALUES = {"condition": 2.0, "hetero_scale": 2.0, "spread": 2.0, "rho": 0.7,
+                      "eta": 0.7, "hetero": False, "scale": 2.0}
+
+
+@pytest.mark.parametrize("family", sorted(harness.FAMILY_FIELDS))
+def test_a_family_reads_its_keys_and_refuses_the_others(family):
+    """Each family-specific key either changes the family's objective or is a
+    config error naming it, so no key is hashed while it changes nothing."""
+    base = ExperimentConfig(objective=family, n=4, m=3, dim=2, data_seed=2)
+    X = np.random.default_rng(0).normal(size=(4, 2))
+
+    def agents(cfg):
+        obj = harness.build_objective(cfg)
+        return obj.values_at(X), obj.stacked_agent_grads(X)
+
+    assert set(_FAMILY_KEY_VALUES) | {"cifar10"} == {
+        name for names in harness.FAMILY_FIELDS.values() for name in names}
+    ref_values, ref_grads = agents(base)
+    for name, value in _FAMILY_KEY_VALUES.items():
+        if name in harness.FAMILY_FIELDS[family]:
+            values, grads = agents(dataclasses.replace(base, **{name: value}))
+            assert not (np.array_equal(values, ref_values)
+                        and np.array_equal(grads, ref_grads)), name
+            continue
+        with pytest.raises(ConfigError, match=f"^objective.{name}: the {family} "
+                                              "family ignores it"):
+            dataclasses.replace(base, **{name: value})
+    # a key left at its default passes, whoever reads it
+    assert dataclasses.replace(base, **{name: getattr(ExperimentConfig(), name)
+                                        for name in _FAMILY_KEY_VALUES}) == base
+
+
+def test_cli_names_a_key_the_family_ignores(tmp_path, capsys):
+    assert cli.main(["sweep", "--rho", "0.7", "--epochs", "1",
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "objective.rho: the quadratic family ignores it" in captured.err
+    assert not captured.out and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("fields,key", [
@@ -364,18 +408,20 @@ def test_every_config_field_has_one_key_and_one_flag(tmp_path):
     for field, key in zip(fields, keys):
         assert len(flags[field.name]) == 1, field.name
         value = _other_value(field)
-        # a dataset needs a logistic family
-        family = field.name == "cifar10"
+        # a family-specific key needs a family that reads it
+        family = [name for name, reads in harness.FAMILY_FIELDS.items()
+                  if field.name in reads][:1]
         path = tmp_path / f"{field.name}.cfg"
-        path.write_text("objective.family = logistic\n" * family
-                        + f"{key} = {_as_text(value)}\n")
+        header = "".join(f"objective.family = {name}\n" for name in family)
+        path.write_text(header + f"{key} = {_as_text(value)}\n")
         assert getattr(config_from_file(path), field.name) == value, key
         if field.type == "bool":  # a bare flag sets true: start from a file saying false
-            path.write_text(f"{key} = false\n")
+            path.write_text(header + f"{key} = false\n")
             argv, expected = ["--config", str(path), flags[field.name][0]], True
         else:
             argv, expected = [flags[field.name][0], _as_text(value)], value
-        args = parser.parse_args(["sweep", *argv, *["--objective", "logistic"] * family])
+        args = parser.parse_args(["sweep", *argv, *[arg for name in family
+                                                    for arg in ("--objective", name)]])
         assert getattr(cli._config_from_args(args), field.name) == expected, argv
     # the hashed key set is part of every CSV's provenance
     assert config_hash(ExperimentConfig()) == "90e9268fb5af6e07"
@@ -398,8 +444,9 @@ def test_ncvx_logistic_config_builds_the_nonconvex_family():
 @pytest.mark.parametrize("family", ["logistic", "ncvx-logistic"])
 def test_cifar10_config_feeds_both_logistic_families(tmp_path, family):
     write_cifar_batch(tmp_path, [0, 9] * 4 + [3])
+    weight = {"rho": 0.3} if family == "logistic" else {"eta": 0.4}
     obj = harness.build_objective(ExperimentConfig(
-        objective=family, n=2, m=3, cifar10=str(tmp_path), rho=0.3, eta=0.4))
+        objective=family, n=2, m=3, cifar10=str(tmp_path), **weight))
     feats, labels = load_cifar10(tmp_path)
     ref = logistic_from_samples(feats, labels, 2, 3, rho=0.3,
                                 nonconvex_eta=0.4 if family == "ncvx-logistic" else None)
@@ -513,6 +560,74 @@ def test_sweep_bytes_are_pinned(tmp_path, case):
     for path in sorted(tmp_path.iterdir()):
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     assert h.hexdigest() == digest
+
+
+def _count_draws(monkeypatch) -> list:
+    """Patch `PermutationStream._fill` to log the (seed, mode, keyed epoch)
+    of every draw it makes."""
+    fill, draws = shuffling.PermutationStream._fill, []
+
+    def counted(stream, epoch, *args, **kwargs):
+        draws.append((stream.master_seed, stream.mode,
+                      0 if stream.mode == "once" else epoch))
+        return fill(stream, epoch, *args, **kwargs)
+
+    monkeypatch.setattr(shuffling.PermutationStream, "_fill", counted)
+    return draws
+
+
+@pytest.mark.parametrize("sampling", ["rr", "once"])
+def test_sweep_draws_each_seeds_orders_once(tmp_path, monkeypatch, empty_order_memo,
+                                            sampling):
+    draws = _count_draws(monkeypatch)
+    seeds, T = (0, 1, 2), 4
+    base = dict(_SMALL_RUN, tau=0.5, seeds=seeds, epochs=T, sampling=sampling)
+    run_sweep(ExperimentConfig(outdir=str(tmp_path / "both"),
+                               methods=("gtrr", "edrr", "dsgt", "ed"), **base))
+    # the two reshuffling and the two iid methods share their seed's orders;
+    # dsgt also draws epoch T
+    epochs = (0,) if sampling == "once" else range(T)
+    expected = ({(s, sampling, t) for s in seeds for t in epochs}
+                | {(s, "iid", t) for s in seeds for t in range(T + 1)})
+    assert sorted(draws) == sorted(expected)
+    # one method alone draws as often as it did without the memo
+    draws.clear()
+    empty_order_memo.clear()
+    run_sweep(ExperimentConfig(outdir=str(tmp_path / "one"), methods=("gtrr",), **base))
+    assert len(draws) <= len(seeds) * T
+
+
+@pytest.mark.parametrize("chunk_bytes,kept", [(2 ** 14, 0), (256, 2)],
+                         ids=["below-one-chunk", "two-chunks"])
+def test_sweep_larger_than_the_order_memo_writes_the_same_bytes(
+        tmp_path, monkeypatch, empty_order_memo, chunk_bytes, kept):
+    # 16 x 8 orders are 128 bytes a draw; 256-byte chunks take two epochs
+    overrides = dict(_SMALL_RUN, n=16, m=8, tau=0.5, methods=("gtrr", "edrr", "drr"),
+                     seeds=(0, 1), epochs=5)
+    run_sweep(ExperimentConfig(outdir=str(tmp_path / "default"), **overrides))
+    empty_order_memo.clear()
+    monkeypatch.setattr(shuffling, "_CHUNK_BYTES", chunk_bytes)
+    epochs = max(1, chunk_bytes // 128)
+    cost = epochs * (128 + 1)
+    monkeypatch.setattr(shuffling, "ORDER_MEMO_BYTES", kept * cost + cost // 2)
+    put, held = shuffling._OrderMemo.put, []
+
+    def checked_put(memo, *args):
+        put(memo, *args)
+        held.append(memo.nbytes)
+
+    monkeypatch.setattr(shuffling._OrderMemo, "put", checked_put)
+    draws = _count_draws(monkeypatch)
+    run_sweep(ExperimentConfig(outdir=str(tmp_path / "small"), **overrides))
+    assert max(held) == kept * cost  # full, and never over
+    # every method draws its own orders: with two of a seed's three chunks
+    # kept, each new chunk evicts the one the next method reads first
+    assert len(draws) == 3 * 2 * 5
+    names = sorted(path.name for path in (tmp_path / "default").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "small").iterdir())
+    for name in names:
+        assert ((tmp_path / "default" / name).read_bytes()
+                == (tmp_path / "small" / name).read_bytes())
 
 
 def test_ring512_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -825,6 +940,7 @@ def test_cli_verify_non_contractive_custom_operator_is_config_error(capsys):
                      "--abc", "custom:1/1,-1/1"]) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     assert "not contractive off consensus" in captured.err and not captured.out
+    assert "--abc 'custom:1/1,-1/1'" in captured.err
 
 
 def test_cli_worst_case_edrr_constants_need_a_positive_definite_w(capsys):
@@ -833,6 +949,7 @@ def test_cli_worst_case_edrr_constants_need_a_positive_definite_w(capsys):
                      "--graph", "complete", "--n", "4"]) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     assert "need a positive definite W" in captured.err and not captured.out
+    assert "--abc 'edrr'" in captured.err and "run.worst_case_constants" in captured.err
 
 
 @pytest.mark.parametrize("spec", ["bogus", "custom:0,1/1,-1", "custom:0,1/x/0,1", "edrr"])

@@ -52,6 +52,26 @@ def test_gather_equals_dense_product_on_random_sparse_graphs():
     check()
 
 
+@pytest.mark.parametrize("p", [1, 4, 16])
+@pytest.mark.parametrize("graph", ["ring", "grid:16x16", "star"])
+def test_gather_sums_each_row_slot_by_slot(graph, p):
+    # built directly: the size rule gives the star the dense product
+    gather = NeighborGather(lazify(metropolis_weights(build_graph(graph, n=256)), 0.5))
+    X = np.random.default_rng(p).normal(size=(256, p))
+    got = gather @ X
+    assert got.tobytes() == np.einsum("ik,ik...->i...", gather.wt, X[gather.idx]).tobytes()
+    by_slot = gather.wt[:, 0, None] * X[gather.idx[:, 0]]
+    for k in range(1, gather.per_row):
+        by_slot = by_slot + gather.wt[:, k, None] * X[gather.idx[:, k]]
+    if p > 1:
+        assert got.tobytes() == by_slot.tobytes()
+    else:
+        # at p = 1 einsum's inner-product kernel spreads a row's slots over
+        # SIMD lanes, so only the rounding of the sum differs
+        scale = np.einsum("ik,ik...->i...", gather.wt, np.abs(X[gather.idx]))
+        assert np.all(np.abs(got - by_slot) <= gather.per_row * np.finfo(float).eps * scale)
+
+
 @pytest.mark.parametrize("graph", [
     build_graph("ring", n=16),
     build_graph("ring", n=GATHER_MIN_N - 1),

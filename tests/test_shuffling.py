@@ -1,9 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from netshuffle import shuffling
 from netshuffle.shuffling import PURPOSE_PERM, PermutationStream, keyed_rng, rr_variance
+
+
+def _fresh_orders(seed, mode, n, epoch, m):
+    """(n, m) orders drawn from one new keyed generator per agent."""
+    rows = []
+    for agent in range(n):
+        fresh = keyed_rng(seed, PURPOSE_PERM, agent, 0 if mode == "once" else epoch)
+        rows.append(fresh.integers(0, m, size=m) if mode == "iid" else fresh.permutation(m))
+    return np.array(rows, dtype=np.int64).reshape(n, m)
 
 
 def test_single_component_is_identity():
@@ -58,6 +69,83 @@ def test_stream_draws_equal_fresh_keyed_generators(mode, rng):
     orders = stream.epoch_orders(4, 3, m)
     for agent in range(4):
         assert np.array_equal(orders[agent], stream.permutation(agent, 3, m))
+
+
+@pytest.mark.parametrize("mode", ["rr", "once", "iid"])
+def test_memo_serves_the_draws_of_fresh_keyed_generators(mode, rng, empty_order_memo):
+    # every (seed, shape, epoch) is asked for twice, the shapes interleaved,
+    # so each is once drawn and once read back; 17 and 2^64 + 17 share a key
+    shapes = [(3, 5), (4, 11), (3, 11), (300, 2), (1, 1)]
+    asks = [(seed, shape, epoch) for seed in (2 ** 64 + 17, 17, 5)
+            for shape in shapes for epoch in (0, 1, 40)] * 2
+    streams = {seed: PermutationStream(seed, mode) for seed in (2 ** 64 + 17, 17, 5)}
+    for j in rng.permutation(len(asks)):
+        seed, (n, m), epoch = asks[j]
+        orders = streams[seed].epoch_orders(n, epoch, m)
+        assert orders.dtype == np.int64 and orders.flags.writeable
+        assert np.array_equal(orders, _fresh_orders(seed, mode, n, epoch, m))
+    assert 0 < empty_order_memo.nbytes <= shuffling.ORDER_MEMO_BYTES
+
+
+@pytest.mark.parametrize("mode", ["rr", "iid"])
+def test_mutating_returned_orders_leaves_the_next_call_alone(mode, empty_order_memo):
+    stream = PermutationStream(3, mode)
+    expected = _fresh_orders(3, mode, 6, 2, 9)
+    for _ in range(3):  # the draw, then two reads from the memo
+        orders = stream.epoch_orders(6, 2, 9)
+        assert np.array_equal(orders, expected)
+        orders[:] = -1
+    assert np.array_equal(PermutationStream(3, mode).epoch_orders(6, 2, 9), expected)
+
+
+def test_memo_stays_within_its_budget_and_evicts_the_oldest(monkeypatch, empty_order_memo):
+    # 4 x 10 orders are 40 bytes in uint8: 100-byte chunks take two epochs
+    # and cost 2 * 41 bytes with their flags; the budget holds two chunks
+    monkeypatch.setattr(shuffling, "_CHUNK_BYTES", 100)
+    monkeypatch.setattr(shuffling, "ORDER_MEMO_BYTES", 2 * 82 + 40)
+    stream = PermutationStream(8, "rr")
+    for epoch in range(6):
+        stream.epoch_orders(4, epoch, 10)
+        assert empty_order_memo.nbytes == 82 * min(epoch // 2 + 1, 2)
+    drawn = []
+    fill = PermutationStream._fill
+
+    def counted_fill(self, epoch, *args, **kwargs):
+        drawn.append(epoch)
+        return fill(self, epoch, *args, **kwargs)
+
+    monkeypatch.setattr(PermutationStream, "_fill", counted_fill)
+    # the chunks of epochs 2-3 and 4-5 are kept; epoch 0's new chunk evicts
+    # the older of them though epoch 2 was read last, epoch 1 is drawn into
+    # that chunk, and epoch 3's new chunk then evicts epochs 4-5
+    for epoch in (5, 2, 0, 4, 1, 3):
+        orders = stream.epoch_orders(4, epoch, 10)
+        assert np.array_equal(orders, _fresh_orders(8, "rr", 4, epoch, 10))
+    assert drawn == [0, 1, 3] and empty_order_memo.nbytes == 2 * 82
+    # a chunk that costs more than the whole budget is not kept
+    monkeypatch.setattr(shuffling, "ORDER_MEMO_BYTES", 81)
+    empty_order_memo.clear()
+    assert np.array_equal(stream.epoch_orders(4, 0, 10), _fresh_orders(8, "rr", 4, 0, 10))
+    assert empty_order_memo.nbytes == 0
+
+
+def test_memo_of_many_small_draws_holds_what_it_counts(monkeypatch, empty_order_memo):
+    # 2 x 2 orders are 4 bytes a draw: kept one object each, their headers
+    # would outweigh them many times over
+    monkeypatch.setattr(shuffling, "ORDER_MEMO_BYTES", 2 ** 18)
+    streams = [PermutationStream(2 ** 40 + seed, "rr") for seed in range(20)]
+    streams[0].epoch_orders(2, 0, 2)
+    tracemalloc.start()
+    try:
+        for stream in streams:
+            for epoch in range(300):
+                stream.epoch_orders(2, epoch, 2)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(empty_order_memo._chunks) < 20  # the oldest streams were evicted
+    assert empty_order_memo.nbytes <= 2 ** 18
+    assert held <= 1.05 * empty_order_memo.nbytes
 
 
 def test_independent_streams_change_with_master_seed():
