@@ -239,22 +239,32 @@ def build_mix(cfg: ExperimentConfig) -> MixingMatrix:
 
 
 def build_objective(cfg: ExperimentConfig):
+    """The config's objective; an L or mu that is not finite is a ConfigError
+    naming the key that made the data (a synthetic pool's `objective.scale`)."""
     if cfg.objective == "quadratic":
         return make_quadratic(cfg.n, cfg.m, cfg.dim, cfg.data_seed,
                               condition=cfg.condition, hetero=cfg.hetero_scale,
                               spread=cfg.spread)
+    key = _FIELD_TO_KEY["cifar10" if cfg.cifar10 else "scale"]
     try:
         feats, labels = (load_cifar10(cfg.cifar10) if cfg.cifar10 else
                          synthetic_classification(cfg.n * cfg.m, cfg.dim, cfg.data_seed,
                                                   scale=cfg.scale))
-        return logistic_from_samples(
-            feats, labels, cfg.n, cfg.m, rho=cfg.rho, heterogeneous=cfg.hetero,
-            seed=cfg.data_seed,
-            nonconvex_eta=cfg.eta if cfg.objective == "ncvx-logistic" else None)
+        with np.errstate(over="ignore"):  # an L that overflows is refused below
+            objective = logistic_from_samples(
+                feats, labels, cfg.n, cfg.m, rho=cfg.rho, heterogeneous=cfg.hetero,
+                seed=cfg.data_seed,
+                nonconvex_eta=cfg.eta if cfg.objective == "ncvx-logistic" else None)
     except (OSError, ValueError) as exc:
         if not cfg.cifar10:  # a synthetic pool holds the n m samples it needs
             raise
-        raise ConfigError(f"{_FIELD_TO_KEY['cifar10']}: {exc}") from exc
+        raise ConfigError(f"{key}: {exc}") from exc
+    consts = objective.constants
+    for name, value in (("L", consts.L), ("mu", consts.mu)):
+        if value is not None and not np.isfinite(value):
+            raise ConfigError(f"{key}: the objective's {name} = {value} is not finite; "
+                              "the features are too large")
+    return objective
 
 
 # the (A, B^2, C) presets, keyed by the method each reproduces, for method

@@ -330,11 +330,11 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, z)
 
 
-def _loss_slope(z):
+def _loss_slope(z, out=None):
     """-sigmoid(-z) = -0.5 (1 + tanh(-z/2)), the derivative of softplus(-z),
     with both sign flips folded into the arithmetic; bit-equal to the
-    unfolded form."""
-    s = np.tanh(-0.5 * z)
+    unfolded form.  `out=z` computes it in place."""
+    s = np.tanh(np.multiply(z, -0.5, out=out), out=out)
     s += 1.0
     s *= -0.5
     return s
@@ -360,7 +360,9 @@ class _LogisticBase(FiniteSumObjective):
         self.labels = labels
         self.n, self.m, self.p = feats.shape
         self.signed = feats * labels[:, :, None]  # u_j v_j rows
-        self._agents = np.arange(self.n)
+        # perm_grads takes row i * m + idx[i] of the (n m, p) rows
+        self._rows = self.signed.reshape(-1, self.p)
+        self._first = np.arange(self.n) * self.m
         self.weight = float(weight)
         # exact L and mu (labels are +-1, so |u_j v_j| = |u_j|); f* is
         # estimated on its first read
@@ -418,9 +420,11 @@ class _LogisticBase(FiniteSumObjective):
         return np.einsum("im,imp->p", coef, self.signed) + self._reg_grad(x)
 
     def perm_grads(self, X, idx):
-        rows = self.signed[self._agents, idx]          # (n, p)
+        rows = self._rows.take(self._first + idx, axis=0)   # (n, p)
         z = np.einsum("ip,ip->i", rows, X)
-        return _loss_slope(z)[:, None] * rows + self._reg_grad(X)
+        rows *= _loss_slope(z, out=z)[:, None]
+        rows += self._reg_grad(X)
+        return rows
 
     def stacked_agent_grads(self, X):
         z = np.einsum("imp,ip->im", self.signed, X)

@@ -5,9 +5,12 @@ Randomness is counter-keyed: the draw for (agent i, epoch t) depends only on
 (master_seed, i, t), never on execution order, so trajectories are invariant
 under parallel experiment scheduling.  A stream re-keys one Philox generator
 before each draw instead of constructing a new one, which gives the same
-numbers without the constructor's entropy gathering.  Every method of a
-run seed visits the same orders, so `epoch_orders` keeps each draw it makes
-in a small process-wide memo and serves the next method from it.
+numbers without the constructor's entropy gathering.  An epoch's draws for
+many agents instead come from a kernel that runs Philox over all of them at
+once as numpy array operations, bit for bit the numbers of the per-agent
+generators.  Every method of a run seed visits the same orders, so
+`epoch_orders` keeps each draw it makes in a small process-wide memo and
+serves the next method from it.
 Components are indexed 0..m-1 internally (the domain convention 1..m maps
 to index+1).
 """
@@ -112,6 +115,161 @@ def keyed_rng(master_seed: int, purpose: int, agent: int = 0, epoch: int = 0) ->
     return Generator(Philox(key=_philox_keys(master_seed, purpose, epoch, agent)[0]))
 
 
+# ---------------------------------------------------------------------------
+# the lane kernel: one epoch's draws for many agents as numpy array
+# operations over an agent axis, bit-identical to numpy's Philox4x64-10
+# (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
+# Generator.shuffle and Generator.integers on each agent's own key
+# ---------------------------------------------------------------------------
+
+# (fewest agents, largest m) of the draws `_fill` makes with the kernel:
+# with fewer agents or a larger m the per-agent loop measured faster (2
+# cores, BLAS threads 1; README "Permutation orders")
+KERNEL_CROSSOVERS = {"permutation": (256, 16), "iid": (64, 128)}
+
+# Philox4x64's multipliers of state words 0 and 2, and its key increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = 0xFFFFFFFF
+_WORD64 = 2 ** 64 - 1
+
+
+def _philox_words(key0: int, key1: np.ndarray, first: int, blocks: int) -> np.ndarray:
+    """(8 blocks, lanes) uint64: column l holds the 32-bit words that
+    `Philox(key=(key0, key1[l]))` gives from block `first` on, in the order
+    `next_uint32` returns them.
+
+    A fresh Philox computes its first block at counter (1, 0, 0, 0), and
+    `next_uint32` splits each 64-bit output low half first.  The rounds run
+    on (2, lanes * blocks) arrays, state words 0 and 2 in one and 3 and 1 in
+    the other.  A round multiplies the first by Philox's two multipliers:
+    numpy keeps the low 64 bits of each product, and the high 64 bits are
+    summed from the four 32-by-32-bit products of the halves.
+    """
+    lanes = len(key1)
+    size = lanes * blocks
+    # the multipliers and their low and high halves, one per lane, since a
+    # constant broadcast along the lanes multiplies more slowly
+    mult = np.empty((3, 1, 2, size), dtype=np.uint64)
+    for row, M in enumerate(_PHILOX_M):
+        mult[:, 0, row] = np.array([[M], [M & _LOW32], [M >> 32]], dtype=np.uint64)
+    # round 1 at counter (c, 0, 0, 0) leaves (key0, 0, hi(c M0) ^ key1, lo(c M0))
+    even = np.empty((2, size), dtype=np.uint64)   # words (0, 2)
+    odd = np.zeros((2, size), dtype=np.uint64)    # words (3, 1)
+    even[0] = key0
+    for b in range(blocks):
+        c = (first + b) * _PHILOX_M[0]
+        lanes_b = slice(b * lanes, (b + 1) * lanes)
+        np.bitwise_xor(key1, c >> 64, out=even[1, lanes_b])
+        odd[0, lanes_b] = c & _WORD64
+    halves = np.empty((2, 2, size), dtype=np.uint64)
+    # the four 32-by-32-bit products: (low, high half of M) x (low, high half)
+    products = np.empty((2, 2, 2, size), dtype=np.uint64)
+    t, u, high = products[0, 0], products[0, 1], products[1, 1]
+    k1 = np.tile(key1, blocks)
+    for r in range(1, 10):
+        # the key is bumped before each round but the first; then w0, w1,
+        # w2, w3 become hi(M1 w2) ^ w1 ^ k0, lo(M1 w2), hi(M0 w0) ^ w3 ^ k1
+        # and lo(M0 w0)
+        k1 += _PHILOX_W[1]
+        last = odd
+        odd = even * mult[0, 0]
+        np.bitwise_and(even, _LOW32, out=halves[0])
+        np.right_shift(even, 32, out=halves[1])
+        np.multiply(halves, mult[1:], out=products)
+        # no partial sum below overflows 64 bits
+        t >>= 32
+        t += u
+        np.bitwise_and(t, _LOW32, out=u)
+        u += products[1, 0]
+        products[0] >>= 32
+        t += u
+        high += t
+        last ^= high
+        np.bitwise_xor(last[1], (key0 + r * _PHILOX_W[0]) & _WORD64, out=even[0])
+        np.bitwise_xor(last[0], k1, out=even[1])
+    words = np.empty((blocks, 4, 2, lanes), dtype=np.uint64)
+    for k, word in enumerate((even[0], odd[1], even[1], odd[0])):
+        word = word.reshape(blocks, lanes)
+        np.bitwise_and(word, _LOW32, out=words[:, k, 0])
+        np.right_shift(word, 32, out=words[:, k, 1])
+    return words.reshape(8 * blocks, lanes)
+
+
+def _kernel_permutations(key0: int, key1: np.ndarray, m: int) -> np.ndarray:
+    """(lanes, m) int64; row l equals `Generator(Philox(key=(key0,
+    key1[l]))).permutation(m)`.
+
+    `Generator.shuffle` swaps entry i with entry `random_interval(i)` for
+    i = m-1..1, and `random_interval(i)` takes 32-bit words w until
+    w & mask <= i, mask the smallest 2^k - 1 >= i.  The scan runs over the
+    words, all lanes at once; a lane that runs out of words gets the next
+    block, and the swaps are applied afterwards.
+    """
+    lanes = len(key1)
+    masks = np.array([0] + [(1 << i.bit_length()) - 1 for i in range(1, m)])
+    # picks[l (m + 1) + 1 + i] is lane l's j for i; a lane that is done has
+    # i = -1 (masks[-1] is a valid index, and no word is <= -1), so its
+    # writes fall in the spare slot l (m + 1)
+    picks = np.zeros(lanes * (m + 1), dtype=np.int64)
+    slots = np.arange(1, lanes * (m + 1), m + 1)
+    i = np.full(lanes, m - 1)
+    # i takes a geometric number of words, with success p = (i + 1) /
+    # (mask + 1); blocks for the mean plus four standard deviations leave
+    # few lanes short
+    p = [(k + 1) / (1 << k.bit_length()) for k in range(1, m)]
+    enough = sum(1 / q for q in p) + 4 * math.sqrt(sum((1 - q) / q ** 2 for q in p))
+    first, blocks = 1, max(1, math.ceil(enough / 8))
+    while True:
+        for col, word in enumerate(_philox_words(key0, key1, first, blocks).view(np.int64)):
+            drawn = masks.take(i)
+            drawn &= word
+            picks[slots + i] = drawn
+            i -= drawn <= i
+            if col >= m - 2 and i.max() < 1:
+                break
+        short = np.flatnonzero(i > 0)
+        if not short.size:
+            break
+        i, slots, key1 = i[short], slots[short], key1[short]
+        first, blocks = first + blocks, 1
+    # the swaps, on (m, lanes): entry k of each lane with its entry picks[k]
+    out = np.repeat(np.arange(m), lanes).reshape(m, lanes)
+    flat = out.reshape(-1)
+    targets = picks.reshape(lanes, m + 1)[:, 1:].T * lanes + np.arange(lanes)
+    for k in range(m - 1, 0, -1):
+        j = targets[k]
+        held = flat[j]
+        flat[j] = out[k]
+        out[k] = held
+    return np.ascontiguousarray(out.T)
+
+
+def _kernel_integers(key0: int, key1: np.ndarray, high: int, size: int) -> np.ndarray:
+    """(lanes, size) int64; row l equals `Generator(Philox(key=(key0,
+    key1[l]))).integers(0, high, size=size)` for 1 < high < 2^32.
+
+    numpy draws each entry with Lemire's bounded method: the 32-bit word w
+    gives w * high >> 32, unless the low 32 bits of w * high fall below
+    2^32 mod high, in which case the word is dropped and the next one tried.
+    A lane keeps its first `size` accepted words.
+    """
+    lanes = len(key1)
+    floor = (2 ** 32 - high) % high
+    blocks = -(-size // 8)
+    words = _philox_words(key0, key1, 1, blocks)
+    while True:
+        scaled = words * high
+        kept = (scaled & _LOW32) >= floor
+        if kept.sum(axis=0).min() >= size:
+            break
+        words = np.concatenate([words, _philox_words(key0, key1, blocks + 1, 1)])
+        blocks += 1
+    kept &= np.cumsum(kept, axis=0) <= size
+    scaled >>= 32
+    return scaled.T[kept.T].reshape(lanes, size).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class PermutationStream:
     """Source of component orders per (agent, epoch).
@@ -157,13 +315,23 @@ class PermutationStream:
     def _fill(self, epoch: int, m: int, agent: int = 0, count: int = 1) -> np.ndarray:
         """(count, m) array; row i is the draw `keyed_rng` makes for agent
         `agent + i` at `epoch`, or at epoch 0 in mode 'once'.  A permutation
-        is 0..m-1 shuffled in place, as in `Generator.permutation(m)`."""
+        is 0..m-1 shuffled in place, as in `Generator.permutation(m)`.  The
+        kernel makes the draw on the fast side of `KERNEL_CROSSOVERS`, the
+        re-keyed generator elsewhere."""
         if m < 1:
             raise ValueError("m must be >= 1")
         keys = _philox_keys(self.master_seed, PURPOSE_PERM,
-                            0 if self.mode == "once" else epoch, agent, count).tolist()
+                            0 if self.mode == "once" else epoch, agent, count)
+        iid = self.mode == "iid"
+        min_lanes, max_m = KERNEL_CROSSOVERS["iid" if iid else "permutation"]
+        if count >= min_lanes and 1 < m <= max_m:
+            key0, key1 = self.master_seed % 2 ** 64, keys[:, 1].copy()
+            if iid:
+                return _kernel_integers(key0, key1, m, m)
+            return _kernel_permutations(key0, key1, m)
+        keys = keys.tolist()
         out = np.empty((count, m), dtype=np.int64)
-        if self.mode == "iid":
+        if iid:
             for key, row in zip(keys, out):
                 row[:] = self._keyed(key).integers(0, m, size=m)
             return out

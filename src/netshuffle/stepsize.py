@@ -62,6 +62,7 @@ class DecreasingSchedule(Schedule):
     def __post_init__(self):
         _check_positive("dec theta", self.theta)
         _check_positive("dec K", self.K)
+        _check_positive("dec mu (the objective's strong convexity)", self.mu)
 
     def alpha(self, t, history=()):
         return self.theta / (self.mu * self.m * (t + self.K))

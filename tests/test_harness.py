@@ -179,6 +179,28 @@ def test_bad_stepsize_is_config_error(tmp_path, capsys, spec):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_decreasing_stepsize_without_strong_convexity_is_config_error(tmp_path, capsys):
+    # rho = 0 makes the convex logistic's mu an exact 0, so dec's
+    # theta / (mu m (t + K)) would divide by zero at t = 0
+    code, err = _sweep_exit(tmp_path, capsys, "--objective", "logistic", "--rho", "0",
+                            "--stepsize", "dec:0.5,1")
+    assert code == cli.EXIT_CONFIG
+    assert "run.stepsize: dec mu" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("family", ["logistic", "ncvx-logistic"])
+def test_features_whose_smoothness_overflows_are_config_error(tmp_path, capsys, family):
+    # scale 1e200 squares past the largest float, so L is inf and the auto
+    # stepsize's offset cannot be rounded
+    code, err = _sweep_exit(tmp_path, capsys, "--objective", family, "--scale", "1e200",
+                            "--stepsize", "auto", "--regime", "pl-decreasing")
+    assert code == cli.EXIT_CONFIG
+    assert "objective.scale: the objective's L = inf is not finite" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("flags,key", [(("--method", "gtrr,gtrr"), "run.methods"),
                                        (("--seed", "0,1,0"), "run.seeds")])
 def test_repeated_method_or_seed_is_config_error(tmp_path, capsys, flags, key):

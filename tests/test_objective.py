@@ -4,8 +4,8 @@ import pytest
 from dense_quadratic import general, matrix_form
 from netshuffle.objective import (ESTIMATED, EXACT, UNAVAILABLE,
                                   QuadraticObjective, SeparableQuadratic,
-                                  make_logistic, make_nonconvex_logistic,
-                                  make_quadratic)
+                                  _loss_slope, make_logistic,
+                                  make_nonconvex_logistic, make_quadratic)
 from netshuffle.shuffling import PURPOSE_MC, keyed_rng
 
 FAMILIES = {
@@ -477,3 +477,20 @@ def test_closed_form_quadratic_equals_the_general_class_on_its_matrix_form():
                 close(closed.component_grad(i, l, x), ref.component_grad(i, l, x), tol_g)
 
     check()
+
+
+@pytest.mark.parametrize("family", ["logistic", "ncvx-logistic"])
+def test_logistic_perm_grads_equal_the_gathered_expression_bit_for_bit(family, rng):
+    # perm_grads works in place on its gathered rows; its bits are those of
+    # the expression it replaced, also where the margins saturate the slope
+    make = make_logistic if family == "logistic" else make_nonconvex_logistic
+    obj = make(6, 5, 4, seed=3, scale=2.0)
+    for scale in (1.0, 1e3):
+        X = scale * rng.normal(size=(6, 4))
+        idx = rng.integers(0, 5, size=6)
+        rows = obj.signed[np.arange(6), idx]
+        z = np.einsum("ip,ip->i", rows, X)
+        expected = _loss_slope(z)[:, None] * rows + obj._reg_grad(X)
+        got = obj.perm_grads(X, idx)
+        assert got.tobytes() == expected.tobytes()
+    assert np.isin(_loss_slope(z), (0.0, -1.0)).any()  # saturated margins were drawn

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -146,6 +147,100 @@ def test_memo_of_many_small_draws_holds_what_it_counts(monkeypatch, empty_order_
     assert len(empty_order_memo._chunks) < 20  # the oldest streams were evicted
     assert empty_order_memo.nbytes <= 2 ** 18
     assert held <= 1.05 * empty_order_memo.nbytes
+
+
+SEEDS = (0, 17, 2 ** 64 + 17, 2 ** 64 - 1)
+TOP = 2 ** 24 - 1  # the largest agent and epoch a key holds
+
+
+@contextmanager
+def _path(path):
+    """Make `_fill` draw with the kernel ("kernel") or the per-agent loop
+    ("loop") whatever the shape, or as the crossovers choose (None)."""
+    saved = shuffling.KERNEL_CROSSOVERS
+    forced = {"kernel": (1, 2 ** 31), "loop": (2 ** 31, 0)}.get(path)
+    if forced:
+        shuffling.KERNEL_CROSSOVERS = dict.fromkeys(saved, forced)
+    try:
+        yield
+    finally:
+        shuffling.KERNEL_CROSSOVERS = saved
+
+
+def _check_kernel_equals_loop(seed, mode, m, lanes, near_top):
+    """The kernel's draw, the loop's and the one the crossovers choose are
+    equal, at agent 0 and epoch 3 or at the top of the key range."""
+    agent, epoch = (2 ** 24 - lanes, TOP) if near_top else (0, 3)
+    stream = PermutationStream(seed, mode)
+    draws = []
+    for path in ("loop", "kernel", None):
+        with _path(path):
+            draws.append(stream._fill(epoch, m, agent, lanes))
+    for drawn in draws[1:]:
+        assert drawn.dtype == np.int64 and drawn.flags.c_contiguous
+        assert np.array_equal(drawn, draws[0])
+
+
+@pytest.mark.parametrize("m", range(1, shuffling.KERNEL_CROSSOVERS["permutation"][1] + 1))
+def test_kernel_permutations_equal_the_loop(m):
+    # every m the kernel draws, m = 5, 9 and 13 among those whose masks
+    # reject most; lane counts on both sides of the crossover
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fewest = shuffling.KERNEL_CROSSOVERS["permutation"][0]
+
+    @hypothesis.settings(derandomize=True, max_examples=12, deadline=None)
+    @hypothesis.given(st.sampled_from(SEEDS), st.sampled_from(["rr", "once"]),
+                      st.sampled_from([1, 2, fewest - 1, fewest, fewest + 44]), st.booleans())
+    def check(seed, mode, lanes, near_top):
+        _check_kernel_equals_loop(seed, mode, m, lanes, near_top)
+
+    check()
+
+
+def test_kernel_integers_equal_the_loop():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fewest, largest = shuffling.KERNEL_CROSSOVERS["iid"]
+
+    @hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
+    @hypothesis.given(st.sampled_from(SEEDS), st.integers(1, largest),
+                      st.sampled_from([1, fewest - 1, fewest, fewest + 36]), st.booleans())
+    @hypothesis.example(2 ** 64 - 1, largest, fewest, True)
+    def check(seed, m, lanes, near_top):
+        _check_kernel_equals_loop(seed, "iid", m, lanes, near_top)
+
+    check()
+
+
+def test_a_lane_short_of_words_gets_a_third_block(monkeypatch):
+    # at epoch 2^24 - 1, seed 17's agent 645 takes more than the 16 words of
+    # the two blocks an m = 8 draw starts with
+    firsts = []
+    words = shuffling._philox_words
+
+    def recorded(key0, key1, first, blocks):
+        firsts.append((first, blocks, len(key1)))
+        return words(key0, key1, first, blocks)
+
+    monkeypatch.setattr(shuffling, "_philox_words", recorded)
+    stream = PermutationStream(17, "rr")
+    with _path("kernel"):
+        drawn = stream._fill(TOP, 8, 600, 300)
+    assert firsts == [(1, 2, 300), (3, 1, 1)]
+    with _path("loop"):
+        assert np.array_equal(drawn, stream._fill(TOP, 8, 600, 300))
+
+
+@pytest.mark.parametrize("high", [3 * 2 ** 30, 2 ** 31 + 1, 2 ** 32 - 1, 7, 8])
+def test_kernel_integers_reject_as_numpy_does(high):
+    # at high = 3 * 2^30 numpy's bounded draw rejects a quarter of the words,
+    # so most lanes need more words than the blocks drawn first hold
+    keys = shuffling._philox_keys(2 ** 64 - 1, PURPOSE_PERM, 3, 0, 40)
+    drawn = shuffling._kernel_integers(2 ** 64 - 1, keys[:, 1].copy(), high, 20)
+    for agent, row in enumerate(drawn):
+        fresh = keyed_rng(2 ** 64 - 1, PURPOSE_PERM, agent, 3)
+        assert np.array_equal(row, fresh.integers(0, high, size=20))
 
 
 def test_independent_streams_change_with_master_seed():
