@@ -74,11 +74,12 @@ class _Method:
     def epoch(self, t: int, alpha: float, probe=None):
         """Advance one epoch: m inner steps, each at the gradient of the
         current iterate along the epoch's orders."""
-        orders = self._orders(t)
+        # step ell's indices as one contiguous row of the transposed orders
+        steps = self._orders(t).T.copy()
         self._start_epoch(alpha)
-        for ell in range(self.m):
+        for ell, idx in enumerate(steps):
             Xb = self.X
-            g = self.obj.perm_grads(Xb, orders[:, ell])
+            g = self.obj.perm_grads(Xb, idx)
             self._step(ell, alpha, g)
             if probe is not None:
                 probe(ProbeInfo(ell, alpha, Xb, self.X, g, self.Y))
@@ -102,7 +103,9 @@ class _Method:
 
     def _consensus_anchor(self, alpha: float) -> np.ndarray:
         """alpha W grad F(1 xbar^T), the term every transformed state S adds."""
-        return alpha * (self.W @ self.obj.grads_at_consensus(self.X.mean(axis=0)))
+        # the mean as np.mean takes it, without its per-call overhead
+        xbar = self.X.sum(axis=0) / len(self.X)
+        return alpha * (self.W @ self.obj.grads_at_consensus(xbar))
 
 
 class CentralizedRR(_Method):
@@ -221,14 +224,16 @@ class ED(_Method):
         self._prev_x = None
         self._prev_ag = None  # previous alpha * gradient
 
-    def _half_step(self, alpha, g):
+    def _half_step(self, ag):
+        """The local step before mixing, given ag = alpha * gradient."""
         if self._prev_x is None:
-            return self.X - alpha * g
-        return 2.0 * self.X - self._prev_x - (alpha * g - self._prev_ag)
+            return self.X - ag
+        return 2.0 * self.X - self._prev_x - (ag - self._prev_ag)
 
     def _step(self, ell, alpha, g):
-        half = self._half_step(alpha, g)
-        self._prev_x, self._prev_ag = self.X, alpha * g
+        ag = alpha * g
+        half = self._half_step(ag)
+        self._prev_x, self._prev_ag = self.X, ag
         self.X = self.W @ half
 
 
@@ -336,8 +341,12 @@ def run(method_name: str, objective, mix: MixingMatrix, schedule, T: int,
     Returns a trajectory of T+1 rows, plus T(m-1) interior rows with
     `inner_metrics` (fewer if the run is truncated by divergence, in which
     case the last row carries the flag).  Fully deterministic for fixed
-    seeds unless `timings` is set.
+    seeds unless `timings` is set.  A `transform` must be the one built for
+    `method_name`'s operator.
     """
+    if transform is not None and transform.method != method_name:
+        raise ValueError(f"method {method_name!r} cannot take a transform built "
+                         f"for method {transform.method!r}")
     method = make_method(method_name, objective, mix, seed, sampling, strict_alg2)
     if x0 is None:
         x0 = initial_iterates(objective, init, init_scale, init_seed, seed)

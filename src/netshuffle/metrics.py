@@ -189,7 +189,7 @@ def record(traj: Trajectory, X: np.ndarray, t: float, alpha: float, objective,
         e_norm_sq = q_t = None
         if transform is not None and S is not None:
             e = transform.e_vector(X, S)
-            e_norm_sq = float(np.sum(e * e))
+            e_norm_sq = float((e * e).sum())
             if fgap_bar is not None:
                 L = objective.constants.L
                 weight = 8.0 * alpha * L * L * transform.norm_V2 / (

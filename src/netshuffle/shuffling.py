@@ -196,15 +196,16 @@ def _philox_words(key0: int, key1: np.ndarray, first: int, blocks: int) -> np.nd
     return words.reshape(8 * blocks, lanes)
 
 
-def _kernel_permutations(key0: int, key1: np.ndarray, m: int) -> np.ndarray:
-    """(lanes, m) int64; row l equals `Generator(Philox(key=(key0,
-    key1[l]))).permutation(m)`.
+def _kernel_permutations(key0: int, key1: np.ndarray, m: int) -> tuple:
+    """(orders, short): orders is (lanes, m) int64, and row l equals
+    `Generator(Philox(key=(key0, key1[l]))).permutation(m)` unless l is in
+    the index array `short`, the lanes whose words ran out.
 
     `Generator.shuffle` swaps entry i with entry `random_interval(i)` for
     i = m-1..1, and `random_interval(i)` takes 32-bit words w until
     w & mask <= i, mask the smallest 2^k - 1 >= i.  The scan runs over the
-    words, all lanes at once; a lane that runs out of words gets the next
-    block, and the swaps are applied afterwards.
+    words of one Philox pass, all lanes at once, and the swaps are applied
+    afterwards; the few lanes it leaves short are for the caller to draw.
     """
     lanes = len(key1)
     masks = np.array([0] + [(1 << i.bit_length()) - 1 for i in range(1, m)])
@@ -219,20 +220,14 @@ def _kernel_permutations(key0: int, key1: np.ndarray, m: int) -> np.ndarray:
     # few lanes short
     p = [(k + 1) / (1 << k.bit_length()) for k in range(1, m)]
     enough = sum(1 / q for q in p) + 4 * math.sqrt(sum((1 - q) / q ** 2 for q in p))
-    first, blocks = 1, max(1, math.ceil(enough / 8))
-    while True:
-        for col, word in enumerate(_philox_words(key0, key1, first, blocks).view(np.int64)):
-            drawn = masks.take(i)
-            drawn &= word
-            picks[slots + i] = drawn
-            i -= drawn <= i
-            if col >= m - 2 and i.max() < 1:
-                break
-        short = np.flatnonzero(i > 0)
-        if not short.size:
+    blocks = max(1, math.ceil(enough / 8))
+    for col, word in enumerate(_philox_words(key0, key1, 1, blocks).view(np.int64)):
+        drawn = masks.take(i)
+        drawn &= word
+        picks[slots + i] = drawn
+        i -= drawn <= i
+        if col >= m - 2 and i.max() < 1:
             break
-        i, slots, key1 = i[short], slots[short], key1[short]
-        first, blocks = first + blocks, 1
     # the swaps, on (m, lanes): entry k of each lane with its entry picks[k]
     out = np.repeat(np.arange(m), lanes).reshape(m, lanes)
     flat = out.reshape(-1)
@@ -242,7 +237,7 @@ def _kernel_permutations(key0: int, key1: np.ndarray, m: int) -> np.ndarray:
         held = flat[j]
         flat[j] = out[k]
         out[k] = held
-    return np.ascontiguousarray(out.T)
+    return np.ascontiguousarray(out.T), np.flatnonzero(i > 0)
 
 
 def _kernel_integers(key0: int, key1: np.ndarray, high: int, size: int) -> np.ndarray:
@@ -317,7 +312,8 @@ class PermutationStream:
         `agent + i` at `epoch`, or at epoch 0 in mode 'once'.  A permutation
         is 0..m-1 shuffled in place, as in `Generator.permutation(m)`.  The
         kernel makes the draw on the fast side of `KERNEL_CROSSOVERS`, the
-        re-keyed generator elsewhere."""
+        re-keyed generator elsewhere and in the lanes the kernel's words
+        left short."""
         if m < 1:
             raise ValueError("m must be >= 1")
         keys = _philox_keys(self.master_seed, PURPOSE_PERM,
@@ -328,10 +324,18 @@ class PermutationStream:
             key0, key1 = self.master_seed % 2 ** 64, keys[:, 1].copy()
             if iid:
                 return _kernel_integers(key0, key1, m, m)
-            return _kernel_permutations(key0, key1, m)
+            out, short = _kernel_permutations(key0, key1, m)
+            if short.size:
+                out[short] = self._draw_each(keys[short], m)
+            return out
+        return self._draw_each(keys, m)
+
+    def _draw_each(self, keys: np.ndarray, m: int) -> np.ndarray:
+        """(len(keys), m) array; row i is the draw of the generator re-keyed
+        to `keys[i]`."""
         keys = keys.tolist()
-        out = np.empty((count, m), dtype=np.int64)
-        if iid:
+        out = np.empty((len(keys), m), dtype=np.int64)
+        if self.mode == "iid":
             for key, row in zip(keys, out):
                 row[:] = self._keyed(key).integers(0, m, size=m)
             return out

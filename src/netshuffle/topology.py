@@ -27,6 +27,11 @@ PSD_TOL = 1e-12
 GATHER_MIN_N = 256
 GATHER_PER_ROW = 32
 
+# `SpectralInfo.project` multiplies by the dense Uhat^T on a circulant W too
+# while n^2 times M's column count is at most this; above it one rfft is
+# faster (crossover measured with one BLAS thread, see README)
+DENSE_PROJECT_WORK = 2 ** 18
+
 # the `kind[:arg]` specs `build_graph` takes
 GRAPH_SPECS = ("ring", "grid:RxC", "complete", "star", "custom:<edge-file>")
 
@@ -157,9 +162,9 @@ class SpectralInfo:
 
     On a symmetric circulant W (ring, lazified ring, complete graph) the basis
     is the real Fourier basis: ``modes`` names the Fourier mode of each
-    eigenvalue (see `_fourier_modes`), ``project`` takes one rfft, and
-    ``eigvecs`` is built on its first read.  Elsewhere ``modes`` is None and
-    the basis comes from a dense ``eigh``.
+    eigenvalue (see `_fourier_modes`), ``eigvecs`` is built on its first
+    read, and ``project`` takes one rfft above `DENSE_PROJECT_WORK`.
+    Elsewhere ``modes`` is None and the basis comes from a dense ``eigh``.
     """
 
     eigenvalues: np.ndarray
@@ -185,7 +190,7 @@ class SpectralInfo:
 
     def project(self, M: np.ndarray) -> np.ndarray:
         """Uhat^T M for an (n, p) array M."""
-        if self.modes is None:
+        if self.modes is None or M.shape[0] ** 2 * M.shape[1] <= DENSE_PROJECT_WORK:
             return self.uhat.T @ M
         freq, part, weight = self._rfft_rows
         F = np.ascontiguousarray(rfft(M, axis=0))

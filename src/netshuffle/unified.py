@@ -127,7 +127,8 @@ class AbcOperator:
     every epoch start; 'persist' starts z at zero once and carries it across
     epochs.
     ``root_order`` and ``poly_r`` are the factored b-polynomial,
-    b^2(lam) = (1 - lam)^root_order r(lam).
+    b^2(lam) = (1 - lam)^root_order r(lam).  ``method`` names the method a
+    preset reproduces (None for any other triple).
     """
 
     mix: MixingMatrix
@@ -137,6 +138,7 @@ class AbcOperator:
     z_mode: str
     root_order: int
     poly_r: tuple
+    method: str | None
 
     @functools.cached_property
     def A(self) -> np.ndarray:
@@ -170,9 +172,10 @@ class AbcOperator:
 
 
 def build_operator(poly_a, poly_b2, poly_c, mix: MixingMatrix,
-                   z_mode: str = "persist") -> AbcOperator:
+                   z_mode: str = "persist", method: str | None = None) -> AbcOperator:
     """Validate an operator triple from polynomial coefficients; its dense
-    matrices are realized on their first read."""
+    matrices are realized on their first read.  `method` names the method
+    the triple reproduces, if any."""
     if z_mode not in ("reset", "persist"):
         raise OperatorError("z_mode must be 'reset' or 'persist'")
     for name, coeffs in (("A", poly_a), ("C", poly_c)):
@@ -182,7 +185,8 @@ def build_operator(poly_a, poly_b2, poly_c, mix: MixingMatrix,
         if low < -1e-12:
             raise OperatorError(f"{name} has negative entries; not doubly stochastic")
     k, r = factor_b2(poly_b2, mix.spectral.eigenvalues)
-    return AbcOperator(mix, tuple(poly_a), tuple(poly_b2), tuple(poly_c), z_mode, k, r)
+    return AbcOperator(mix, tuple(poly_a), tuple(poly_b2), tuple(poly_c), z_mode, k, r,
+                       method)
 
 
 def _row_sums_and_min(coeffs: tuple, mix: MixingMatrix) -> tuple[np.ndarray, float]:
@@ -208,7 +212,7 @@ def _row_sums_and_min(coeffs: tuple, mix: MixingMatrix) -> tuple[np.ndarray, flo
 
 def gtrr_operator(mix: MixingMatrix) -> AbcOperator:
     """(A, B, C) = (W, I-W, W) with tracker-style reinit each epoch."""
-    return build_operator((0.0, 1.0), (1.0, -2.0, 1.0), (0.0, 1.0), mix, "reset")
+    return build_operator((0.0, 1.0), (1.0, -2.0, 1.0), (0.0, 1.0), mix, "reset", "gtrr")
 
 
 def edrr_operator(mix: MixingMatrix) -> AbcOperator:
@@ -218,7 +222,7 @@ def edrr_operator(mix: MixingMatrix) -> AbcOperator:
             f"W has negative eigenvalue {mix.spectral.lambda_min:.3g}; "
             "apply lazify to make it positive definite first"
         )
-    return build_operator((0.0, 1.0), (1.0, -1.0), (1.0,), mix, "persist")
+    return build_operator((0.0, 1.0), (1.0, -1.0), (1.0,), mix, "persist", "edrr")
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +237,8 @@ class TransformData:
     The block map G = V Gamma V^{-1} is kept as the n-1 2x2 blocks of V and
     V^{-1}, block i acting on rows (i, n-1+i) of the stacked 2(n-1) vector;
     nothing here builds the dense 2(n-1)-square matrices.  W's eigendata is
-    read from ``spectral``.
+    read from ``spectral``; ``method`` is the operator's (None for a triple
+    that no method reproduces), and `algorithms.run` checks it.
     """
 
     spectral: SpectralInfo
@@ -244,6 +249,7 @@ class TransformData:
     gamma: float
     norm_V2: float         # ||V||^2, equal to ||V^{-1}||^2 by the balancing
     norm_La2: float        # ||Lambda_a||^2 on the non-consensus spectrum
+    method: str | None
 
     def e_vector(self, X: np.ndarray, S: np.ndarray) -> np.ndarray:
         """e = V^{-1} [Uhat^T x ; Lambda_b^{-1} Uhat^T s], a 2(n-1) x p array."""
@@ -363,7 +369,7 @@ def transform_data(op: AbcOperator) -> TransformData:
     return TransformData(
         spectral=spec, a_vals=a_vals, b_vals=b_vals, V_blocks=V, Vinv_blocks=Vinv,
         gamma=gamma, norm_V2=norm_V2,
-        norm_La2=float(np.max(a_vals ** 2, initial=0.0)),
+        norm_La2=float(np.max(a_vals ** 2, initial=0.0)), method=op.method,
     )
 
 

@@ -155,8 +155,9 @@ class ShadowDualEDRR(EDRR):
         if self.strict_alg2 and ell == 0:
             self._prev_x = None
             self.D = np.zeros_like(self.X)
-        half = self._half_step(alpha, g)
-        self._prev_x, self._prev_ag = self.X, alpha * g
+        ag = alpha * g
+        half = self._half_step(ag)
+        self._prev_x, self._prev_ag = self.X, ag
         self.X = self.W @ half
         self.D = self.D + self._b_half @ self.X
 

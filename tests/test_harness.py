@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -553,24 +554,26 @@ _SMALL_RUN = dict(n=8, m=4, dim=3, epochs=6, stepsize="const:0.05")
 # a NUL byte and its bytes), one sweep per method family and sampling path;
 # every e_norm_sq and q_t cell of "transform methods" goes through the
 # spectral transform.  Ring graphs take no eigh, so these bytes do not depend
-# on the BLAS thread count.
+# on the BLAS thread count.  All but "iid" were re-pinned when values_at took
+# its GEMM and log1p softplus and small circulants their dense projection:
+# only fgap_mean, e_norm_sq and q_t moved (CHANGES.md).
 SWEEP_SHA256 = {
     "transform methods": (
         dict(n=16, m=10, dim=5, tau=0.5, methods=("gtrr", "edrr"), epochs=5,
              seeds=(0, 1), stepsize="const:0.001"),
-        "7e55e09877531120e05edcc64f65420aa7fabd23fe114aa013a9351bb0f3e97f"),
+        "64be825cad6abd4e4afae6b75edd3e69e34dc9494fa1ebb14f28c8798600f203"),
     "rr": (dict(objective="logistic", methods=("crr", "drr", "gtrr"), seeds=(0, 1)),
-           "2ff524b55ece8bd2f5f2bf446ab2f1883869ee721ac492fb8c00749a88a2883c"),
+           "e5d31c19fbb324aaa1afe2c566c3a9ccf6471f6ad12321755d03a7b40318b2b6"),
     "lazy ring": (dict(objective="logistic", tau=0.5, methods=("edrr",), seeds=(0, 1)),
-                  "e7dabfa8e293af1287ee390500657355516e0d9938885a2849c836f9023c88c8"),
+                  "49667cd2853f1587177a2ae69d98fd8ecc052dcdcafe43e441380ea8439e1325"),
     "iid": (dict(tau=0.5, methods=("dsgd", "dsgt", "ed"), seeds=(0, 1)),
             "3244b20cfd90e33cddaaef74fcf963f7361771db687e623bedd88ca9540ae410"),
     "inner metrics": (dict(m=3, tau=0.5, methods=_SEVEN, epochs=3, inner_metrics=True),
-                      "d51ec716cba19fc69109d83765c1cb305f7e13862dcd934c670ad51738e38999"),
+                      "004c486f4f229cd7005e9656845469e25e4d81572ec9b715773f8926beedd6e5"),
     "strict_alg2": (dict(tau=0.5, methods=("edrr",), strict_alg2=True),
-                    "454ec90f4e1e261f3b291e232c272c51311a91465a9780226ce2f3820425b10f"),
+                    "e58a8c86da76765cbc186483723ad62c21fa6d53e23514abcbf9024fd699ae78"),
     "once": (dict(tau=0.5, sampling="once", methods=("crr", "drr", "gtrr", "edrr")),
-             "45cdc052c16be9ebcc629cb88f2a7b4ab8815da00e11802bfbb38e42733dd727"),
+             "7debf982c0de7ad5a6dd16676b507a5d028831359afdd654c5f2338421b222ee"),
 }
 
 
@@ -656,6 +659,29 @@ def test_ring512_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
     # n = 512 is large enough for a threaded BLAS to split a dense eigh
     sweep = ("import sys; from netshuffle.harness import ExperimentConfig, run_sweep; "
              "run_sweep(ExperimentConfig(objective='quadratic', n=512, m=8, dim=16, "
+             "hetero=True, graph='ring', tau=0.5, methods=('gtrr', 'edrr'), epochs=3, "
+             "stepsize='const:0.01', seeds=(0,), outdir=sys.argv[1]))")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", sweep, str(tmp_path / threads)],
+                       env=env, check=True, timeout=300)
+    names = sorted(path.name for path in (tmp_path / "1").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "2").iterdir())
+    assert len(names) == 4
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_dense_projection_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the largest ring whose e_vector projects (n by 2 dim) densely: BLAS may
+    # split that product, and values_at's GEMM, over threads
+    work, dim = topology.DENSE_PROJECT_WORK, 2
+    n = math.isqrt(work // (2 * dim))
+    assert n * n * 2 * dim <= work < (n + 1) ** 2 * 2 * dim
+    sweep = ("import sys; from netshuffle.harness import ExperimentConfig, run_sweep; "
+             f"run_sweep(ExperimentConfig(objective='logistic', n={n}, m=4, dim={dim}, "
              "hetero=True, graph='ring', tau=0.5, methods=('gtrr', 'edrr'), epochs=3, "
              "stepsize='const:0.01', seeds=(0,), outdir=sys.argv[1]))")
     src = str(Path(harness.__file__).resolve().parents[1])

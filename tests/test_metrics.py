@@ -268,7 +268,7 @@ def _row_sets():
 def test_columnar_aggregate_and_csv_match_row_wise_reference():
     hypothesis, row_sets = _row_sets()
 
-    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
     @hypothesis.given(row_sets)
     def check(sets):
         meta = {"method": "gtrr", "seeds": len(sets)}
@@ -284,7 +284,7 @@ def test_columnar_aggregate_and_csv_match_row_wise_reference():
 def test_read_csv_round_trips_cell_and_presence():
     hypothesis, row_sets = _row_sets()
 
-    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
     @hypothesis.given(row_sets)
     def check(sets):
         for rows in sets:

@@ -213,21 +213,28 @@ def test_kernel_integers_equal_the_loop():
     check()
 
 
-def test_a_lane_short_of_words_gets_a_third_block(monkeypatch):
+def test_a_lane_short_of_words_is_finished_by_the_loop(monkeypatch):
     # at epoch 2^24 - 1, seed 17's agent 645 takes more than the 16 words of
-    # the two blocks an m = 8 draw starts with
-    firsts = []
-    words = shuffling._philox_words
+    # the two blocks an m = 8 draw starts with; the kernel makes one Philox
+    # pass, and the re-keyed generator draws that lane alone
+    firsts, looped = [], []
+    words, draw_each = shuffling._philox_words, PermutationStream._draw_each
 
     def recorded(key0, key1, first, blocks):
         firsts.append((first, blocks, len(key1)))
         return words(key0, key1, first, blocks)
 
+    def recorded_loop(self, keys, m):
+        looped.append(keys[:, 1] >> 24 & (2 ** 24 - 1))
+        return draw_each(self, keys, m)
+
     monkeypatch.setattr(shuffling, "_philox_words", recorded)
+    monkeypatch.setattr(PermutationStream, "_draw_each", recorded_loop)
     stream = PermutationStream(17, "rr")
     with _path("kernel"):
         drawn = stream._fill(TOP, 8, 600, 300)
-    assert firsts == [(1, 2, 300), (3, 1, 1)]
+    assert firsts == [(1, 2, 300)]
+    assert [agents.tolist() for agents in looped] == [[645]]
     with _path("loop"):
         assert np.array_equal(drawn, stream._fill(TOP, 8, 600, 300))
 

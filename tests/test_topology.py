@@ -2,6 +2,9 @@ import dense_mixing
 import numpy as np
 import pytest
 from graph_helpers import adjacency, degree
+from numpy.fft import rfft
+
+from netshuffle import topology
 
 from netshuffle.topology import (MixingMatrix, NeighborGather, TopologyError,
                                  build_graph, lazify, metropolis_weights,
@@ -191,12 +194,14 @@ def _group_energies(vals: np.ndarray, proj: np.ndarray, gap: float) -> np.ndarra
     return np.add.reduceat(np.sum(proj * proj, axis=1), np.flatnonzero(starts))
 
 
-def test_circulant_spectrum_property():
+def test_circulant_spectrum_property(monkeypatch):
     """Closed-form circulant spectra against a dense eigh, over random
     symmetric doubly stochastic circulants, complete graphs and lazified
     rings."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
+    # project by rfft at every size, where the dense rule would take these
+    monkeypatch.setattr(topology, "DENSE_PROJECT_WORK", -1)
 
     @st.composite
     def circulants(draw):
@@ -249,6 +254,23 @@ def test_circulant_spectrum_property():
         assert np.max(np.abs(diff)) <= 1e-12 * total
 
     check()
+
+
+def test_circulant_projection_is_dense_up_to_the_work_rule(monkeypatch):
+    calls = []
+    monkeypatch.setattr(topology, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+    limit = topology.DENSE_PROJECT_WORK
+    for n, cols in ((8, 20), (16, 2), (64, 64), (128, 16), (128, 17), (512, 32)):
+        s = lazify(metropolis_weights(build_graph("ring", n=n)), 0.5).spectral
+        M = np.random.default_rng(n).normal(size=(n, cols))
+        calls.clear()
+        proj = s.project(M)
+        dense = s.uhat.T @ M
+        assert calls == ([] if n * n * cols <= limit else [1])
+        if calls:
+            assert np.max(np.abs(proj - dense)) <= 1e-13 * np.max(np.abs(dense))
+        else:
+            assert np.array_equal(proj, dense)
 
 
 def test_non_circulant_graphs_take_eigh(ring16):

@@ -619,3 +619,22 @@ def test_e_norm_sq_matches_long_double_reference_on_lazy_ring512(method, monkeyp
                             Vi[:, 1, 0] * top + Vi[:, 1, 1] * bottom])
         ref = np.sum(e * e)
         assert abs(value - ref) <= 1e-11 * ref, (row, value, ref)
+
+
+def test_run_refuses_a_transform_built_for_another_method(lazy_ring8):
+    # given GT-RR's transform, an edrr run wrote e_norm_sq 0.129 at t = 5
+    # where its own transform gives 0.0304
+    from netshuffle.stepsize import ConstantSchedule
+
+    obj = make_quadratic(8, 5, 4, seed=11, condition=2.0)
+    own = transform_data(edrr_operator(lazy_ring8))
+    traj = algorithms.run("edrr", obj, lazy_ring8, ConstantSchedule(ALPHA), 5, seed=0,
+                          transform=own)
+    assert traj[-1].e_norm_sq == pytest.approx(0.0304, rel=1e-2)
+    custom = transform_data(build_operator((0.0, 1.0), (1.0, -1.0), (1.0,), lazy_ring8))
+    for method, td, other in (("edrr", transform_data(gtrr_operator(lazy_ring8)), "'gtrr'"),
+                              ("gtrr", own, "'edrr'"), ("drr", own, "'edrr'"),
+                              ("edrr", custom, "None")):
+        with pytest.raises(ValueError, match=f"method '{method}' .* method {other}"):
+            algorithms.run(method, obj, lazy_ring8, ConstantSchedule(ALPHA), 5, seed=0,
+                           transform=td)
