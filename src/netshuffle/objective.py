@@ -330,14 +330,12 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, z)
 
 
-def _loss_slope(z, out=None):
-    """-sigmoid(-z) = -0.5 (1 + tanh(-z/2)), the derivative of softplus(-z),
-    with both sign flips folded into the arithmetic; bit-equal to the
-    unfolded form.  `out=z` computes it in place."""
-    s = np.tanh(np.multiply(z, -0.5, out=out), out=out)
-    s += 1.0
-    s *= -0.5
-    return s
+def _tanh_plus_one(w, out=None):
+    """1 + tanh(w); `out=w` computes it in place.  At w = -z/2 for a margin z
+    this is 2 sigmoid(-z), minus twice the derivative of softplus(-z)."""
+    c = np.tanh(w, out=out)
+    c += 1.0
+    return c
 
 
 class _LogisticBase(FiniteSumObjective):
@@ -347,6 +345,15 @@ class _LogisticBase(FiniteSumObjective):
 
     `weight` bounds the regularizer's curvature in absolute value; it is also
     the strong-convexity constant when `convex` is set.
+
+    The samples are stored once, as h_j = -u_j v_j / 2 (`_scaled`, with
+    `_rows` its (n m, p) view).  Scaling by a power of two is exact, so
+    w = h_j . x is exactly -z/2 for the margin z = u_j v_j . x, and
+    (1 + tanh(w)) h_j is exactly the loss gradient -sigmoid(-z) u_j v_j,
+    unless a product or partial sum is subnormal or overflows: the -1/2
+    factors that the oracles would otherwise apply to every margin and slope
+    are absorbed into the stored rows, bit for bit (README, "Function values
+    of the logistic families").
     """
 
     def __init__(self, feats: np.ndarray, labels: np.ndarray, weight: float,
@@ -359,14 +366,16 @@ class _LogisticBase(FiniteSumObjective):
             raise ValueError("labels must be +-1")
         self.labels = labels
         self.n, self.m, self.p = feats.shape
-        self.signed = feats * labels[:, :, None]  # u_j v_j rows
-        # perm_grads takes row i * m + idx[i] of the (n m, p) rows
-        self._rows = self.signed.reshape(-1, self.p)
-        self._first = np.arange(self.n) * self.m
+        signed = feats * labels[:, :, None]  # u_j v_j rows
         self.weight = float(weight)
         # exact L and mu (labels are +-1, so |u_j v_j| = |u_j|); f* is
         # estimated on its first read
-        L = float(np.max(np.sum(self.signed ** 2, axis=2))) / 4.0 + self.weight
+        L = float(np.max(np.sum(signed ** 2, axis=2))) / 4.0 + self.weight
+        signed *= -0.5
+        self._scaled = signed
+        # perm_grads takes row i * m + idx[i] of the (n m, p) rows
+        self._rows = signed.reshape(-1, self.p)
+        self._first = np.arange(self.n) * self.m
         self.constants = ObjectiveConstants(
             L=L, mu=self.weight if convex else None,
             f_star=lambda: estimate_minimum(self.value, self.grad, self.p, L)[0],
@@ -386,50 +395,63 @@ class _LogisticBase(FiniteSumObjective):
 
     def component_value(self, i, l, x):
         self._check_indices(i, l)
-        return float(_softplus(-(self.signed[i, l] @ x)) + self._reg_value(x))
+        return float(_softplus(2.0 * (self._scaled[i, l] @ x)) + self._reg_value(x))
 
     def component_grad(self, i, l, x):
         self._check_indices(i, l)
-        z = self.signed[i, l] @ x
-        return _loss_slope(z) * self.signed[i, l] + self._reg_grad(x)
+        h = self._scaled[i, l]
+        return _tanh_plus_one(h @ x) * h + self._reg_grad(x)
 
     def agent_grad(self, i, x):
-        z = self.signed[i] @ x
-        coef = _loss_slope(z) / self.m
-        return coef @ self.signed[i] + self._reg_grad(x)
+        coef = _tanh_plus_one(self._scaled[i] @ x)
+        coef /= self.m
+        return coef @ self._scaled[i] + self._reg_grad(x)
 
     def value(self, x):
-        return self._value_at(self.signed @ x, x)
+        return self._value_at(self._scaled @ x, x)
 
     def grad(self, x):
-        return self._grad_at(self.signed @ x, x)
+        return self._grad_at(self._scaled @ x, x)
 
     def value_and_grad(self, x):
-        # one product signed @ x serves both
-        z = self.signed @ x
-        return self._value_at(z, x), self._grad_at(z, x)
+        # one product with the stored rows serves both
+        w = self._scaled @ x
+        return self._value_at(w, x), self._grad_at(w, x)
 
-    def _value_at(self, z, x):
-        # the mean as np.mean takes it, without its per-call overhead
-        loss = _softplus(-z)
+    def _value_at(self, w, x):
+        # softplus(-z) at -z = 2w; the mean as np.mean takes it, without its
+        # per-call overhead
+        loss = _softplus(2.0 * w)
         return float(loss.sum() / loss.size + self._reg_value(x))
 
-    def _grad_at(self, z, x):
-        coef = _loss_slope(z)
+    def _grad_at(self, w, x):
+        coef = _tanh_plus_one(w)
         coef /= self.n * self.m
-        return np.einsum("im,imp->p", coef, self.signed) + self._reg_grad(x)
+        return np.einsum("im,imp->p", coef, self._scaled) + self._reg_grad(x)
 
     def perm_grads(self, X, idx):
         rows = self._rows.take(self._first + idx, axis=0)   # (n, p)
-        z = np.einsum("ip,ip->i", rows, X)
-        rows *= _loss_slope(z, out=z)[:, None]
+        w = np.einsum("ip,ip->i", rows, X)
+        np.tanh(w, out=w)   # _tanh_plus_one inlined: this runs every step
+        w += 1.0
+        rows *= w[:, None]
         rows += self._reg_grad(X)
         return rows
 
     def stacked_agent_grads(self, X):
-        z = np.einsum("imp,ip->im", self.signed, X)
-        coef = _loss_slope(z) / self.m
-        return np.einsum("im,imp->ip", coef, self.signed) + self._reg_grad(X)
+        return self._agent_grads(np.einsum("imp,ip->im", self._scaled, X), X)
+
+    def grads_at_consensus(self, xbar):
+        # every agent at one point: the margins contract xbar directly, with
+        # the bits of stacked_agent_grads at its rows broadcast
+        return self._agent_grads(np.einsum("imp,p->im", self._scaled, xbar), xbar)
+
+    def _agent_grads(self, w, x):
+        """Rows grad f_i from the (n, m) products w of the stored rows with
+        each agent's point, and those points x (rows, or one shared point)."""
+        coef = _tanh_plus_one(w, out=w)
+        coef /= self.m
+        return np.einsum("im,imp->ip", coef, self._scaled) + self._reg_grad(x)
 
     def values_at(self, X):
         # the margins of every component at every row of X from one GEMM,
@@ -437,6 +459,7 @@ class _LogisticBase(FiniteSumObjective):
         # softplus(-z) = log1p(exp(-|z|)) - min(z, 0) in place, cheaper than
         # logaddexp (value() keeps logaddexp, see README)
         z = X @ self._rows.T
+        z *= -2.0
         low = np.minimum(z, 0.0)
         loss = np.abs(z, out=z)
         np.negative(loss, out=loss)

@@ -54,7 +54,7 @@ def _philox_keys(master_seed: int, purpose: int, epoch: int, agent: int = 0,
     return keys
 
 
-# what the order memo may hold, in bytes; the oldest chunks go first
+# what the order memo may hold, in bytes
 ORDER_MEMO_BYTES = 4 * 2 ** 20
 # the memo keeps a stream's draws in chunks of consecutive epochs of about
 # this many bytes, so that a draw adds no Python object of its own; 64 KiB
@@ -66,8 +66,10 @@ class _OrderMemo:
     """Epoch orders of each stream (master seed mod 2^64, mode) and shape
     (n, m), kept in chunks of consecutive epochs: row r of a chunk holds its
     r-th epoch, in the smallest integer type that holds m - 1, once `held[r]`
-    is set.  The chunks cost at most `ORDER_MEMO_BYTES`, the oldest evicted
-    first."""
+    is set.  The chunks cost at most `ORDER_MEMO_BYTES`.  A full memo evicts
+    other streams' chunks, the oldest first, and refuses a stream's later
+    chunks rather than evict its earlier ones, so that a stream larger than
+    the budget is still served from its first epochs."""
 
     def __init__(self):
         self._chunks: dict = {}  # (seed, mode, n, m, chunk) -> (rows, held)
@@ -96,7 +98,10 @@ class _OrderMemo:
             if cost > ORDER_MEMO_BYTES:
                 return
             while self.nbytes + cost > ORDER_MEMO_BYTES:
-                self.nbytes -= sum(a.nbytes for a in self._chunks.pop(next(iter(self._chunks))))
+                old = next((old for old in self._chunks if old[:-1] != key[:-1]), None)
+                if old is None:  # only this stream's own chunks are left
+                    return
+                self.nbytes -= sum(a.nbytes for a in self._chunks.pop(old))
             self._chunks[key] = np.empty((size, n, m), dtype), np.zeros(size, bool)
             self.nbytes += cost
         rows, held = self._chunks[key]

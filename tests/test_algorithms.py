@@ -5,7 +5,7 @@ from netshuffle import algorithms
 from netshuffle.algorithms import (METHODS, CentralizedRR, DRR, DSGD, DSGT, ED,
                                    EDRR, EDRRPrimalDual, GTRR, initial_iterates,
                                    make_method, run)
-from netshuffle.objective import make_quadratic
+from netshuffle.objective import make_logistic, make_quadratic
 from netshuffle.shuffling import PermutationStream
 from netshuffle.stepsize import ConstantSchedule, DecreasingSchedule
 from netshuffle.topology import build_graph, lazify, metropolis_weights, psd_sqrt
@@ -200,6 +200,43 @@ def test_edrr_transformed_state_matches_closed_form(n):
         Gc = obj.grads_at_consensus(X.mean(axis=0))
         closed = mix.w @ (machine._prev_x - machine._prev_ag + ALPHA * Gc) - X
         assert np.linalg.norm(S - closed) <= 1e-11 * np.linalg.norm(closed)
+
+
+# the arrays of a method's state that its updates replace
+_STATE = ("X", "Y", "E", "_g", "_prev_x", "_prev_ag")
+
+
+@pytest.mark.parametrize("name", sorted(METHODS))
+def test_updates_never_write_into_arrays_already_held(name, lazy_ring8):
+    # an update may work in place only on arrays it has just created: every
+    # gradient the oracle returned, array a probe was handed, or array of the
+    # state held at a step keeps its values
+    obj = make_logistic(8, 4, 3, seed=2)
+    machine = make_method(name, obj, lazy_ring8, seed=1,
+                          sampling="rr" if METHODS[name].uses_rr else "iid")
+    machine.reset(np.tile(np.random.default_rng(0).normal(size=3), (8, 1)))
+    held = []
+
+    def keep(arrays):
+        held.extend((a, a.copy()) for a in arrays if isinstance(a, np.ndarray))
+
+    def probe(info):
+        keep((info.X_before, info.X_after, info.grads, info.Y))
+        keep(getattr(machine, attr, None) for attr in _STATE)
+
+    def perm_grads(X, idx, _grads=obj.perm_grads):
+        g = _grads(X, idx)
+        keep((g,))
+        return g
+
+    obj.perm_grads = perm_grads
+
+    for t in range(3):
+        keep(machine.abc_state(ALPHA) or ())
+        machine.epoch(t, ALPHA, probe=probe)
+    assert len(held) > 3 * 4 * 3
+    for array, copy in held:
+        assert array.tobytes() == copy.tobytes()
 
 
 def test_exact_diffusion_rejects_indefinite_w(quad8, ring8):

@@ -458,7 +458,7 @@ def test_ncvx_logistic_config_builds_the_nonconvex_family():
         scale=2.0, data_seed=2))
     ref = make_nonconvex_logistic(4, 5, 3, 2, eta=0.3, heterogeneous=False, scale=2.0)
     assert type(obj) is type(ref) and obj.eta == 0.3
-    assert np.array_equal(obj.signed, ref.signed)
+    assert np.array_equal(obj._scaled, ref._scaled)
     assert obj.constants.mu is None
     assert obj.constants.f_star == ref.constants.f_star
     assert np.linalg.norm(obj.grad(np.zeros(3))) > 0
@@ -474,7 +474,7 @@ def test_cifar10_config_feeds_both_logistic_families(tmp_path, family):
     ref = logistic_from_samples(feats, labels, 2, 3, rho=0.3,
                                 nonconvex_eta=0.4 if family == "ncvx-logistic" else None)
     assert type(obj) is type(ref) and obj.weight == ref.weight
-    assert obj.p == 3072 and np.array_equal(obj.signed, ref.signed)
+    assert obj.p == 3072 and np.array_equal(obj._scaled, ref._scaled)
 
 
 def test_invalid_graph_is_config_error():
@@ -574,6 +574,12 @@ SWEEP_SHA256 = {
                     "e58a8c86da76765cbc186483723ad62c21fa6d53e23514abcbf9024fd699ae78"),
     "once": (dict(tau=0.5, sampling="once", methods=("crr", "drr", "gtrr", "edrr")),
              "7debf982c0de7ad5a6dd16676b507a5d028831359afdd654c5f2338421b222ee"),
+    "ncvx-logistic": (dict(objective="ncvx-logistic", m=3, tau=0.5, methods=_SEVEN,
+                           epochs=3, inner_metrics=True),
+                      "2d7c27cc62edc46b4cce0340d67fef6b3d93459d086a9b49b9dee5f3b3504f9e"),
+    "logistic iid": (dict(objective="logistic", tau=0.5, methods=("dsgd", "dsgt", "ed"),
+                          seeds=(0, 1)),
+                     "57f493f213f79402107ce3642eeb696eaf7c8a1d3ce8214d6ae96ffd22910c9c"),
 }
 
 
@@ -622,10 +628,14 @@ def test_sweep_draws_each_seeds_orders_once(tmp_path, monkeypatch, empty_order_m
     assert len(draws) <= len(seeds) * T
 
 
-@pytest.mark.parametrize("chunk_bytes,kept", [(2 ** 14, 0), (256, 2)],
+# with no chunk kept every method draws its own orders; with two of a
+# seed's three chunks kept the memo refuses the third, so the first method
+# draws all five epochs and the other two only epoch 4
+@pytest.mark.parametrize("chunk_bytes,kept,drawn", [(2 ** 14, 0, 3 * 2 * 5),
+                                                    (256, 2, 2 * (5 + 1 + 1))],
                          ids=["below-one-chunk", "two-chunks"])
 def test_sweep_larger_than_the_order_memo_writes_the_same_bytes(
-        tmp_path, monkeypatch, empty_order_memo, chunk_bytes, kept):
+        tmp_path, monkeypatch, empty_order_memo, chunk_bytes, kept, drawn):
     # 16 x 8 orders are 128 bytes a draw; 256-byte chunks take two epochs
     overrides = dict(_SMALL_RUN, n=16, m=8, tau=0.5, methods=("gtrr", "edrr", "drr"),
                      seeds=(0, 1), epochs=5)
@@ -645,9 +655,7 @@ def test_sweep_larger_than_the_order_memo_writes_the_same_bytes(
     draws = _count_draws(monkeypatch)
     run_sweep(ExperimentConfig(outdir=str(tmp_path / "small"), **overrides))
     assert max(held) == kept * cost  # full, and never over
-    # every method draws its own orders: with two of a seed's three chunks
-    # kept, each new chunk evicts the one the next method reads first
-    assert len(draws) == 3 * 2 * 5
+    assert len(draws) == drawn
     names = sorted(path.name for path in (tmp_path / "default").iterdir())
     assert names == sorted(path.name for path in (tmp_path / "small").iterdir())
     for name in names:

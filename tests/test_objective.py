@@ -4,9 +4,10 @@ import pytest
 from dense_quadratic import general, matrix_form
 from netshuffle.objective import (ESTIMATED, EXACT, UNAVAILABLE,
                                   QuadraticObjective, SeparableQuadratic,
-                                  _loss_slope, make_logistic,
-                                  make_nonconvex_logistic, make_quadratic)
+                                  make_logistic, make_nonconvex_logistic,
+                                  make_quadratic)
 from netshuffle.shuffling import PURPOSE_MC, keyed_rng
+from signed_logistic import SignedLogistic, loss_slope, samples, signed_rows
 
 FAMILIES = {
     "quadratic": lambda: make_quadratic(3, 4, 5, seed=5, condition=4.0),
@@ -176,7 +177,7 @@ def test_logistic_defaults_and_constants():
     obj = make_logistic(4, 5, 6, seed=1)
     assert obj.rho == 0.2
     assert obj.constants.mu == pytest.approx(0.2)
-    norms = np.sum(obj.signed ** 2, axis=2)
+    norms = np.sum(signed_rows(obj) ** 2, axis=2)
     assert obj.constants.L == pytest.approx(norms.max() / 4.0 + 0.2)
     assert obj.constants.tag("f_star") == ESTIMATED
     assert obj.constants.tag("f_star_components") == UNAVAILABLE
@@ -185,7 +186,7 @@ def test_logistic_defaults_and_constants():
 def test_logistic_ridge_gradient_term(rng):
     obj = make_logistic(2, 3, 4, seed=2, rho=0.2)
     x = rng.normal(size=4)
-    row = obj.signed[0, 0]
+    row = signed_rows(obj)[0, 0]
     z = row @ x
     data_part = -row / (1.0 + np.exp(z))
     assert np.allclose(obj.component_grad(0, 0, x) - data_part, 0.2 * x, atol=1e-12)
@@ -201,7 +202,7 @@ def test_logistic_estimated_minimum_is_near_stationary():
 
 def test_logistic_hessian_norm_below_stored_L(rng):
     obj = make_logistic(3, 5, 4, seed=4, rho=0.2)
-    signed = obj.signed.reshape(-1, obj.p)
+    signed = signed_rows(obj).reshape(-1, obj.p)
     for _ in range(20):
         x = rng.normal(size=obj.p) * 2.0
         z = signed @ x
@@ -354,9 +355,10 @@ def test_values_at_matches_long_double_reference(family):
         obj = family(n, m, p, seed)
         k = int(rng.integers(1, 17))
         X = rng.normal(size=(k, p)) * rng.choice([1e-3, 1.0, 30.0], size=(k, 1))
-        X *= 50.0 / np.abs(X @ obj._rows.T).max()  # the largest margin is 50
+        signed = signed_rows(obj).reshape(-1, p)
+        X *= 50.0 / np.abs(X @ signed.T).max()  # the largest margin is 50
         Xl = X.astype(ld)
-        z = Xl @ obj._rows.astype(ld).T
+        z = Xl @ signed.astype(ld).T
         loss = np.log1p(np.exp(-np.abs(z))) - np.minimum(z, 0)
         if obj.family == "logistic":
             reg = 0.5 * ld(obj.rho) * np.sum(Xl * Xl, axis=1)
@@ -375,7 +377,7 @@ def test_values_at_keeps_the_inf_and_nan_of_logaddexp(family):
                   [0.0, nan, 0.0], [inf, -inf, 0.0], [1e300, 1e300, 0.0]])
     with np.errstate(all="ignore"):
         got = obj.values_at(X)
-        z = np.einsum("imp,jp->imj", obj.signed, X)
+        z = np.einsum("imp,jp->imj", signed_rows(obj), X)
         want = np.logaddexp(0.0, -z).mean(axis=(0, 1)) + obj._reg_value(X)
     for test in (np.isnan, np.isposinf, np.isneginf, np.isfinite):
         assert np.array_equal(test(got), test(want))
@@ -397,12 +399,13 @@ def test_logistic_row_wise_regularizer_is_bit_equal_to_per_row_list():
     def check(drawn):
         obj, X, _ = drawn
         assert np.array_equal(obj._reg_value(X), per_row(obj, X))
+        signed = signed_rows(obj)
         # one point takes the same expression as a stack of points
         for x, want_reg in zip(X, per_row(obj, X)):
             assert obj._reg_value(x) == want_reg
-            assert obj.value(x) == float(np.mean(np.logaddexp(0.0, -(obj.signed @ x)))) + want_reg
+            assert obj.value(x) == float(np.mean(np.logaddexp(0.0, -(signed @ x)))) + want_reg
         # values_at's loss, written out: one GEMM, then the log1p softplus
-        z = X @ obj._rows.T
+        z = X @ signed.reshape(-1, obj.p).T
         loss = np.log1p(np.exp(-np.abs(z))) - np.minimum(z, 0.0)
         want = loss.sum(axis=1) / loss.shape[1] + per_row(obj, X)
         assert np.array_equal(obj.values_at(X), want)
@@ -415,7 +418,7 @@ def test_logistic_perm_grads_bit_equal_to_unfolded_sigmoid():
 
     def unfolded(obj, X, idx):
         # the formula before the sign flips were folded in
-        rows = obj.signed[np.arange(obj.n), idx]
+        rows = signed_rows(obj)[np.arange(obj.n), idx]
         z = np.einsum("ip,ip->i", rows, X)
         sigmoid = lambda v: 0.5 * (1.0 + np.tanh(0.5 * v))  # noqa: E731
         return -sigmoid(-z)[:, None] * rows + obj._reg_grad(X)
@@ -434,10 +437,10 @@ def test_value_and_grad_bit_equal_to_separate_calls():
 
     def reference(obj, x):
         # value and grad as computed before they shared one product
-        z = obj.signed @ x
+        z = signed_rows(obj) @ x
         sigmoid = 0.5 * (1.0 + np.tanh(0.5 * -z))
         value = float(np.mean(np.logaddexp(0.0, -z))) + obj._reg_value(x)
-        grad = np.einsum("im,imp->p", -sigmoid / (obj.n * obj.m), obj.signed)
+        grad = np.einsum("im,imp->p", -sigmoid / (obj.n * obj.m), signed_rows(obj))
         return value, grad + obj._reg_grad(x)
 
     def same(obj, x, want):
@@ -539,9 +542,48 @@ def test_logistic_perm_grads_equal_the_gathered_expression_bit_for_bit(family, r
     for scale in (1.0, 1e3):
         X = scale * rng.normal(size=(6, 4))
         idx = rng.integers(0, 5, size=6)
-        rows = obj.signed[np.arange(6), idx]
+        rows = signed_rows(obj)[np.arange(6), idx]
         z = np.einsum("ip,ip->i", rows, X)
-        expected = _loss_slope(z)[:, None] * rows + obj._reg_grad(X)
+        expected = loss_slope(z)[:, None] * rows + obj._reg_grad(X)
         got = obj.perm_grads(X, idx)
         assert got.tobytes() == expected.tobytes()
-    assert np.isin(_loss_slope(z), (0.0, -1.0)).any()  # saturated margins were drawn
+    assert np.isin(loss_slope(z), (0.0, -1.0)).any()  # saturated margins were drawn
+
+
+@pytest.mark.parametrize("family", [make_logistic, make_nonconvex_logistic])
+def test_logistic_oracles_equal_the_signed_sample_form_bit_for_bit(family):
+    # the stored rows are -u_j v_j / 2, and every oracle keeps the bits of
+    # the formulas on the signed rows, also where the margins saturate
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def same(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(1, 9), st.integers(1, 6), st.integers(1, 12),
+                      st.integers(0, 2 ** 16), st.sampled_from([0.5, 1.0, 4.0]),
+                      st.sampled_from([1e-3, 1.0, 30.0]))
+    def check(n, m, p, seed, data_scale, x_scale):
+        obj = family(n, m, p, seed, scale=data_scale)
+        ref = SignedLogistic(obj, *samples(n, m, p, seed, scale=data_scale))
+        assert np.array_equal(signed_rows(obj), ref.signed)
+        rng = np.random.default_rng(seed)
+        X = x_scale * rng.normal(size=(n, p))
+        x = X[0]
+        idx = rng.integers(0, m, size=n)
+        i, l = int(rng.integers(n)), int(rng.integers(m))
+        same(obj.perm_grads(X, idx), ref.perm_grads(X, idx))
+        same(obj.component_value(i, l, x), ref.component_value(i, l, x))
+        same(obj.component_grad(i, l, x), ref.component_grad(i, l, x))
+        same(obj.agent_grad(i, x), ref.agent_grad(i, x))
+        same(obj.stacked_agent_grads(X), ref.stacked_agent_grads(X))
+        same(obj.grads_at_consensus(x), ref.grads_at_consensus(x))
+        same(obj.value(x), ref.value(x))
+        same(obj.grad(x), ref.grad(x))
+        for got, want in zip(obj.value_and_grad(x), ref.value_and_grad(x)):
+            same(got, want)
+        same(obj.values_at(X), ref.values_at(X))
+
+    check()

@@ -112,17 +112,35 @@ def test_memo_stays_within_its_budget_and_evicts_the_oldest(monkeypatch, empty_o
     fill = PermutationStream._fill
 
     def counted_fill(self, epoch, *args, **kwargs):
-        drawn.append(epoch)
+        drawn.append((self.master_seed, epoch))
         return fill(self, epoch, *args, **kwargs)
 
     monkeypatch.setattr(PermutationStream, "_fill", counted_fill)
-    # the chunks of epochs 2-3 and 4-5 are kept; epoch 0's new chunk evicts
-    # the older of them though epoch 2 was read last, epoch 1 is drawn into
-    # that chunk, and epoch 3's new chunk then evicts epochs 4-5
+    # the stream's first two chunks are kept and its third was refused, so
+    # only epochs 4 and 5 are drawn again
     for epoch in (5, 2, 0, 4, 1, 3):
         orders = stream.epoch_orders(4, epoch, 10)
         assert np.array_equal(orders, _fresh_orders(8, "rr", 4, epoch, 10))
-    assert drawn == [0, 1, 3] and empty_order_memo.nbytes == 2 * 82
+    assert drawn == [(8, 5), (8, 4)] and empty_order_memo.nbytes == 2 * 82
+    # another stream evicts the first stream's chunks, the oldest first, and
+    # then refuses its own third chunk
+    other = PermutationStream(9, "rr")
+    for epoch in range(6):
+        other.epoch_orders(4, epoch, 10)
+    drawn.clear()
+    for epoch in (0, 2, 4):
+        assert np.array_equal(other.epoch_orders(4, epoch, 10),
+                              _fresh_orders(9, "rr", 4, epoch, 10))
+    assert drawn == [(9, 4)]
+    # the first stream's epoch 0 is drawn again and evicts the other
+    # stream's epochs 0-1, not its epochs 2-3
+    drawn.clear()
+    for epoch in (0, 1):
+        assert np.array_equal(stream.epoch_orders(4, epoch, 10),
+                              _fresh_orders(8, "rr", 4, epoch, 10))
+    other.epoch_orders(4, 2, 10)
+    other.epoch_orders(4, 0, 10)
+    assert drawn == [(8, 0), (8, 1), (9, 0)] and empty_order_memo.nbytes == 2 * 82
     # a chunk that costs more than the whole budget is not kept
     monkeypatch.setattr(shuffling, "ORDER_MEMO_BYTES", 81)
     empty_order_memo.clear()
