@@ -305,15 +305,19 @@ METHODS = {
 
 
 def make_method(name: str, objective, mix, seed: int, sampling: str = "rr",
-                strict_alg2: bool = False) -> _Method:
+                strict_alg2: bool = False, streams: dict | None = None) -> _Method:
+    """Method `name` on seed `seed`'s stream of its mode, taken from (or
+    added to) `streams`, so that the methods made with one dict share it."""
     if name not in METHODS:
         raise ValueError(f"unknown method {name!r}; choose from {sorted(METHODS)}")
     cls = METHODS[name]
     mode = sampling if cls.uses_rr else "iid"
-    stream = PermutationStream(seed, mode)
+    streams = {} if streams is None else streams
+    if mode not in streams:
+        streams[mode] = PermutationStream(seed, mode)
     if name == "edrr":
-        return cls(objective, mix, stream, strict_alg2=strict_alg2)
-    return cls(objective, mix, stream)
+        return cls(objective, mix, streams[mode], strict_alg2=strict_alg2)
+    return cls(objective, mix, streams[mode])
 
 
 def initial_iterates(objective, init: str = "same", init_scale: float = 1.0,
@@ -331,32 +335,17 @@ def initial_iterates(objective, init: str = "same", init_scale: float = 1.0,
     raise ValueError(f"init must be one of {', '.join(INIT_MODES)}, got {init!r}")
 
 
-def run(method_name: str, objective, mix: MixingMatrix, schedule, T: int,
-        seed: int, sampling: str = "rr", x0: np.ndarray | None = None,
-        init: str = "same", init_scale: float = 1.0, init_seed: int = 0,
-        transform=None, strict_alg2: bool = False, inner_metrics: bool = False,
-        timings: bool = False) -> _metrics.Trajectory:
-    """Advance T epochs and record metrics at every epoch boundary.
-
-    Returns a trajectory of T+1 rows, plus T(m-1) interior rows with
-    `inner_metrics` (fewer if the run is truncated by divergence, in which
-    case the last row carries the flag).  Fully deterministic for fixed
-    seeds unless `timings` is set.  A `transform` must be the one built for
-    `method_name`'s operator.
-    """
-    if transform is not None and transform.method != method_name:
-        raise ValueError(f"method {method_name!r} cannot take a transform built "
-                         f"for method {transform.method!r}")
-    method = make_method(method_name, objective, mix, seed, sampling, strict_alg2)
-    if x0 is None:
-        x0 = initial_iterates(objective, init, init_scale, init_seed, seed)
-    method.reset(x0)
-    start = time.perf_counter_ns()
-    traj = _metrics.Trajectory(T + 1 + (T * (method.m - 1) if inner_metrics else 0))
+def _lockstep(method: _Method, objective, schedule, transform, T: int,
+              traj: _metrics.Trajectory, inner_metrics: bool, timings: bool):
+    """One run of `run` as a generator: each step records the snapshot of
+    the next epoch boundary and runs that epoch, and the generator ends with
+    the run, diverged or at t = T.  With `timings` its clock runs only
+    while it steps."""
     history: list[float] = []
+    own_ns, resumed = 0, time.perf_counter_ns()
 
     def elapsed():
-        return time.perf_counter_ns() - start if timings else None
+        return own_ns + time.perf_counter_ns() - resumed if timings else None
 
     for t in range(T + 1):
         alpha = float(schedule.alpha(t, history))
@@ -366,10 +355,10 @@ def run(method_name: str, objective, mix: MixingMatrix, schedule, T: int,
         # NaN and inf fail the bound too, so no separate finiteness test
         if not np.linalg.norm(method.X) <= DIVERGENCE_NORM:
             traj.flag_diverged()
-            break
+            return
         history.append(rec.fgap_bar if rec.fgap_bar is not None else rec.grad_norm_sq)
         if t == T:
-            break
+            return
         inner = None
         if inner_metrics:
             def inner(info, _t=t, _alpha=alpha):
@@ -377,4 +366,49 @@ def run(method_name: str, objective, mix: MixingMatrix, schedule, T: int,
                     _metrics.record(traj, info.X_after, _t + (info.ell + 1) / method.m,
                                     _alpha, objective, wall_ns=elapsed())
         method.epoch(t, alpha, probe=inner)
-    return traj
+        own_ns += time.perf_counter_ns() - resumed
+        yield
+        resumed = time.perf_counter_ns()
+
+
+def run(methods, objective, mix: MixingMatrix, schedule, T: int,
+        seed: int, sampling: str = "rr", x0: np.ndarray | None = None,
+        init: str = "same", init_scale: float = 1.0, init_seed: int = 0,
+        transform=None, strict_alg2: bool = False, inner_metrics: bool = False,
+        timings: bool = False):
+    """Advance T epochs and record metrics at every epoch boundary.
+
+    `methods` is one method name, with its `schedule` and `transform`, and
+    the result its trajectory; or a sequence of names, with one schedule and
+    one transform (or None for none) per name, and the result their
+    trajectories in that order.  The methods run in lockstep, epoch by epoch,
+    from one start, and those that sample in the same mode share one order
+    stream.  Each run keeps its own arithmetic and schedule: it writes the
+    bytes it would write alone, and a run that diverges ends alone.
+
+    A trajectory has T+1 rows, plus T(m-1) interior rows with
+    `inner_metrics` (fewer if the run is truncated by divergence, in which
+    case the last row carries the flag).  Fully deterministic for fixed
+    seeds unless `timings` is set.  A `transform` must be the one built for
+    its method's operator.
+    """
+    one = isinstance(methods, str)
+    if one:
+        methods, schedule, transform = (methods,), (schedule,), (transform,)
+    if x0 is None:
+        x0 = initial_iterates(objective, init, init_scale, init_seed, seed)
+    streams, trajs, runs = {}, [], []
+    for name, sched, tr in zip(methods, schedule, transform or [None] * len(methods),
+                               strict=True):
+        if tr is not None and tr.method != name:
+            raise ValueError(f"method {name!r} cannot take a transform built "
+                             f"for method {tr.method!r}")
+        machine = make_method(name, objective, mix, seed, sampling, strict_alg2, streams)
+        machine.reset(x0)
+        rows = T + 1 + (T * (machine.m - 1) if inner_metrics else 0)
+        trajs.append(_metrics.Trajectory(rows))
+        runs.append(_lockstep(machine, objective, sched, tr, T, trajs[-1], inner_metrics,
+                              timings))
+    while runs:  # one epoch of every run still going, in the order given
+        runs = [r for r in runs if next(r, "ended") is None]
+    return trajs[0] if one else trajs

@@ -21,6 +21,17 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
+class _ListFlag(argparse.Action):
+    """A list flag takes one comma list: a second use, which would silently
+    replace the first, is refused."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise harness.ConfigError(f"{option_string}: given twice; give one comma "
+                                      "list instead")
+        setattr(namespace, self.dest, values)
+
+
 def _add_config_flags(p: argparse.ArgumentParser):
     """One flag per `ExperimentConfig` field, grouped by its file section,
     plus the CLI-only --config and --no-hetero; each passes its value on as text."""
@@ -35,6 +46,8 @@ def _add_config_flags(p: argparse.ArgumentParser):
             kind = {"action": "store_const", "const": "true"}
         else:  # choices are listed here and checked by ExperimentConfig
             kind = {"metavar": meta["choices"] and "{" + ",".join(meta["choices"]) + "}"}
+            if field.type == "tuple":
+                kind["action"] = _ListFlag
         groups[meta["section"]].add_argument(flag, dest=field.name, help=meta["help"],
                                              **kind)
     groups["objective"].add_argument("--no-hetero", dest="hetero",
@@ -58,7 +71,7 @@ def _cmd_run(args) -> int:
                                   "run.seeds entry; use sweep")
     method, seed = cfg.methods[0], cfg.seeds[0]
     objective, mix, plans = harness.plan_runs(cfg)
-    traj = harness.run_one(cfg, method, seed, objective, mix, plans[method])
+    traj = harness.run_seed(cfg, seed, objective, mix, plans)[method]
     text = metrics.to_csv(traj, harness.csv_metadata(cfg, method, objective, seed))
     if args.outfile:
         with open(args.outfile, "w", newline="\n") as fh:
@@ -131,6 +144,7 @@ def _cmd_constants(args) -> int:
             print(f"{field.name} = {getattr(tc, field.name)}")
     if tc.mu is not None:
         print(f"k_floor(theta={cfg.theta}) = {tc.k_floor(cfg.theta)}")
+    print(f"f_star_provenance = {obj.constants.tag('f_star')}")
     return EXIT_OK
 
 
@@ -184,9 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValueError, OSError) as exc:  # harness.ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)

@@ -94,7 +94,8 @@ class ExperimentConfig:
     # of the hash, so reruns in other directories hash (and therefore
     # serialize) identically
     outdir: str = _key("results", "run", "output directory", flag="out", hashed=False)
-    timings: bool = _key(False, "run", hashed=False)
+    timings: bool = _key(False, "run", "fill wall_ns with each run's own time",
+                         hashed=False)
 
     def __post_init__(self):
         for name, field in _FIELDS.items():
@@ -338,18 +339,20 @@ def plan_runs(cfg: ExperimentConfig) -> tuple:
     return objective, mix, plans
 
 
-def run_one(cfg: ExperimentConfig, method: str, seed: int, objective,
-            mix: MixingMatrix, plan: tuple) -> metrics.Trajectory:
-    """One method for one seed, with the (transform, schedule) that
-    `plan_runs` gave for it."""
-    transform, schedule = plan
-    return algorithms.run(
-        method, objective, mix, schedule, cfg.epochs, seed,
+def run_seed(cfg: ExperimentConfig, seed: int, objective, mix: MixingMatrix,
+             plans: dict) -> dict:
+    """Every method of `cfg` for one seed, in lockstep over the seed's
+    shared orders, with the (transform, schedule) that `plan_runs` gave for
+    each: {method: trajectory}."""
+    transforms, schedules = zip(*(plans[method] for method in cfg.methods))
+    trajs = algorithms.run(
+        cfg.methods, objective, mix, schedules, cfg.epochs, seed,
         sampling=cfg.sampling, init=cfg.init, init_scale=cfg.init_scale,
-        init_seed=cfg.data_seed, transform=transform,
+        init_seed=cfg.data_seed, transform=transforms,
         strict_alg2=cfg.strict_alg2, inner_metrics=cfg.inner_metrics,
         timings=cfg.timings,
     )
+    return dict(zip(cfg.methods, trajs))
 
 
 def csv_metadata(cfg: ExperimentConfig, method: str, objective,
@@ -380,16 +383,14 @@ def run_sweep(cfg: ExperimentConfig) -> dict:
     except OSError as exc:
         raise ConfigError(f"{_FIELD_TO_KEY['outdir']}: cannot create output dir "
                           f"{outdir}: {exc}") from exc
-    # seed-major, so the methods of a seed follow each other and share the
-    # orders `shuffling` keeps from the first of them
-    results = {(method, seed): run_one(cfg, method, seed, objective, mix, plans[method])
-               for seed in cfg.seeds for method in cfg.methods}
+    # one lockstep call per seed, whose methods share the seed's orders
+    results = {seed: run_seed(cfg, seed, objective, mix, plans) for seed in cfg.seeds}
 
     written = {}
     for method in cfg.methods:
         per_seed = []
         for seed in cfg.seeds:
-            traj = results[(method, seed)]
+            traj = results[seed][method]
             per_seed.append(traj)
             path = outdir / f"{method}_seed{seed}.csv"
             metrics.write_csv(path, traj, csv_metadata(cfg, method, objective, seed))

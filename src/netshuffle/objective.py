@@ -35,9 +35,10 @@ class ObjectiveConstants:
     is (1/n) sum_i inf f_i; Jensen gives f_star >= f_star_agents >=
     f_star_components whenever all are known.
 
-    A minimum may be given as a zero-argument function instead of a value.
-    It runs on the first read of that field, and the field then holds its
-    result as a plain attribute, so later reads cost nothing extra.
+    A minimum may be given as a zero-argument function instead of a value,
+    which returns the value and its tag, written into `provenance`.  It runs
+    on the first read of that field or of its tag, and the field then holds
+    the value as a plain attribute, so later reads cost nothing extra.
     """
 
     L: float
@@ -58,10 +59,13 @@ class ObjectiveConstants:
         pending = self.__dict__.get("_pending", {})
         if name not in pending:
             raise AttributeError(name)
-        value = self.__dict__[name] = pending[name]()
+        value, self.provenance[name] = pending[name]()
+        self.__dict__[name] = value
         return value
 
     def tag(self, name: str) -> str:
+        if name in self._pending:
+            getattr(self, name)  # a deferred minimum's tag comes with its value
         return self.provenance.get(name, UNAVAILABLE)
 
 
@@ -149,9 +153,9 @@ class QuadraticObjective(FiniteSumObjective):
         self._f_star = 0.5 * float(np.mean(np.sum(r * r, axis=2)))
         self.constants = ObjectiveConstants(
             L=L, mu=mu, f_star=self._f_star,
-            f_star_components=self._component_minimum,
-            f_star_agents=self._agent_minimum,
-            provenance={k: EXACT for k in ("L", "mu") + _MINIMA},
+            f_star_components=lambda: (self._component_minimum(), EXACT),
+            f_star_agents=lambda: (self._agent_minimum(), EXACT),
+            provenance={k: EXACT for k in ("L", "mu", "f_star")},
         )
 
     def _component_minimum(self) -> float:
@@ -378,12 +382,14 @@ class _LogisticBase(FiniteSumObjective):
         self._first = np.arange(self.n) * self.m
         self.constants = ObjectiveConstants(
             L=L, mu=self.weight if convex else None,
-            f_star=lambda: estimate_minimum(self.value, self.grad, self.p, L)[0],
+            f_star=lambda: self._estimate_f_star(L),
             f_star_components=None, f_star_agents=None,
-            provenance={"L": EXACT, "mu": EXACT if convex else UNAVAILABLE,
-                        "f_star": ESTIMATED, "f_star_components": UNAVAILABLE,
-                        "f_star_agents": UNAVAILABLE},
+            provenance={"L": EXACT, "mu": EXACT if convex else UNAVAILABLE},
         )
+
+    def _estimate_f_star(self, L: float) -> tuple[float, str]:
+        f_star, _, converged = estimate_minimum(self.value, self.grad, self.p, L)
+        return f_star, ESTIMATED if converged else f"{ESTIMATED}-unconverged"
 
     def _reg_value(self, x):
         """Regularizer value at x, or row-wise at a stack of points."""
@@ -536,8 +542,9 @@ def logistic_from_samples(feats: np.ndarray, labels: np.ndarray, n: int, m: int,
 
 def estimate_minimum(value, grad, p: int, L: float | None = None,
                      tol: float = 1e-10,
-                     max_iter: int = 50_000) -> tuple[float, np.ndarray]:
-    """Full-gradient descent to ||grad f|| <= tol, starting from the origin.
+                     max_iter: int = 50_000) -> tuple[float, np.ndarray, bool]:
+    """Full-gradient descent from the origin to ||grad f|| <= tol: (f, x,
+    converged), converged False where it stopped short of tol.
 
     Backtracking line search drives the bulk of the descent; once the true
     per-step decrease falls below the floating-point resolution of f the
@@ -571,7 +578,7 @@ def estimate_minimum(value, grad, p: int, L: float | None = None,
             x = x - g / L
             f = value(x)
         g = grad(x)
-    return float(f), x
+    return float(f), x, bool(np.sqrt(float(g @ g)) <= tol)
 
 
 def central_difference_grad(fun, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:

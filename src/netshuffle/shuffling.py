@@ -8,9 +8,10 @@ before each draw instead of constructing a new one, which gives the same
 numbers without the constructor's entropy gathering.  An epoch's draws for
 many agents instead come from a kernel that runs Philox over all of them at
 once as numpy array operations, bit for bit the numbers of the per-agent
-generators.  Every method of a run seed visits the same orders, so
-`epoch_orders` keeps each draw it makes in a small process-wide memo and
-serves the next method from it.
+generators.  Every method of a run seed visits the same orders: the methods
+of one seed run in lockstep and share one stream per mode, which keeps the
+draws of the newest two epochs it was asked for and serves the next method
+from them.
 Components are indexed 0..m-1 internally (the domain convention 1..m maps
 to index+1).
 """
@@ -52,68 +53,6 @@ def _philox_keys(master_seed: int, purpose: int, epoch: int, agent: int = 0,
     keys[:, 1] = np.arange(first, first + (count << _EPOCH_BITS), 1 << _EPOCH_BITS,
                            dtype=np.uint64)
     return keys
-
-
-# what the order memo may hold, in bytes
-ORDER_MEMO_BYTES = 4 * 2 ** 20
-# the memo keeps a stream's draws in chunks of consecutive epochs of about
-# this many bytes, so that a draw adds no Python object of its own; 64 KiB
-# chunks raised a 512-agent sweep's peak RSS about 0.3 MB more than these
-_CHUNK_BYTES = 2 ** 14
-
-
-class _OrderMemo:
-    """Epoch orders of each stream (master seed mod 2^64, mode) and shape
-    (n, m), kept in chunks of consecutive epochs: row r of a chunk holds its
-    r-th epoch, in the smallest integer type that holds m - 1, once `held[r]`
-    is set.  The chunks cost at most `ORDER_MEMO_BYTES`.  A full memo evicts
-    other streams' chunks, the oldest first, and refuses a stream's later
-    chunks rather than evict its earlier ones, so that a stream larger than
-    the budget is still served from its first epochs."""
-
-    def __init__(self):
-        self._chunks: dict = {}  # (seed, mode, n, m, chunk) -> (rows, held)
-        self.nbytes = 0
-
-    @staticmethod
-    def _place(stream: tuple, epoch: int, n: int, m: int) -> tuple:
-        """(chunk key, row, rows per chunk, dtype) of `epoch`'s draw."""
-        dtype = np.min_scalar_type(m - 1)
-        size = max(1, _CHUNK_BYTES // (dtype.itemsize * n * m))
-        chunk, row = divmod(epoch, size)
-        return (*stream, n, m, chunk), row, size, dtype
-
-    def get(self, stream: tuple, epoch: int, n: int, m: int) -> np.ndarray | None:
-        key, row, _, _ = self._place(stream, epoch, n, m)
-        rows, held = self._chunks.get(key, (None, None))
-        if rows is None or not held[row]:
-            return None
-        return rows[row].astype(np.int64)
-
-    def put(self, stream: tuple, epoch: int, orders: np.ndarray):
-        n, m = orders.shape
-        key, row, size, dtype = self._place(stream, epoch, n, m)
-        if key not in self._chunks:
-            cost = size * (dtype.itemsize * n * m + 1)
-            if cost > ORDER_MEMO_BYTES:
-                return
-            while self.nbytes + cost > ORDER_MEMO_BYTES:
-                old = next((old for old in self._chunks if old[:-1] != key[:-1]), None)
-                if old is None:  # only this stream's own chunks are left
-                    return
-                self.nbytes -= sum(a.nbytes for a in self._chunks.pop(old))
-            self._chunks[key] = np.empty((size, n, m), dtype), np.zeros(size, bool)
-            self.nbytes += cost
-        rows, held = self._chunks[key]
-        rows[row] = orders
-        held[row] = True
-
-    def clear(self):
-        self._chunks.clear()
-        self.nbytes = 0
-
-
-_ORDERS = _OrderMemo()
 
 
 def keyed_rng(master_seed: int, purpose: int, agent: int = 0, epoch: int = 0) -> Generator:
@@ -280,15 +219,19 @@ class PermutationStream:
 
     Each draw equals the one from a fresh `keyed_rng(master_seed,
     PURPOSE_PERM, agent, epoch)`, but comes from one generator that the
-    stream re-keys in place, so a stream is used by one run at a time.
-    `epoch_orders` serves a draw that any stream of the same seed and mode
-    made before from the order memo.
+    stream re-keys in place before each draw, so the runs that share a
+    stream may interleave their calls.  `epoch_orders` keeps the (n, m)
+    draws of the newest two epochs it was asked for: the methods of a seed
+    that share the stream ask for the same epoch in turn, and DSGT asks for
+    epoch t + 1 during epoch t.
     """
 
     master_seed: int
     mode: str = "rr"
     _rng: Generator = field(init=False, compare=False, repr=False)
     _state: dict = field(init=False, compare=False, repr=False)
+    # (n, keyed epoch, m) -> orders, the newest two epochs drawn
+    _kept: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -353,15 +296,14 @@ class PermutationStream:
         return self._fill(epoch, m, agent)[0]
 
     def epoch_orders(self, n: int, epoch: int, m: int) -> np.ndarray:
-        """(n, m) array; row i is agent i's visiting order for this epoch.
-        The array is the caller's own, whether drawn or read from the memo."""
-        stream = (self.master_seed % 2 ** 64, self.mode)
-        keyed = 0 if self.mode == "once" else epoch
-        orders = _ORDERS.get(stream, keyed, n, m)
-        if orders is None:
-            orders = self._fill(epoch, m, count=n)
-            _ORDERS.put(stream, keyed, orders)
-        return orders
+        """(n, m) int64 array; row i is agent i's visiting order for this
+        epoch.  The array is the caller's own, whether drawn or kept."""
+        key = (n, 0 if self.mode == "once" else epoch, m)
+        if key not in self._kept:
+            self._kept[key] = self._fill(epoch, m, count=n)
+            if len(self._kept) > 2:
+                del self._kept[next(iter(self._kept))]
+        return self._kept[key].copy()
 
 
 def rr_variance(X: np.ndarray, ell: int) -> tuple[float, float]:

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from netshuffle import shuffling
 from netshuffle.objective import make_quadratic
 from netshuffle.topology import build_graph, lazify, metropolis_weights
 
@@ -34,12 +33,3 @@ def quad8():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
-
-
-@pytest.fixture()
-def empty_order_memo():
-    """The process-wide memo of epoch orders, emptied before and after the
-    test, so the test sees every draw its own code makes."""
-    shuffling._ORDERS.clear()
-    yield shuffling._ORDERS
-    shuffling._ORDERS.clear()

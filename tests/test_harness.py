@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from netshuffle import algorithms, cli, harness, shuffling, stepsize, topology
+from netshuffle import algorithms, cli, harness, metrics, shuffling, stepsize, topology
 from netshuffle.data import load_cifar10, partition_data
 from netshuffle.harness import (ConfigError, ExperimentConfig, canonical_text,
                                 config_from_file, config_from_mapping,
@@ -208,6 +209,18 @@ def test_repeated_method_or_seed_is_config_error(tmp_path, capsys, flags, key):
     code, err = _sweep_exit(tmp_path, capsys, *flags)
     assert code == cli.EXIT_CONFIG and key in err and "repeated" in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("flag", ["--method", "--seed"])
+def test_repeated_list_flag_is_config_error_naming_it(tmp_path, capsys, flag):
+    # argparse would keep only the last use: drr and seed 0 would be dropped
+    argv = ["sweep", "--n", "4", "--m", "3", "--dim", "2", "--epochs", "3",
+            "--method", "drr", "--seed", "0", flag, {"--method": "gtrr", "--seed": "1"}[flag],
+            "--out", str(tmp_path / "d")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{flag}: given twice" in err
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize("argv,key", [
@@ -607,60 +620,111 @@ def _count_draws(monkeypatch) -> list:
     return draws
 
 
-@pytest.mark.parametrize("sampling", ["rr", "once"])
-def test_sweep_draws_each_seeds_orders_once(tmp_path, monkeypatch, empty_order_memo,
-                                            sampling):
-    draws = _count_draws(monkeypatch)
+def _count_kept(monkeypatch) -> list:
+    """Patch `PermutationStream.epoch_orders` to log how many epochs of
+    orders its stream keeps after each call."""
+    epoch_orders, kept = shuffling.PermutationStream.epoch_orders, []
+
+    def counted(stream, *args):
+        orders = epoch_orders(stream, *args)
+        kept.append(len({key[1] for key in stream._kept}))
+        return orders
+
+    monkeypatch.setattr(shuffling.PermutationStream, "epoch_orders", counted)
+    return kept
+
+
+@pytest.mark.parametrize("sampling,methods", [
+    pytest.param("rr", ("gtrr", "edrr", "dsgt", "ed"), id="rr"),
+    pytest.param("once", ("gtrr", "edrr", "dsgt", "ed"), id="once"),
+    pytest.param("rr", ("dsgd", "dsgt", "ed"), id="iid")])
+def test_sweep_draws_each_seeds_orders_once(tmp_path, monkeypatch, sampling, methods):
+    draws, kept = _count_draws(monkeypatch), _count_kept(monkeypatch)
     seeds, T = (0, 1, 2), 4
     base = dict(_SMALL_RUN, tau=0.5, seeds=seeds, epochs=T, sampling=sampling)
-    run_sweep(ExperimentConfig(outdir=str(tmp_path / "both"),
-                               methods=("gtrr", "edrr", "dsgt", "ed"), **base))
-    # the two reshuffling and the two iid methods share their seed's orders;
-    # dsgt also draws epoch T
+    run_sweep(ExperimentConfig(outdir=str(tmp_path / "all"), methods=methods, **base))
+    # the methods of a seed that sample alike share their orders; dsgt also
+    # draws epoch T
     epochs = (0,) if sampling == "once" else range(T)
-    expected = ({(s, sampling, t) for s in seeds for t in epochs}
+    reshuffled = {(s, sampling, t) for s in seeds for t in epochs}
+    expected = ((reshuffled if methods[0] == "gtrr" else set())
                 | {(s, "iid", t) for s in seeds for t in range(T + 1)})
     assert sorted(draws) == sorted(expected)
-    # one method alone draws as often as it did without the memo
+    assert 0 < max(kept) <= 2
+    # one method alone draws each epoch once
     draws.clear()
-    empty_order_memo.clear()
-    run_sweep(ExperimentConfig(outdir=str(tmp_path / "one"), methods=("gtrr",), **base))
-    assert len(draws) <= len(seeds) * T
+    run_sweep(ExperimentConfig(outdir=str(tmp_path / "one"), methods=methods[:1], **base))
+    assert len(draws) == len(seeds) * len(epochs if methods[0] == "gtrr" else range(T))
 
 
-# with no chunk kept every method draws its own orders; with two of a
-# seed's three chunks kept the memo refuses the third, so the first method
-# draws all five epochs and the other two only epoch 4
-@pytest.mark.parametrize("chunk_bytes,kept,drawn", [(2 ** 14, 0, 3 * 2 * 5),
-                                                    (256, 2, 2 * (5 + 1 + 1))],
-                         ids=["below-one-chunk", "two-chunks"])
-def test_sweep_larger_than_the_order_memo_writes_the_same_bytes(
-        tmp_path, monkeypatch, empty_order_memo, chunk_bytes, kept, drawn):
-    # 16 x 8 orders are 128 bytes a draw; 256-byte chunks take two epochs
-    overrides = dict(_SMALL_RUN, n=16, m=8, tau=0.5, methods=("gtrr", "edrr", "drr"),
-                     seeds=(0, 1), epochs=5)
-    run_sweep(ExperimentConfig(outdir=str(tmp_path / "default"), **overrides))
-    empty_order_memo.clear()
-    monkeypatch.setattr(shuffling, "_CHUNK_BYTES", chunk_bytes)
-    epochs = max(1, chunk_bytes // 128)
-    cost = epochs * (128 + 1)
-    monkeypatch.setattr(shuffling, "ORDER_MEMO_BYTES", kept * cost + cost // 2)
-    put, held = shuffling._OrderMemo.put, []
+def _runs_one_at_a_time(cfg: ExperimentConfig, outdir: Path):
+    """Write the CSVs of `run_sweep(cfg)` from one `algorithms.run` per
+    (method, seed), each with its own order streams."""
+    objective, mix, plans = harness.plan_runs(cfg)
+    outdir.mkdir()
+    for method in cfg.methods:
+        transform, schedule = plans[method]
+        per_seed = []
+        for seed in cfg.seeds:
+            traj = algorithms.run(
+                method, objective, mix, schedule, cfg.epochs, seed, sampling=cfg.sampling,
+                init=cfg.init, init_scale=cfg.init_scale, init_seed=cfg.data_seed,
+                transform=transform, strict_alg2=cfg.strict_alg2,
+                inner_metrics=cfg.inner_metrics)
+            metrics.write_csv(outdir / f"{method}_seed{seed}.csv", traj,
+                              harness.csv_metadata(cfg, method, objective, seed))
+            per_seed.append(traj)
+        metrics.write_csv(outdir / f"{method}_mean.csv", metrics.aggregate(per_seed),
+                          harness.csv_metadata(cfg, method, objective))
 
-    def checked_put(memo, *args):
-        put(memo, *args)
-        held.append(memo.nbytes)
 
-    monkeypatch.setattr(shuffling._OrderMemo, "put", checked_put)
-    draws = _count_draws(monkeypatch)
-    run_sweep(ExperimentConfig(outdir=str(tmp_path / "small"), **overrides))
-    assert max(held) == kept * cost  # full, and never over
-    assert len(draws) == drawn
-    names = sorted(path.name for path in (tmp_path / "default").iterdir())
-    assert names == sorted(path.name for path in (tmp_path / "small").iterdir())
+# at condition 20 and stepsize 0.11 the methods of seed 0 pass the
+# divergence bound at different epochs: crr at none, drr, gtrr and edrr at
+# t = 36, dsgt and ed at t = 37
+_LOCKSTEP_CASES = {
+    **{case: {**_SMALL_RUN, **overrides} for case, (overrides, _) in SWEEP_SHA256.items()},
+    "one diverges": dict(_SMALL_RUN, condition=20.0, tau=0.5, epochs=37,
+                         stepsize="const:0.11", seeds=(0, 1),
+                         methods=("crr", "drr", "gtrr", "edrr", "dsgt", "ed")),
+    "rr and iid": dict(_SMALL_RUN, objective="logistic", tau=0.5, seeds=(0, 1, 2),
+                       methods=("gtrr", "edrr", "dsgt", "ed")),
+    # each run's plateau steps down on its own history
+    "plateau": dict(_SMALL_RUN, objective="logistic", methods=("drr", "gtrr"), epochs=40,
+                    stepsize="plateau:0.5,0.2,0.1", seeds=(0, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOCKSTEP_CASES))
+def test_lockstep_sweep_writes_the_bytes_of_one_run_at_a_time(tmp_path, case):
+    cfg = ExperimentConfig(outdir=str(tmp_path / "sweep"), **_LOCKSTEP_CASES[case])
+    written = run_sweep(cfg)
+    _runs_one_at_a_time(cfg, tmp_path / "alone")
+    names = sorted(path.name for path in (tmp_path / "sweep").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "alone").iterdir())
     for name in names:
-        assert ((tmp_path / "default" / name).read_bytes()
-                == (tmp_path / "small" / name).read_bytes())
+        assert ((tmp_path / "sweep" / name).read_bytes()
+                == (tmp_path / "alone" / name).read_bytes()), name
+    if case == "one diverges":
+        diverged = {path.name for path, traj in written.items()
+                    if "seed" in path.name and traj[-1].diverged}
+        assert "crr_seed0.csv" not in diverged and "drr_seed0.csv" in diverged
+
+
+def test_lockstep_timings_count_only_each_runs_own_work(tmp_path, monkeypatch):
+    # every epoch of drr takes 20 ms more; gtrr's clock must not see it
+    epoch = algorithms.DRR.epoch
+
+    def slow(self, *args, **kwargs):
+        time.sleep(0.02)
+        return epoch(self, *args, **kwargs)
+
+    monkeypatch.setattr(algorithms.DRR, "epoch", slow)
+    written = run_sweep(ExperimentConfig(outdir=str(tmp_path), methods=("drr", "gtrr"),
+                                         timings=True, **_SMALL_RUN))
+    walls = {method: written[tmp_path / f"{method}_seed0.csv"][-1].wall_ns
+             for method in ("drr", "gtrr")}
+    # a clock that ran through drr's epochs would read at least 120 ms
+    assert walls["drr"] >= 6 * 20e6 > 2 * walls["gtrr"]
 
 
 def test_ring512_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -722,8 +786,7 @@ def test_ring1024_sweep_memory_tracks_the_objective(tmp_path, monkeypatch):
     tracemalloc.start()
     try:
         objective, mix, plans = harness.plan_runs(cfg)
-        for method in cfg.methods:
-            harness.run_one(cfg, method, 0, objective, mix, plans[method])
+        harness.run_seed(cfg, 0, objective, mix, plans)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -875,6 +938,25 @@ def test_cli_spectrum_and_constants(capsys):
     assert "gamma = " in out and "alpha_ncvx = " in out
 
 
+def test_unconverged_f_star_is_tagged_in_csvs_and_constants(tmp_path, capsys,
+                                                            monkeypatch):
+    from netshuffle import objective
+    estimate = objective.estimate_minimum
+    monkeypatch.setattr(objective, "estimate_minimum",
+                        lambda *args: estimate(*args, max_iter=50))
+    flags = ["--objective", "ncvx-logistic", "--n", "2", "--m", "3", "--dim", "6",
+             "--data-seed", "3"]
+    assert cli.main(["sweep", *flags, "--epochs", "2", "--method", "drr",
+                     "--out", str(tmp_path)]) == cli.EXIT_OK
+    for name in ("drr_seed0.csv", "drr_mean.csv"):
+        text = (tmp_path / name).read_text()
+        assert "# f_star_provenance = estimated-unconverged\n" in text
+    capsys.readouterr()
+    assert cli.main(["constants", *flags]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert out.endswith("f_star_provenance = estimated-unconverged\n")
+
+
 def test_cli_run_writes_csv(tmp_path, capsys):
     out = tmp_path / "run.csv"
     flags = ["--objective", "quadratic", "--n", "8", "--m", "3", "--dim", "3",
@@ -917,7 +999,7 @@ def test_cli_constants_prints_every_computed_constant_and_names_abc(capsys):
     names = [line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()]
     inputs = ("m", "L", "mu", "T")
     assert names == [f.name for f in dataclasses.fields(TheoryConstants)
-                     if f.name not in inputs] + ["k_floor(theta=20.0)"]
+                     if f.name not in inputs] + ["k_floor(theta=20.0)", "f_star_provenance"]
     # exact diffusion on the plain ring: W is indefinite
     assert cli.main(["constants", "--abc", "edrr", "--n", "8"]) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
@@ -929,7 +1011,7 @@ README_STDOUT_SHA256 = {
     "spectrum --graph ring --n 16":
         "792d375b68eece87c793130a8c8fa7896cf60b7db8d56b2a83a02d46a3af0b75",
     "constants --abc gtrr --graph ring --n 16 --m 10 --epochs 500":
-        "8cd3409f587397782b5e77b17b3c4a4a737260d9af127a77ff55b760fad68e0d",
+        "97e89d8044df6253421322da12e506066af1f1e63cd3ab9a6401beeba5be7fe7",
     "verify --suite all":
         "1a6b99b11b3e4b62a26dd314927ca0405cf7079b814d4ebd67c2b322b1b9b790",
 }

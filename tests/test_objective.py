@@ -195,8 +195,9 @@ def test_logistic_ridge_gradient_term(rng):
 def test_logistic_estimated_minimum_is_near_stationary():
     obj = make_logistic(3, 6, 4, seed=8, rho=0.2)
     from netshuffle.objective import estimate_minimum
-    f_star, x_star = estimate_minimum(obj.value, obj.grad, obj.p, obj.constants.L)
-    assert np.linalg.norm(obj.grad(x_star)) <= 1e-10
+    f_star, x_star, converged = estimate_minimum(obj.value, obj.grad, obj.p,
+                                                 obj.constants.L)
+    assert converged and np.linalg.norm(obj.grad(x_star)) <= 1e-10
     assert obj.constants.f_star == pytest.approx(f_star, rel=1e-12)
 
 
@@ -257,7 +258,7 @@ def _count_estimates(monkeypatch):
 
     def counted(value, grad, p, L=None):
         calls.append(L)
-        return 0.0, np.zeros(p)
+        return 0.0, np.zeros(p), True
 
     monkeypatch.setattr(objective, "estimate_minimum", counted)
     return calls
@@ -271,12 +272,32 @@ def test_logistic_minimum_is_estimated_on_first_read_of_constants(monkeypatch, r
     obj.perm_grads(np.tile(x, (obj.n, 1)), np.zeros(obj.n, dtype=int))
     assert len(calls) == 0
     c = obj.constants
-    assert c.L > 0 and c.mu is None and c.tag("f_star") == ESTIMATED
+    assert c.L > 0 and c.mu is None and c.tag("mu") == UNAVAILABLE
     assert len(calls) == 0
+    # the tag of an estimate is known once it has run
+    assert c.tag("f_star") == ESTIMATED
+    assert len(calls) == 1
     assert c.f_star == 0.0
     assert len(calls) == 1
     assert obj.constants.f_star == 0.0 and obj.constants is c
     assert len(calls) == 1
+
+
+def test_an_estimate_stopped_at_its_cap_is_tagged_unconverged(monkeypatch):
+    from netshuffle import objective
+    obj = make_logistic(3, 6, 4, seed=8, rho=0.2)
+    f, _, converged = objective.estimate_minimum(obj.value, obj.grad, obj.p,
+                                                 obj.constants.L, max_iter=3)
+    assert not converged and f > obj.constants.f_star
+    assert obj.constants.tag("f_star") == ESTIMATED
+    # this draw runs to the 50,000-step cap in about 2 s; a 50-step cap
+    # stops it short of the tolerance just the same
+    estimate = objective.estimate_minimum
+    monkeypatch.setattr(objective, "estimate_minimum",
+                        lambda *args: estimate(*args, max_iter=50))
+    capped = make_nonconvex_logistic(2, 3, 6, seed=3, eta=0.2).constants
+    assert capped.tag("f_star") == "estimated-unconverged"
+    assert np.isfinite(capped.f_star)
 
 
 def test_quadratic_minima_wait_for_first_read(monkeypatch):

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -73,9 +72,10 @@ def test_stream_draws_equal_fresh_keyed_generators(mode, rng):
 
 
 @pytest.mark.parametrize("mode", ["rr", "once", "iid"])
-def test_memo_serves_the_draws_of_fresh_keyed_generators(mode, rng, empty_order_memo):
-    # every (seed, shape, epoch) is asked for twice, the shapes interleaved,
-    # so each is once drawn and once read back; 17 and 2^64 + 17 share a key
+def test_memo_serves_the_draws_of_fresh_keyed_generators(mode, rng):
+    # every (seed, shape, epoch) is asked for twice, the asks shuffled, so
+    # some are served from the stream's two kept epochs and the rest drawn
+    # again; 17 and 2^64 + 17 share a key
     shapes = [(3, 5), (4, 11), (3, 11), (300, 2), (1, 1)]
     asks = [(seed, shape, epoch) for seed in (2 ** 64 + 17, 17, 5)
             for shape in shapes for epoch in (0, 1, 40)] * 2
@@ -85,86 +85,37 @@ def test_memo_serves_the_draws_of_fresh_keyed_generators(mode, rng, empty_order_
         orders = streams[seed].epoch_orders(n, epoch, m)
         assert orders.dtype == np.int64 and orders.flags.writeable
         assert np.array_equal(orders, _fresh_orders(seed, mode, n, epoch, m))
-    assert 0 < empty_order_memo.nbytes <= shuffling.ORDER_MEMO_BYTES
+        assert len(streams[seed]._kept) <= 2
 
 
 @pytest.mark.parametrize("mode", ["rr", "iid"])
-def test_mutating_returned_orders_leaves_the_next_call_alone(mode, empty_order_memo):
+def test_mutating_returned_orders_leaves_the_next_call_alone(mode):
     stream = PermutationStream(3, mode)
     expected = _fresh_orders(3, mode, 6, 2, 9)
-    for _ in range(3):  # the draw, then two reads from the memo
+    for _ in range(3):  # the draw, then two reads of the kept draw
         orders = stream.epoch_orders(6, 2, 9)
         assert np.array_equal(orders, expected)
         orders[:] = -1
     assert np.array_equal(PermutationStream(3, mode).epoch_orders(6, 2, 9), expected)
 
 
-def test_memo_stays_within_its_budget_and_evicts_the_oldest(monkeypatch, empty_order_memo):
-    # 4 x 10 orders are 40 bytes in uint8: 100-byte chunks take two epochs
-    # and cost 2 * 41 bytes with their flags; the budget holds two chunks
-    monkeypatch.setattr(shuffling, "_CHUNK_BYTES", 100)
-    monkeypatch.setattr(shuffling, "ORDER_MEMO_BYTES", 2 * 82 + 40)
-    stream = PermutationStream(8, "rr")
-    for epoch in range(6):
-        stream.epoch_orders(4, epoch, 10)
-        assert empty_order_memo.nbytes == 82 * min(epoch // 2 + 1, 2)
-    drawn = []
-    fill = PermutationStream._fill
+@pytest.mark.parametrize("mode", ["rr", "once"])
+def test_stream_keeps_the_newest_two_epochs(monkeypatch, mode):
+    drawn, fill = [], PermutationStream._fill
 
     def counted_fill(self, epoch, *args, **kwargs):
-        drawn.append((self.master_seed, epoch))
+        drawn.append(epoch)
         return fill(self, epoch, *args, **kwargs)
 
     monkeypatch.setattr(PermutationStream, "_fill", counted_fill)
-    # the stream's first two chunks are kept and its third was refused, so
-    # only epochs 4 and 5 are drawn again
-    for epoch in (5, 2, 0, 4, 1, 3):
-        orders = stream.epoch_orders(4, epoch, 10)
-        assert np.array_equal(orders, _fresh_orders(8, "rr", 4, epoch, 10))
-    assert drawn == [(8, 5), (8, 4)] and empty_order_memo.nbytes == 2 * 82
-    # another stream evicts the first stream's chunks, the oldest first, and
-    # then refuses its own third chunk
-    other = PermutationStream(9, "rr")
-    for epoch in range(6):
-        other.epoch_orders(4, epoch, 10)
-    drawn.clear()
-    for epoch in (0, 2, 4):
-        assert np.array_equal(other.epoch_orders(4, epoch, 10),
-                              _fresh_orders(9, "rr", 4, epoch, 10))
-    assert drawn == [(9, 4)]
-    # the first stream's epoch 0 is drawn again and evicts the other
-    # stream's epochs 0-1, not its epochs 2-3
-    drawn.clear()
-    for epoch in (0, 1):
+    stream = PermutationStream(8, mode)
+    # lockstep asks: each epoch by two methods, one of them a step ahead
+    for epoch in (0, 0, 1, 1, 2, 1, 2, 0):
         assert np.array_equal(stream.epoch_orders(4, epoch, 10),
-                              _fresh_orders(8, "rr", 4, epoch, 10))
-    other.epoch_orders(4, 2, 10)
-    other.epoch_orders(4, 0, 10)
-    assert drawn == [(8, 0), (8, 1), (9, 0)] and empty_order_memo.nbytes == 2 * 82
-    # a chunk that costs more than the whole budget is not kept
-    monkeypatch.setattr(shuffling, "ORDER_MEMO_BYTES", 81)
-    empty_order_memo.clear()
-    assert np.array_equal(stream.epoch_orders(4, 0, 10), _fresh_orders(8, "rr", 4, 0, 10))
-    assert empty_order_memo.nbytes == 0
-
-
-def test_memo_of_many_small_draws_holds_what_it_counts(monkeypatch, empty_order_memo):
-    # 2 x 2 orders are 4 bytes a draw: kept one object each, their headers
-    # would outweigh them many times over
-    monkeypatch.setattr(shuffling, "ORDER_MEMO_BYTES", 2 ** 18)
-    streams = [PermutationStream(2 ** 40 + seed, "rr") for seed in range(20)]
-    streams[0].epoch_orders(2, 0, 2)
-    tracemalloc.start()
-    try:
-        for stream in streams:
-            for epoch in range(300):
-                stream.epoch_orders(2, epoch, 2)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert len(empty_order_memo._chunks) < 20  # the oldest streams were evicted
-    assert empty_order_memo.nbytes <= 2 ** 18
-    assert held <= 1.05 * empty_order_memo.nbytes
+                              _fresh_orders(8, mode, 4, epoch, 10))
+        assert len(stream._kept) <= 2
+    # epoch 0 left when epoch 2 came; 'once' keys every epoch to epoch 0
+    assert drawn == ([0, 1, 2, 0] if mode == "rr" else [0])
 
 
 SEEDS = (0, 17, 2 ** 64 + 17, 2 ** 64 - 1)
