@@ -74,12 +74,11 @@ class _Method:
     def epoch(self, t: int, alpha: float, probe=None):
         """Advance one epoch: m inner steps, each at the gradient of the
         current iterate along the epoch's orders."""
-        # step ell's indices as one contiguous row of the transposed orders
-        steps = self._orders(t).T.copy()
+        samples = self.obj.step_samples(self._orders(t))
         self._start_epoch(alpha)
-        for ell, idx in enumerate(steps):
+        for ell, sample in enumerate(samples):
             Xb = self.X
-            g = self.obj.perm_grads(Xb, idx)
+            g = self.obj.perm_grads(Xb, sample)
             self._step(ell, alpha, g)
             if probe is not None:
                 probe(ProbeInfo(ell, alpha, Xb, self.X, g, self.Y))
@@ -172,8 +171,8 @@ class DSGT(_Method):
         super().reset(X0)
         self.Y = None
         self._g = None
-        # the epoch to run next and its orders (None until drawn)
-        self._t_next, self._next_orders = 0, None
+        # the epoch to run next and its samples (None until drawn)
+        self._t_next, self._next_samples = 0, None
 
     def epoch(self, t, alpha, probe=None):
         # the tracker's last update of an epoch takes the next epoch's first
@@ -181,20 +180,20 @@ class DSGT(_Method):
         if t != self._t_next:
             raise ValueError("dsgt epochs must be advanced consecutively from 0")
         self._t_next += 1
-        if self._next_orders is None:
-            self._next_orders = self._orders(t)
-        orders = self._next_orders
+        if self._next_samples is None:
+            self._next_samples = self.obj.step_samples(self._orders(t))
+        samples = self._next_samples
         if self.Y is None:
-            self._g = self.obj.perm_grads(self.X, orders[:, 0])
+            self._g = self.obj.perm_grads(self.X, samples[0])
             self.Y = self._g.copy()
         for ell in range(self.m):
             Xb, Yb, gb = self.X, self.Y, self._g
             self.X = self.W @ (self.X - alpha * self.Y)
             if ell + 1 < self.m:
-                nxt = orders[:, ell + 1]
-            else:  # the first index of the next epoch
-                self._next_orders = self._orders(t + 1)
-                nxt = self._next_orders[:, 0]
+                nxt = samples[ell + 1]
+            else:  # the first sample of the next epoch
+                self._next_samples = self.obj.step_samples(self._orders(t + 1))
+                nxt = self._next_samples[0]
             g_new = self.obj.perm_grads(self.X, nxt)
             self.Y = self.W @ self.Y + g_new - self._g
             self._g = g_new
@@ -409,6 +408,9 @@ def run(methods, objective, mix: MixingMatrix, schedule, T: int,
         trajs.append(_metrics.Trajectory(rows))
         runs.append(_lockstep(machine, objective, sched, tr, T, trajs[-1], inner_metrics,
                               timings))
-    while runs:  # one epoch of every run still going, in the order given
-        runs = [r for r in runs if next(r, "ended") is None]
+    # a finite iterate whose squares overflow fails the divergence test as
+    # inf does, so numpy's overflow and invalid-value warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        while runs:  # one epoch of every run still going, in the order given
+            runs = [r for r in runs if next(r, "ended") is None]
     return trajs[0] if one else trajs

@@ -16,6 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ._einsum import einsum
 from .data import partition_data, synthetic_classification
 from .shuffling import PURPOSE_MC, keyed_rng
 
@@ -74,8 +75,12 @@ class FiniteSumObjective:
 
     Besides the component oracles each family provides agent_grad, value,
     grad, value_and_grad, and the stacked oracles used by the simulators:
-    perm_grads(X, idx) with rows grad f_{i, idx[i]}(X[i]),
-    stacked_agent_grads(X) with rows grad f_i(X[i]), and values_at(X), the
+    step_samples(orders), which turns an epoch's (n, m) component orders into
+    its m per-step samples once (the logistic families gather every step's
+    rows in one take, the quadratics keep indices); perm_grads(X, samples)
+    with rows grad f_{i, orders[i, ell]}(X[i]) for samples =
+    step_samples(orders)[ell], which never writes into its arguments;
+    stacked_agent_grads(X) with rows grad f_i(X[i]); and values_at(X), the
     global f at each row of X.
     """
 
@@ -137,7 +142,7 @@ class QuadraticObjective(FiniteSumObjective):
         rows = A.reshape(self.n, -1, self.p)
         self.H_agent = np.swapaxes(rows, 1, 2) @ rows
         self.H_agent /= self.m
-        self.c_agent = np.einsum("imkp,imk->ip", A, b) / self.m
+        self.c_agent = einsum("imkp,imk->ip", A, b) / self.m
         self.H = self.H_agent.mean(axis=0)
         self.c = self.c_agent.mean(axis=0)
         if L is None:
@@ -164,15 +169,15 @@ class QuadraticObjective(FiniteSumObjective):
         A, b = self.A, self.b
         U, sv = np.linalg.svd(A, full_matrices=False)[:2]
         keep = sv > np.finfo(float).eps * max(A.shape[2:]) * sv[..., :1]
-        coef = np.einsum("imkr,imk->imr", U, b) * keep
-        r = np.einsum("imkr,imr->imk", U, coef) - b
+        coef = einsum("imkr,imk->imr", U, b) * keep
+        r = einsum("imkr,imr->imk", U, coef) - b
         return float(np.mean(0.5 * np.sum(r * r, axis=2)))
 
     def _agent_minimum(self) -> float:
         # from the residuals at each agent's own minimizer, as f* is
         x_agent = np.array([np.linalg.solve(H, c)
                             for H, c in zip(self.H_agent, self.c_agent)])
-        r = np.einsum("imkp,ip->imk", self.A, x_agent) - self.b
+        r = einsum("imkp,ip->imk", self.A, x_agent) - self.b
         return 0.5 * float(np.mean(np.sum(r * r, axis=2)))
 
     def component_value(self, i, l, x):
@@ -195,18 +200,22 @@ class QuadraticObjective(FiniteSumObjective):
     def grad(self, x):
         return self.H @ x - self.c
 
+    def step_samples(self, orders):
+        # the component indices of each step; perm_grads gathers A and b
+        return orders.T
+
     def perm_grads(self, X, idx):
         ar = np.arange(self.n)
         Ag = self.A[ar, idx]                           # (n, k, p)
-        r = np.einsum("ikp,ip->ik", Ag, X) - self.b[ar, idx]
-        return np.einsum("ikp,ik->ip", Ag, r)
+        r = einsum("ikp,ip->ik", Ag, X) - self.b[ar, idx]
+        return einsum("ikp,ik->ip", Ag, r)
 
     def stacked_agent_grads(self, X):
-        return np.einsum("ipq,iq->ip", self.H_agent, X) - self.c_agent
+        return einsum("ipq,iq->ip", self.H_agent, X) - self.c_agent
 
     def values_at(self, X):
         D = X - self.x_star
-        return 0.5 * np.einsum("ip,pq,iq->i", D, self.H, D) + self._f_star
+        return 0.5 * einsum("ip,pq,iq->i", D, self.H, D) + self._f_star
 
 
 class SeparableQuadratic(FiniteSumObjective):
@@ -235,7 +244,7 @@ class SeparableQuadratic(FiniteSumObjective):
         self.n, self.m, self.p = targets.shape
         self.t_agent = targets.mean(axis=1)
         self.x_star = self.t_agent.mean(axis=0)
-        # perm_grads takes row i * m + idx[i] of the (n m, p) targets
+        # perm_grads takes row i * m + l of the (n m, p) targets
         self._rows = targets.reshape(-1, self.p)
         self._first = np.arange(self.n) * self.m
         self._f_star = float(self._half_gap(targets - self.x_star).mean())
@@ -248,7 +257,7 @@ class SeparableQuadratic(FiniteSumObjective):
 
     def _half_gap(self, D):
         """0.5 sum_q d_q D_q^2 over the last axis of D."""
-        return 0.5 * np.einsum("...p,...p,p->...", D, D, self.d)
+        return 0.5 * einsum("...p,...p,p->...", D, D, self.d)
 
     def component_value(self, i, l, x):
         self._check_indices(i, l)
@@ -267,8 +276,14 @@ class SeparableQuadratic(FiniteSumObjective):
     def grad(self, x):
         return self.d * (x - self.x_star)
 
-    def perm_grads(self, X, idx):
-        G = self._rows.take(self._first + idx, axis=0)
+    def step_samples(self, orders):
+        # each step's row indices; perm_grads gathers the rows, since an
+        # epoch's block of them, as large as the targets, would raise a
+        # 1024-ring sweep's peak memory by a quarter
+        return self._first + orders.T
+
+    def perm_grads(self, X, row_idx):
+        G = self._rows.take(row_idx, axis=0)
         np.subtract(X, G, out=G)
         G *= self.d
         return G
@@ -377,9 +392,12 @@ class _LogisticBase(FiniteSumObjective):
         L = float(np.max(np.sum(signed ** 2, axis=2))) / 4.0 + self.weight
         signed *= -0.5
         self._scaled = signed
-        # perm_grads takes row i * m + idx[i] of the (n m, p) rows
+        # step_samples takes row i * m + l of the (n m, p) rows
         self._rows = signed.reshape(-1, self.p)
         self._first = np.arange(self.n) * self.m
+        # perm_grads adds 1 from an array: a Python float costs numpy a scalar
+        # conversion on every call, the same sum at about twice the time
+        self._ones = np.ones(self.n)
         self.constants = ObjectiveConstants(
             L=L, mu=self.weight if convex else None,
             f_star=lambda: self._estimate_f_star(L),
@@ -433,31 +451,34 @@ class _LogisticBase(FiniteSumObjective):
     def _grad_at(self, w, x):
         coef = _tanh_plus_one(w)
         coef /= self.n * self.m
-        return np.einsum("im,imp->p", coef, self._scaled) + self._reg_grad(x)
+        return einsum("im,imp->p", coef, self._scaled) + self._reg_grad(x)
 
-    def perm_grads(self, X, idx):
-        rows = self._rows.take(self._first + idx, axis=0)   # (n, p)
-        w = np.einsum("ip,ip->i", rows, X)
+    def step_samples(self, orders):
+        # every step's rows in one gather, (m, n, p)
+        return self._rows.take(self._first + orders.T, axis=0)
+
+    def perm_grads(self, X, rows):
+        w = einsum("ip,ip->i", rows, X)
         np.tanh(w, out=w)   # _tanh_plus_one inlined: this runs every step
-        w += 1.0
-        rows *= w[:, None]
-        rows += self._reg_grad(X)
-        return rows
+        w += self._ones
+        G = rows * w[:, None]
+        G += self._reg_grad(X)
+        return G
 
     def stacked_agent_grads(self, X):
-        return self._agent_grads(np.einsum("imp,ip->im", self._scaled, X), X)
+        return self._agent_grads(einsum("imp,ip->im", self._scaled, X), X)
 
     def grads_at_consensus(self, xbar):
         # every agent at one point: the margins contract xbar directly, with
         # the bits of stacked_agent_grads at its rows broadcast
-        return self._agent_grads(np.einsum("imp,p->im", self._scaled, xbar), xbar)
+        return self._agent_grads(einsum("imp,p->im", self._scaled, xbar), xbar)
 
     def _agent_grads(self, w, x):
         """Rows grad f_i from the (n, m) products w of the stored rows with
         each agent's point, and those points x (rows, or one shared point)."""
         coef = _tanh_plus_one(w, out=w)
         coef /= self.m
-        return np.einsum("im,imp->ip", coef, self._scaled) + self._reg_grad(x)
+        return einsum("im,imp->ip", coef, self._scaled) + self._reg_grad(x)
 
     def values_at(self, X):
         # the margins of every component at every row of X from one GEMM,
@@ -483,12 +504,13 @@ class LogisticObjective(_LogisticBase):
     def __init__(self, feats, labels, rho: float = 0.2):
         super().__init__(feats, labels, rho, convex=True)
         self.rho = self.weight
+        self._rho = np.array(self.rho)   # as _ones in perm_grads: no conversion a call
 
     def _reg_value(self, x):
         return 0.5 * self.rho * (x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
     def _reg_grad(self, x):
-        return self.rho * x
+        return x * self._rho
 
 
 class NonconvexLogisticObjective(_LogisticBase):

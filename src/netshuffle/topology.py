@@ -16,6 +16,8 @@ from typing import Iterable
 import numpy as np
 from numpy.fft import rfft
 
+from ._einsum import einsum
+
 SYM_TOL = 1e-12
 STOCH_TOL = 1e-12
 PSD_TOL = 1e-12
@@ -359,7 +361,7 @@ class NeighborGather:
         self.wt.setflags(write=False)
 
     def __matmul__(self, X: np.ndarray) -> np.ndarray:
-        return np.einsum("ik,ik...->i...", self.wt, X.take(self.idx, axis=0))
+        return einsum("ik,ik...->i...", self.wt, X.take(self.idx, axis=0))
 
 
 def metropolis_weights(g: Graph) -> MixingMatrix:

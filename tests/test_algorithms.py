@@ -224,8 +224,8 @@ def test_updates_never_write_into_arrays_already_held(name, lazy_ring8):
         keep((info.X_before, info.X_after, info.grads, info.Y))
         keep(getattr(machine, attr, None) for attr in _STATE)
 
-    def perm_grads(X, idx, _grads=obj.perm_grads):
-        g = _grads(X, idx)
+    def perm_grads(X, samples, _grads=obj.perm_grads):
+        g = _grads(X, samples)
         keep((g,))
         return g
 

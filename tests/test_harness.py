@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +137,23 @@ def _sweep_exit(tmp_path, capsys, *argv, config=""):
     code = cli.main(["sweep", "--config", str(path), "--n", "4", "--m", "2",
                      "--epochs", "1", "--out", str(tmp_path), *argv])
     return code, capsys.readouterr().err
+
+
+def test_overflowing_iterate_diverges_without_numpy_warnings(tmp_path, capsys):
+    # a finite iterate whose squares overflow fails the divergence test; the
+    # run exits 3 with the flag on its last row and prints no RuntimeWarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["sweep", "--n", "4", "--m", "2", "--dim", "2", "--epochs", "3",
+                         "--method", "gtrr", "--init-scale", "1e300",
+                         "--out", str(tmp_path)])
+    assert code == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    for name in ("gtrr_seed0.csv", "gtrr_mean.csv"):
+        lines = [line for line in (tmp_path / name).read_text().splitlines()
+                 if not line.startswith("#")]
+        assert dict(zip(lines[0].split(","), lines[-1].split(",")))["diverged"] == "1"
 
 
 def test_negative_epochs_is_config_error(tmp_path, capsys):
@@ -791,7 +809,7 @@ def test_ring1024_sweep_memory_tracks_the_objective(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     own = objective.targets.nbytes + objective.t_agent.nbytes   # 1.18 MB
-    # measured 3.67 MB, 3.1x; the matrix form with its blocked QR peaked at
+    # measured 4.32 MB, 3.7x; the matrix form with its blocked QR peaked at
     # 24.1 MB
     assert peak < 4 * own
     assert "w" not in vars(mix)

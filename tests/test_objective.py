@@ -9,6 +9,12 @@ from netshuffle.objective import (ESTIMATED, EXACT, UNAVAILABLE,
 from netshuffle.shuffling import PURPOSE_MC, keyed_rng
 from signed_logistic import SignedLogistic, loss_slope, samples, signed_rows
 
+
+def step_grads(obj, X, idx):
+    """perm_grads at the one-step orders idx[:, None]."""
+    return obj.perm_grads(X, obj.step_samples(idx[:, None])[0])
+
+
 FAMILIES = {
     "quadratic": lambda: make_quadratic(3, 4, 5, seed=5, condition=4.0),
     "logistic": lambda: make_logistic(3, 4, 5, seed=5, rho=0.2),
@@ -33,7 +39,7 @@ def test_stacked_oracles_match_pointwise(family, rng):
     obj = FAMILIES[family]()
     X = rng.normal(size=(obj.n, obj.p))
     idx = rng.integers(obj.m, size=obj.n)
-    stacked = obj.perm_grads(X, idx)
+    stacked = step_grads(obj, X, idx)
     for i in range(obj.n):
         assert np.allclose(stacked[i], obj.component_grad(i, int(idx[i]), X[i]),
                            atol=1e-12)
@@ -269,7 +275,7 @@ def test_logistic_minimum_is_estimated_on_first_read_of_constants(monkeypatch, r
     obj = make_nonconvex_logistic(3, 4, 5, 5)
     x = rng.normal(size=obj.p)
     obj.component_grad(1, 2, x)
-    obj.perm_grads(np.tile(x, (obj.n, 1)), np.zeros(obj.n, dtype=int))
+    step_grads(obj, np.tile(x, (obj.n, 1)), np.zeros(obj.n, dtype=int))
     assert len(calls) == 0
     c = obj.constants
     assert c.L > 0 and c.mu is None and c.tag("mu") == UNAVAILABLE
@@ -448,7 +454,7 @@ def test_logistic_perm_grads_bit_equal_to_unfolded_sigmoid():
     @hypothesis.given(draws)
     def check(drawn):
         obj, X, idx = drawn
-        assert np.array_equal(obj.perm_grads(X, idx), unfolded(obj, X, idx))
+        assert np.array_equal(step_grads(obj, X, idx), unfolded(obj, X, idx))
 
     check()
 
@@ -537,7 +543,7 @@ def test_closed_form_quadratic_equals_the_general_class_on_its_matrix_form():
         for name in ("f_star", "f_star_agents", "f_star_components"):
             close(getattr(closed.constants, name), getattr(ref.constants, name), tol_f)
         assert closed.constants.f_star_components == 0.0
-        close(closed.perm_grads(X, idx), ref.perm_grads(X, idx), tol_g)
+        close(step_grads(closed, X, idx), step_grads(ref, X, idx), tol_g)
         close(closed.stacked_agent_grads(X), ref.stacked_agent_grads(X), tol_g)
         close(closed.grads_at_consensus(X[0]), ref.grads_at_consensus(X[0]), tol_g)
         close(closed.values_at(X), ref.values_at(X), tol_f)
@@ -556,8 +562,8 @@ def test_closed_form_quadratic_equals_the_general_class_on_its_matrix_form():
 
 @pytest.mark.parametrize("family", ["logistic", "ncvx-logistic"])
 def test_logistic_perm_grads_equal_the_gathered_expression_bit_for_bit(family, rng):
-    # perm_grads works in place on its gathered rows; its bits are those of
-    # the expression it replaced, also where the margins saturate the slope
+    # perm_grads keeps the bits of the signed-row expression, also where the
+    # margins saturate the slope
     make = make_logistic if family == "logistic" else make_nonconvex_logistic
     obj = make(6, 5, 4, seed=3, scale=2.0)
     for scale in (1.0, 1e3):
@@ -566,7 +572,7 @@ def test_logistic_perm_grads_equal_the_gathered_expression_bit_for_bit(family, r
         rows = signed_rows(obj)[np.arange(6), idx]
         z = np.einsum("ip,ip->i", rows, X)
         expected = loss_slope(z)[:, None] * rows + obj._reg_grad(X)
-        got = obj.perm_grads(X, idx)
+        got = step_grads(obj, X, idx)
         assert got.tobytes() == expected.tobytes()
     assert np.isin(loss_slope(z), (0.0, -1.0)).any()  # saturated margins were drawn
 
@@ -595,7 +601,7 @@ def test_logistic_oracles_equal_the_signed_sample_form_bit_for_bit(family):
         x = X[0]
         idx = rng.integers(0, m, size=n)
         i, l = int(rng.integers(n)), int(rng.integers(m))
-        same(obj.perm_grads(X, idx), ref.perm_grads(X, idx))
+        same(step_grads(obj, X, idx), ref.perm_grads(X, idx))
         same(obj.component_value(i, l, x), ref.component_value(i, l, x))
         same(obj.component_grad(i, l, x), ref.component_grad(i, l, x))
         same(obj.agent_grad(i, x), ref.agent_grad(i, x))
@@ -608,3 +614,63 @@ def test_logistic_oracles_equal_the_signed_sample_form_bit_for_bit(family):
         same(obj.values_at(X), ref.values_at(X))
 
     check()
+
+
+def _former_perm_grads(obj, X, idx):
+    """perm_grads as each family computed it from one step's indices idx,
+    gathering that step's samples itself."""
+    if isinstance(obj, QuadraticObjective):
+        ar = np.arange(obj.n)
+        Ag = obj.A[ar, idx]
+        r = np.einsum("ikp,ip->ik", Ag, X) - obj.b[ar, idx]
+        return np.einsum("ikp,ik->ip", Ag, r)
+    rows = obj._rows.take(np.arange(obj.n) * obj.m + idx, axis=0)
+    if isinstance(obj, SeparableQuadratic):
+        np.subtract(X, rows, out=rows)
+        rows *= obj.d
+        return rows
+    w = np.einsum("ip,ip->i", rows, X)
+    np.tanh(w, out=w)
+    w += 1.0
+    rows *= w[:, None]
+    rows += obj._reg_grad(X)
+    return rows
+
+
+def test_perm_grads_on_step_samples_equal_the_former_per_step_gather():
+    # one gather per epoch gives every step the bits its own gather gave, for
+    # per-agent and centralized (broadcast) orders and saturated margins; the
+    # oracle writes into neither its samples nor X
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    makers = {"separable": make_quadratic, "matrix": general,
+              "logistic": make_logistic, "ncvx-logistic": make_nonconvex_logistic}
+    saturated = []
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
+    @hypothesis.given(st.sampled_from(sorted(makers)), st.integers(1, 7),
+                      st.integers(1, 5), st.integers(1, 8), st.integers(0, 2 ** 16),
+                      st.sampled_from([1e-3, 1.0, 1e3]), st.booleans())
+    def check(family, n, m, p, seed, x_scale, centralized):
+        obj = makers[family](n, m, p, seed)
+        rng = np.random.default_rng(seed)
+        X = x_scale * rng.normal(size=(n, p))
+        if centralized:
+            orders = np.broadcast_to(rng.permutation(m), (n, m))
+        else:
+            orders = np.argsort(rng.random((n, m)), axis=1)
+        samples = obj.step_samples(orders)
+        kept, X_kept = samples.tobytes(), X.tobytes()
+        assert len(samples) == m
+        for ell in range(m):
+            got = obj.perm_grads(X, samples[ell])
+            want = _former_perm_grads(obj, X, orders[:, ell].copy())
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert obj.perm_grads(X, samples[ell]).tobytes() == got.tobytes()
+            if "logistic" in family:
+                slope = 1.0 + np.tanh(np.einsum("ip,ip->i", samples[ell], X))
+                saturated.append(np.isin(slope, (0.0, 2.0)).any())
+        assert samples.tobytes() == kept and X.tobytes() == X_kept
+
+    check()
+    assert any(saturated)

@@ -461,12 +461,12 @@ def test_transformed_one_step_recursion_matches_blocks(quad8, ring8):
     t = 0
     alpha = ALPHA
     eng.S, eng._anchor, AGc = eng._anchored_s(alpha)
-    orders = eng.stream.epoch_orders(eng.n, t, eng.m)
+    samples = quad8.step_samples(eng.stream.epoch_orders(eng.n, t, eng.m))
     Gc = np.linalg.solve(op.A, AGc)
     Gamma, Vinv = block_diag(gamma_blocks(op, td)[1]), block_diag(td.Vinv_blocks)
     for ell in range(eng.m):
         e_before = td.e_vector(eng.X, eng.S)
-        g = quad8.perm_grads(eng.X, orders[:, ell])
+        g = quad8.perm_grads(eng.X, samples[ell])
         drive = np.vstack([
             (td.a_vals[:, None]) * (td.spectral.uhat.T @ (g - Gc)),
             np.zeros((eng.n - 1, eng.p)),
